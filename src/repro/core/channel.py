@@ -12,12 +12,16 @@ pair per concern.  This module is the single transport they now share:
   (:class:`PendingReply`), so callers can pipeline many operations over
   one connection;
 * inbound requests are served by the process's event-loop host
-  (:mod:`repro.core.hostloop`): one scheduler and a small fixed
-  executor pool serve *every* registered channel, so distinct logical
-  channels (= distinct opens of a container) execute concurrently
-  while each channel stays strictly ordered — and a thousand channels
-  cost O(1) threads, not a thousand.  ``REPRO_HOST_MODE=threads``
-  restores the legacy worker-thread-per-channel model;
+  (:mod:`repro.core.hostloop`): one small thread pool serves *every*
+  registered channel, so distinct logical channels (= distinct opens
+  of a container) execute concurrently while each channel stays
+  strictly ordered — and a thousand channels cost O(1) threads, not a
+  thousand;
+* the thread that reads a frame is the thread that acts on it: on a
+  connection that serves requests, a pool thread holding the read role
+  runs an idle channel's request itself (leader/follower); on one that
+  serves none, the caller blocked in :meth:`PendingReply.wait` reads
+  the replies itself (see :class:`StreamChannel`);
 * the transport keeps per-operation latency/throughput counters
   (:class:`ChannelCounters`), so every strategy gets instrumentation
   for free.
@@ -40,14 +44,14 @@ control/bridge traffic; sessions use channels 1 and up.
 from __future__ import annotations
 
 import os
+import select
 import threading
 import time
 from collections import deque
-from queue import SimpleQueue
 from typing import Any, BinaryIO, Callable
 
 from repro.core import control, hostloop
-from repro.core.policy import JOIN_TIMEOUT, Deadline
+from repro.core.policy import JOIN_TIMEOUT, READ_POLL_S, Deadline
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
     ChannelClosedError,
@@ -287,7 +291,7 @@ class PendingReply:
         legacy seconds-from-now float.
         """
         deadline = Deadline.coerce(timeout)
-        if not self._event.wait(deadline.timeout()):
+        if not self.channel._await(self, deadline):
             withdrawn = self.channel._withdraw(self.rid) is self
             if withdrawn:
                 self.channel.counters.request_withdrawn(self.op)
@@ -531,76 +535,6 @@ class _Ring:
             raise
 
 
-class _ChanWorker:
-    """Serial executor thread for one logical channel's inbound requests.
-
-    The legacy (pre-event-loop) serving model, kept selectable via
-    ``REPRO_HOST_MODE=threads`` for one release.  The serving body is
-    :func:`repro.core.hostloop.serve_one` — shared with the loop's
-    executors, so the two modes cannot drift apart semantically.
-    """
-
-    def __init__(self, channel: "Channel", chan: int, handler: Handler,
-                 name: str) -> None:
-        self.channel = channel
-        self.chan = chan
-        self.handler = handler
-        self.queue: SimpleQueue = SimpleQueue()
-        self.thread = threading.Thread(target=self._loop, name=name,
-                                       daemon=True)
-        self.thread.start()
-
-    def submit(self, rid: int, fields: dict[str, Any],
-               payload: bytes) -> None:
-        # Re-anchor the sender's remaining budget (``dl``, milliseconds)
-        # on the local monotonic clock at enqueue time; the queue wait
-        # counts against it.  The trace context (``tc``) rides the same
-        # way: popped here, re-parented by the worker.
-        deadline = Deadline.from_ms(fields.pop("dl", None))
-        tc = fields.pop("tc", None)
-        if fields.get("cmd") == "batch" and "ops" in fields:
-            # Multi-op frames unpack at intake time here too, so the
-            # threads mode re-anchors per-sub budgets at the same point
-            # as the event loop.
-            try:
-                subs = hostloop.unpack_batch(fields, payload)
-            except (ValueError, TypeError) as exc:
-                try:
-                    self.channel._send_reply(
-                        rid, self.chan,
-                        control.error_fields(ProtocolError(str(exc))), b"")
-                except (ChannelClosedError, OSError, ValueError):
-                    pass
-                return
-            self.queue.put((rid, {"cmd": "batch", "subs": subs}, b"",
-                            Deadline.never(), None))
-            return
-        self.queue.put((rid, fields, payload, deadline, tc))
-
-    def stop(self) -> None:
-        self.queue.put(None)
-        if threading.current_thread() is not self.thread:
-            self.thread.join(timeout=JOIN_TIMEOUT)
-
-    def _loop(self) -> None:
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            rid, fields, payload, deadline, tc = item
-            subs = fields.get("subs") if fields.get("cmd") == "batch" \
-                else None
-            if subs is not None:
-                alive = hostloop.serve_batch(self.channel, self.chan,
-                                             self.handler, rid, subs)
-            else:
-                alive = hostloop.serve_one(self.channel, self.chan,
-                                           self.handler, rid, fields,
-                                           payload, deadline, tc)
-            if not alive:
-                return  # peer is gone; nothing left to answer to
-
-
 class Channel:
     """The multiplexed request/reply core, independent of the byte transport.
 
@@ -635,17 +569,17 @@ class Channel:
         #: chan -> :class:`_Ring`, created lazily per session channel.
         self._rings: dict[int, _Ring] = {}
         self._rings_lock = threading.Lock()
-        #: chan -> serving state: a loop :class:`~repro.core.hostloop
-        #: ._ChanState` or a legacy :class:`_ChanWorker`; both expose
-        #: ``submit``/``stop``.
+        #: chan -> serving state on the loop
+        #: (:class:`~repro.core.hostloop._ChanState`).
         self._handlers: dict[int, Any] = {}
         self._handlers_lock = threading.Lock()
         #: Pin this channel's serving to a specific
         #: :class:`~repro.core.hostloop.EventLoopServer` (tests);
         #: defaults to the process-shared loop.
         self.loop = None
-        #: The loop actually serving this channel's handlers (set by
-        #: the first :meth:`register`; None in threads mode).
+        #: The loop actually serving this channel (set by the first
+        #: :meth:`register`, or by a serving connection's start; None
+        #: while it serves none).
         self.serve_loop = None
 
     # -- requester side ----------------------------------------------------------
@@ -741,47 +675,46 @@ class Channel:
     # -- responder side ----------------------------------------------------------
 
     def register(self, chan: int, handler: Handler, *,
-                 name: str | None = None, blocking: bool = True) -> None:
+                 name: str | None = None) -> None:
         """Serve inbound requests on *chan* with *handler*.
 
         Requests on one channel execute strictly in order; requests on
-        distinct channels execute concurrently.  Serving runs on the
-        process's event-loop host (``blocking=False`` promises the
-        handler never blocks and lets it run inline on the scheduler
-        tick); with ``REPRO_HOST_MODE=threads`` each channel instead
-        gets the legacy dedicated worker thread.
+        distinct channels execute concurrently, on the process's
+        event-loop host.
 
         Session channels are subject to the loop's admission control;
         channel 0 (the control/bridge plane) is exempt — ``open``,
         ``ping`` and bridge traffic must never be load-shed.
         """
         chan = int(chan)
-        label = name or f"{self.name}-chan{chan}"
-        if hostloop.loop_serving_enabled():
-            server = self.loop if self.loop is not None \
-                else hostloop.shared_loop()
-            worker = server.attach(self, chan, handler, name=label,
-                                   blocking=blocking,
-                                   governed=chan != CONTROL_CHAN)
-            self.serve_loop = server
-        else:
-            worker = _ChanWorker(self, chan, handler, label)
+        server = self.loop if self.loop is not None \
+            else hostloop.shared_loop()
+        state = server.attach(self, chan, handler,
+                              name=name or f"{self.name}-chan{chan}",
+                              governed=chan != CONTROL_CHAN)
+        self.serve_loop = server
         with self._handlers_lock:
             old = self._handlers.get(chan)
-            self._handlers[chan] = worker
+            self._handlers[chan] = state
         if old is not None:
             old.stop()
 
     def unregister(self, chan: int) -> None:
         with self._handlers_lock:
-            worker = self._handlers.pop(int(chan), None)
-        if worker is not None:
-            worker.stop()
+            state = self._handlers.pop(int(chan), None)
+        if state is not None:
+            state.stop()
 
     # -- routing ----------------------------------------------------------------
 
-    def _dispatch(self, fields: dict[str, Any], payload: bytes) -> None:
-        """Route one inbound message: reply -> future, request -> worker."""
+    def _dispatch(self, fields: dict[str, Any], payload: bytes,
+                  lead: "Callable[[], bool] | None" = None) -> Any:
+        """Route one inbound message: reply -> future, request -> loop.
+
+        *lead* is the read role of the calling thread, offered so the
+        loop may hand it on and have this thread run the request
+        itself; the returned grant (or None) says whether it did.
+        """
         rid, chan, is_reply, rest = control.split_envelope(fields)
         if is_reply:
             pending = self._withdraw(rid)
@@ -789,17 +722,21 @@ class Channel:
                 if "tsp" in rest:  # spans the peer produced serving us
                     TELEMETRY.ingest(rest.pop("tsp"), anchor=pending.span)
                 pending.resolve(rest, payload)
-            return
+            return None
         with self._handlers_lock:
-            worker = self._handlers.get(chan)
-        if worker is None:
+            state = self._handlers.get(chan)
+        if state is None:
             try:
                 self._send_reply(rid, chan, control.error_fields(
                     ProtocolError(f"no handler for channel {chan}")), b"")
             except (ChannelClosedError, OSError, ValueError):
                 pass
-            return
-        worker.submit(rid, rest, payload)
+            return None
+        return state.submit(rid, rest, payload, lead)
+
+    def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
+        """Block until *pending* settles; False if *deadline* expires."""
+        return pending._event.wait(deadline.timeout())
 
     def _withdraw(self, rid: int) -> PendingReply | None:
         with self._pending_lock:
@@ -851,10 +788,10 @@ class Channel:
         for future in pending:
             future.fail(error)
         with self._handlers_lock:
-            workers = list(self._handlers.values())
+            states = list(self._handlers.values())
             self._handlers.clear()
-        for worker in workers:
-            worker.stop()
+        for state in states:
+            state.stop()
         self._teardown()
         self._closed_event.set()
 
@@ -879,8 +816,27 @@ class Channel:
 class StreamChannel(Channel):
     """A channel over a byte-stream pair, framed and demultiplexed.
 
-    A background reader thread decodes inbound frames and routes them;
-    writes from any thread are serialized by a lock.
+    Reading is a *role* one thread holds at a time; who holds it
+    depends on one property of the connection, fixed at :meth:`start`
+    — does it serve requests?
+
+    * **Serving** (a handler is registered before :meth:`start`, as on
+      a sentinel host or an application bridging its network): the
+      serving loop's pool carries the role.  A pool thread reads
+      frames, resolves replies, and runs an idle channel's request
+      itself after handing the role to an idle pool thread (see
+      :mod:`repro.core.hostloop`).
+    * **Not serving** (no handler at :meth:`start`: a process-control
+      connection with no network bridge): no thread reads on its own.
+      A caller blocked in :meth:`PendingReply.wait` takes the role,
+      polls the connection within its
+      :class:`~repro.core.policy.Deadline`, dispatches every frame it
+      reads — so other callers' replies resolve their futures — and
+      gives the role up when its own reply lands.  Callers without the
+      role sleep until their reply lands or the role is free.  A
+      depth-1 round trip thus wakes only the caller.
+
+    Writes from any thread are serialized by a lock.
     """
 
     def __init__(self, rfile: BinaryIO, wfile: BinaryIO,
@@ -893,7 +849,13 @@ class StreamChannel(Channel):
         # and would gain nothing.
         self.batching = not os.environ.get(ENV_NO_BATCH)
         self._write_lock = threading.Lock()
-        self._reader: threading.Thread | None = None
+        #: Guards the read role.  Callers without it sleep here until
+        #: their reply lands or the role is given up.
+        self._role = threading.Condition()
+        self._reading = False   # some thread holds the read role
+        self._sleepers = 0      # callers asleep on _role
+        #: Set when callers read (a started, non-serving connection).
+        self._poller: "select.poll | None" = None
         #: Optional :class:`~repro.core.faults.FaultPlane` consulted on
         #: every send/receive (the framing-layer injection points).
         self.faults = None
@@ -902,37 +864,132 @@ class StreamChannel(Channel):
         self.fault_kill: "Callable[[], None] | None" = None
 
     def start(self) -> "StreamChannel":
-        """Start the demultiplexer; the channel is unusable before this."""
-        self._reader = threading.Thread(target=self._read_loop,
-                                        name=f"{self.name}-demux",
-                                        daemon=True)
-        self._reader.start()
+        """Start reading; the channel is unusable before this.
+
+        A connection serves requests exactly when a handler is
+        registered by now; without one, its callers read their own
+        replies (and :meth:`register` is refused from here on).
+        """
+        with self._handlers_lock:
+            serves = bool(self._handlers)
+        if not serves:
+            self._poller = select.poll()
+            self._poller.register(self._rfile.fileno(), select.POLLIN)
+            return self
+        self._reading = True  # the loop holds the role from here on
+        if self.serve_loop is None:
+            self.serve_loop = self.loop if self.loop is not None \
+                else hostloop.shared_loop()
+        self.serve_loop.add_reader(self._lead)
         return self
 
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    fields, payload = control.read_wire_message(self._rfile)
-                    plane = self.faults
-                    if plane is not None:
-                        rule = plane.on_recv(fields)
-                        if rule is not None and rule.action == "drop":
-                            continue  # inbound message lost after decode
-                    self._dispatch(fields, payload)
-                    server = self.serve_loop
-                    if server is not None:
-                        # Backpressure: past the intake high-water mark
-                        # the reader stalls here, leaving the flood in
-                        # the kernel pipe instead of this process.
-                        server.throttle(self)
-                except (ChannelClosedError, FrameError, OSError,
-                        ValueError) as exc:
-                    self.kill(f"transport closed: {exc}")
-                    return
-        finally:
-            # The reader owns _rfile's closure (see _teardown).
-            _close_quietly(self._rfile)
+    def register(self, chan: int, handler: Handler, *,
+                 name: str | None = None) -> None:
+        if self._poller is not None:
+            raise RuntimeError(
+                f"{self.name}: started without a handler, so no thread "
+                f"reads requests; register before start()")
+        super().register(chan, handler, name=name)
+
+    # -- reading -----------------------------------------------------------------
+
+    def _read_one(self) -> "tuple[dict[str, Any], bytes] | None":
+        """Read one frame; None if the fault plane dropped it."""
+        fields, payload = control.read_wire_message(self._rfile)
+        plane = self.faults
+        if plane is not None:
+            rule = plane.on_recv(fields)
+            if rule is not None and rule.action == "drop":
+                return None  # inbound message lost after decode
+        return fields, payload
+
+    def _drop_role(self) -> None:
+        """Give the read role up; on a dead channel, close _rfile."""
+        with self._role:
+            self._reading = False
+            if self.dead:
+                _close_quietly(self._rfile)
+            if self._sleepers:
+                self._role.notify_all()
+
+    def _lead(self) -> bool:
+        """Hold the read role on a serving-loop thread.
+
+        Returns False after the loop handed the role on and this thread
+        ran a request itself, True once the connection has ended.
+        """
+        while not self.dead:
+            try:
+                message = self._read_one()
+                grant = None if message is None else \
+                    self._dispatch(*message, lead=self._lead)
+            except (ChannelClosedError, FrameError, OSError,
+                    ValueError) as exc:
+                self.kill(f"transport closed: {exc}")
+                break
+            if grant is not None:
+                grant.run(self._lead)  # another pool thread reads meanwhile
+                return False
+            # Backpressure: past the intake high-water mark the reader
+            # stalls here, leaving the flood in the kernel pipe instead
+            # of this process.
+            self.serve_loop.throttle(self)
+        self._drop_role()
+        return True
+
+    def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
+        if self._poller is None:  # the loop reads (or nothing started)
+            return super()._await(pending, deadline)
+        event = pending._event
+        while not event.is_set():
+            with self._role:
+                if event.is_set():
+                    break
+                if self._reading or self.dead:
+                    # kill() settles every future, then wakes sleepers.
+                    self._sleepers += 1
+                    try:
+                        woke = self._role.wait(deadline.timeout())
+                    finally:
+                        self._sleepers -= 1
+                    if not woke:
+                        return event.is_set()
+                    continue
+                self._reading = True
+            try:
+                self._read_until(event, deadline)
+            finally:
+                self._drop_role()
+            if not event.is_set() and deadline.expired():
+                return False
+        return True
+
+    def _read_until(self, event: threading.Event,
+                    deadline: Deadline) -> None:
+        """Read and dispatch frames as a caller, until *event* is set,
+        *deadline* expires or the connection ends."""
+        while not event.is_set() and not self.dead:
+            remaining = deadline.timeout()
+            if remaining is not None and remaining <= 0:
+                return
+            wait_s = READ_POLL_S if remaining is None \
+                else min(remaining, READ_POLL_S)
+            if not self._poller.poll(wait_s * 1000.0):
+                continue
+            try:
+                message = self._read_one()
+                if message is not None:
+                    self._dispatch(*message)
+            except (ChannelClosedError, FrameError, OSError,
+                    ValueError) as exc:
+                self.kill(f"transport closed: {exc}")
+                return
+            # A reply for a sleeper may have landed.  Check under the
+            # lock: a caller that found its event unset and is about to
+            # sleep holds it until wait() releases it.
+            with self._role:
+                if self._sleepers:
+                    self._role.notify_all()
 
     def _send(self, fields: dict[str, Any], parts: tuple) -> None:
         self._check_alive()
@@ -1009,13 +1066,17 @@ class StreamChannel(Channel):
         finally:
             if acquired:
                 self._write_lock.release()
-        # Same hazard on the read side: only the reader thread may close
-        # _rfile, since it may be between FileIO's fd check and read(2).
-        # Closing our write end above gives the peer EOF; the peer's
-        # teardown closes its write end, our reader unblocks on EOF and
-        # closes _rfile on the way out (_read_loop's finally).
-        if self._reader is None or threading.current_thread() is self._reader:
-            _close_quietly(self._rfile)
+        # Same hazard on the read side: only the read-role holder may
+        # close _rfile, since it may be between FileIO's fd check and
+        # read(2).  Closing our write end above gives the peer EOF; the
+        # peer's teardown closes its write end, the holder unblocks on
+        # EOF (or its poll notices the death) and closes _rfile as it
+        # drops the role.  Sleeping callers wake: kill() has settled
+        # their futures.
+        with self._role:
+            if not self._reading:
+                _close_quietly(self._rfile)
+            self._role.notify_all()
 
 
 class LocalChannel(Channel):

@@ -55,6 +55,13 @@ __all__ = [
 
 _JSON_LEN = struct.Struct(">I")
 
+#: A frame's length word followed by its header-length word.
+_PREFIX = struct.Struct(">II")
+
+#: Frame bodies up to this size are read in one call and split by
+#: slicing; the payload copy is cheaper than a second read(2).
+_SMALL_BODY = 16 * 1024
+
 #: The full command vocabulary of the control channel.  ``rstream`` and
 #: ``wstream`` are the sequential plane of the simple process strategy
 #: (§4.1) expressed as commands over the multiplexed transport.
@@ -101,35 +108,40 @@ def encode_head(fields: dict[str, Any]) -> bytes:
 def read_wire_message(stream: Any) -> tuple[dict[str, Any], bytes]:
     """Read one framed message off *stream* as ``(fields, payload)``.
 
-    Equivalent to ``decode_message(read_frame(stream))`` but reads the
-    header and the payload as separate stream reads, so a large payload
-    arrives in exactly one buffer — no frame-sized intermediate blob, no
-    slice copy.  This is the hot inbound path of
-    :class:`~repro.core.channel.StreamChannel`.  The header-length word
-    carries the binary-header tag in its high bit (see
-    :func:`encode_head_wire`).
+    Equivalent to ``decode_message(read_frame(stream))``.  This is the
+    hot inbound path of :class:`~repro.core.channel.StreamChannel`, so
+    it costs two stream reads for a small frame: the frame-length and
+    header-length words together, then the whole body (header and
+    payload split by slicing).  A large payload is read on its own and
+    arrives in exactly one buffer — no frame-sized intermediate blob,
+    no slice copy.  The header-length word carries the binary-header
+    tag in its high bit (see :func:`encode_head_wire`).
     """
     from repro.util.framing import MAX_FRAME, read_exact
-    head = stream.read(_JSON_LEN.size)
+    head = stream.read(_PREFIX.size)
     if not head:
         raise ChannelClosedError("stream closed at frame boundary")
-    if len(head) < _JSON_LEN.size:
-        head += read_exact(stream, _JSON_LEN.size - len(head))
-    (frame_len,) = _JSON_LEN.unpack(head)
+    if len(head) < _PREFIX.size:
+        head += read_exact(stream, _PREFIX.size - len(head))
+    frame_len, word = _PREFIX.unpack(head)
     if frame_len > MAX_FRAME:
         raise FrameError(f"incoming frame of {frame_len} bytes exceeds MAX_FRAME")
     if frame_len < _JSON_LEN.size:
         raise FrameError(f"message of {frame_len} bytes has no header")
-    (word,) = _JSON_LEN.unpack(read_exact(stream, _JSON_LEN.size))
     header_len = word & ~_BINARY_TAG
-    if header_len > frame_len - _JSON_LEN.size:
+    body_len = frame_len - _JSON_LEN.size
+    if header_len > body_len:
         raise FrameError("message header extends past frame body")
-    header = read_exact(stream, header_len)
+    if body_len <= _SMALL_BODY:
+        body = read_exact(stream, body_len)
+        header, payload = body[:header_len], body[header_len:]
+    else:
+        header = read_exact(stream, header_len)
+        payload = read_exact(stream, body_len - header_len)
     if word & _BINARY_TAG:
         fields = decode_binary_head(header)
     else:
         fields = _decode_json_head(header)
-    payload = read_exact(stream, frame_len - _JSON_LEN.size - header_len)
     return fields, payload
 
 
@@ -164,8 +176,8 @@ def decode_message(blob: bytes) -> tuple[dict[str, Any], bytes]:
 # Binary hot-op headers
 # ---------------------------------------------------------------------------
 #
-# The four data-plane commands (read/write/readv/writev) and their
-# replies dominate the frame stream, and for a cached 4 KiB read the
+# The data-plane commands (read/write/readv/writev, and the size probe
+# behind GetFileSize) and their replies dominate the frame stream, and for a cached 4 KiB read the
 # ``json.dumps``/``json.loads`` round trip of the header costs more than
 # the payload copy.  Those — and only those — headers therefore have a
 # struct-packed encoding, tagged by the high bit of the in-body
@@ -193,6 +205,9 @@ _B_SHMR = struct.Struct(">QQQ")     # slot, capacity, generation
 # Header kinds.
 _K_READ, _K_WRITE, _K_READV, _K_WRITEV = 1, 2, 3, 4
 _K_OK, _K_WRITTEN, _K_SIZES, _K_WRITTENV = 5, 6, 7, 8
+_K_SIZE, _K_SIZED = 9, 10
+_REPLY_KINDS = frozenset({_K_OK, _K_WRITTEN, _K_SIZES, _K_WRITTENV,
+                          _K_SIZED})
 
 # Optional-field flag bits.
 _F_DL, _F_SHM, _F_SHMR, _F_SL = 1, 2, 4, 8
@@ -279,6 +294,9 @@ def _encode_binary(fields: dict[str, Any]) -> bytes | None:
                 return None
         elif set(rest) == {"sizes"} and _is_uints(rest["sizes"]):
             kind, tail = _K_SIZES, _pack_u64s(rest["sizes"])
+        elif set(rest) == {"size"} and isinstance(rest["size"], int) \
+                and rest["size"] >= 0:
+            kind, tail = _K_SIZED, _B_U64.pack(rest["size"])
         else:
             return None
     else:
@@ -287,6 +305,8 @@ def _encode_binary(fields: dict[str, Any]) -> bytes | None:
             kind, tail = _K_READ, _B_U64x2.pack(rest["offset"], rest["size"])
         elif cmd == "write" and set(rest) == {"offset"}:
             kind, tail = _K_WRITE, _B_U64.pack(rest["offset"])
+        elif cmd == "size" and not rest:
+            kind, tail = _K_SIZE, b""
         elif cmd in ("readv", "writev") and set(rest) == {"extents"}:
             parts = [_B_U32.pack(len(rest["extents"]))]
             for extent in rest["extents"]:
@@ -311,7 +331,8 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
         kind, flags, chan, rid = _B_BASE.unpack_from(header, 0)
         pos = _B_BASE.size
         fields: dict[str, Any] = {}
-        if kind >= _K_OK:
+        is_reply = kind in _REPLY_KINDS
+        if is_reply:
             fields["ok"] = True
         if flags & _F_DL:
             (fields["dl"],) = _B_F64.unpack_from(header, pos)
@@ -334,6 +355,8 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
             fields["cmd"] = "write"
             (fields["offset"],) = _B_U64.unpack_from(header, pos)
             pos += _B_U64.size
+        elif kind == _K_SIZE:
+            fields["cmd"] = "size"
         elif kind in (_K_READV, _K_WRITEV):
             fields["cmd"] = "readv" if kind == _K_READV else "writev"
             (count,) = _B_U32.unpack_from(header, pos)
@@ -348,8 +371,9 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
             fields["extents"] = extents
         elif kind == _K_OK:
             pass
-        elif kind == _K_WRITTEN:
-            (fields["written"],) = _B_U64.unpack_from(header, pos)
+        elif kind in (_K_WRITTEN, _K_SIZED):
+            key = "written" if kind == _K_WRITTEN else "size"
+            (fields[key],) = _B_U64.unpack_from(header, pos)
             pos += _B_U64.size
         elif kind in (_K_SIZES, _K_WRITTENV):
             key = "sizes" if kind == _K_SIZES else "written"
@@ -368,7 +392,7 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
         if pos != len(header):
             raise FrameError(
                 f"binary header carries {len(header) - pos} trailing bytes")
-        if kind >= _K_OK:
+        if is_reply:
             fields["re"] = True
         fields["rid"] = rid
         fields["chan"] = chan

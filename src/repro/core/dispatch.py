@@ -37,11 +37,6 @@ def canonical_control_op(op: str) -> str:
 class SentinelDispatcher:
     """Executes decoded control commands against one sentinel instance."""
 
-    #: Submission hint for the event-loop host: sentinel handlers may
-    #: touch origin I/O or issue bridge calls, so they run on the
-    #: loop's executor pool rather than inline on the scheduler tick.
-    blocking = True
-
     def __init__(self, sentinel: Sentinel, ctx: SentinelContext) -> None:
         self.sentinel = sentinel
         self.ctx = ctx
@@ -205,10 +200,6 @@ class StreamDispatcher:
     writes are sequential, no random access — but the transport is the
     same framed Channel every other strategy uses.
     """
-
-    #: Stream pulls drive the sentinel's generator, which may block on
-    #: origin I/O: run on the loop's executor pool.
-    blocking = True
 
     def __init__(self, sentinel: Sentinel, ctx: SentinelContext) -> None:
         self.sentinel = sentinel

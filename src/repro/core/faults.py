@@ -25,7 +25,7 @@ service  ``fail`` (service returns a failure response)
 shm      ``shm-corrupt`` (flip a staged byte after the CRC is taken),
          ``shm-stale-generation`` (bump the slot's generation word)
 sched    ``delay`` (stall one event-loop scheduling grant),
-         ``kill`` (hard-kill the host at a scheduler tick)
+         ``kill`` (hard-kill the host at a scheduling grant)
 batch    ``drop`` (one sub-op vanishes from a multi-op frame; its
          caller times out and retries), ``corrupt`` (one sub-op's
          header is mangled; its caller sees a protocol error while
@@ -230,7 +230,7 @@ class FaultPlane:
 
     def kill_at_sched(self, *, after: int = 0,
                       times: int | None = 1) -> "FaultPlane":
-        """Hard-kill the armed host at a scheduler tick (loop mode)."""
+        """Hard-kill the armed host at a scheduling grant."""
         return self.rule("sched", "kill", after=after, times=times)
 
     # -- arming -------------------------------------------------------------

@@ -1,21 +1,31 @@
 """The event-loop sentinel host: O(1) threads for O(n) logical channels.
 
 The paper's §2 contract — "multiple opens spawn multiple synchronizing
-sentinels" — was historically served by one dedicated worker thread per
-logical channel (``_ChanWorker`` in :mod:`repro.core.channel`).  That
-caps host concurrency at thread overhead long before "millions of
-users": a pooled host with a thousand opens carried a thousand stacks.
+sentinels" — was once served by one dedicated worker thread per
+logical channel.  That caps host concurrency at thread overhead long
+before "millions of users": a pooled host with a thousand opens
+carried a thousand stacks.
 
-:class:`EventLoopServer` replaces the per-channel threads with one
-scheduler and a small fixed executor pool, preserving the two
-properties the worker model guaranteed:
+:class:`EventLoopServer` serves every channel of a process from one
+small pool of interchangeable threads, preserving the two properties
+the worker model guaranteed:
 
 * **serial per channel** — one channel's requests execute strictly in
   arrival order (that *is* the §2 semantic contract: one open, one
   synchronizing sentinel);
 * **concurrent across channels** — distinct channels make progress
-  independently, now bounded by the executor pool instead of the
-  thread count.
+  independently, bounded by the pool instead of the thread count.
+
+**Leader/follower serving.**  Reading a connection is a *role* that
+one pool thread holds at a time (the leader).  When a request arrives
+for an idle channel and the loop has nothing else admitted, the leader
+hands the read role to an idle pool thread and runs the op itself —
+the thread that read the frame is the thread that runs it, so a
+depth-1 op costs no in-process hand-off on its critical path.  The
+follower keeps intake, channel-0 ``ping``/``open`` and bridge replies
+flowing while the handler runs.  Otherwise the leader grants the
+channel straight to the pool's ready queue, where any free thread
+picks it up.
 
 Scheduling is round-robin over ready channels: a channel finishing an
 op goes to the *tail* of the ready queue, so a saturated channel can
@@ -23,40 +33,36 @@ delay an idle sibling by at most the ops currently ahead of it — never
 starve it.  Admission control bounds the damage of a flood: past the
 global in-flight high-water mark (or a channel's FIFO bound), session
 requests are fast-rejected with a typed
-:class:`~repro.errors.HostOverloadedError` *from the reader thread*,
+:class:`~repro.errors.HostOverloadedError` *from the reading thread*,
 so a reject costs no queueing at all.  The control/bridge channel
 (channel 0) is exempt — ``open``/``ping``/bridge traffic must never be
 rejected, or recovery itself would be load-shed.
 
-Backpressure is the transport's reader throttling itself
-(:meth:`throttle`): past the intake high-water mark the reader stops
-decoding frames until the backlog drains below the low-water mark.
-The stall is conditional on the connection having **zero in-flight
-outbound requests**: replies are resolved by the reader thread itself,
-and a sentinel's bridge calls ride the same connection — stalling
-while a reply is owed would deadlock the very handler we are waiting
-for.
+Backpressure is the reader throttling itself (:meth:`throttle`): past
+the intake high-water mark the leader stops decoding frames until the
+backlog drains below the low-water mark.  The stall is conditional on
+the connection having **zero in-flight outbound requests**: replies
+are resolved by the reading thread itself, and a sentinel's bridge
+calls ride the same connection — stalling while a reply is owed would
+deadlock the very handler we are waiting for.
 
-Deadline (``dl``) and trace-context (``tc``) re-anchoring is
-byte-identical to the worker model: both are popped at submit time on
-the reader thread, so queue wait counts against the sender's budget,
-and the dispatch span parents on the sender's frame span (see
-:func:`serve_one`, shared with the legacy workers).
-
-The legacy model stays selectable for one release via the
-``REPRO_HOST_MODE=threads`` environment kill switch (read per
-``register()`` call, so tests can flip it with ``monkeypatch``).
+Deadline (``dl``) and trace-context (``tc``) are popped at submit time
+on the reading thread, so queue wait counts against the sender's
+budget, and the dispatch span parents on the sender's frame span (see
+:func:`serve_one`).  A timer thread, started on the first
+:meth:`~EventLoopServer.call_later`, owns only the timer wheel; it is
+never on the request path.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
 import threading
 import time
 from collections import deque
-from queue import SimpleQueue
 from typing import Any, Callable
 
 from repro.core import control, policy
@@ -77,7 +83,6 @@ __all__ = [
     "unpack_batch",
     "latency_split_stats",
     "shared_loop",
-    "loop_serving_enabled",
     "serving_stats",
 ]
 
@@ -91,9 +96,10 @@ _BATCH_FRAMES = TELEMETRY.metrics.counter("batch.frames.served")
 _BATCH_OPS = TELEMETRY.metrics.counter("batch.ops.served")
 
 #: End-to-end host latency, split at the scheduling grant: time an
-#: admitted request waited in its channel FIFO vs time its handler ran.
-#: The split is what makes batching wins legible — coalescing shrinks
-#: queue wait without touching service time.
+#: admitted request waited for a thread to take up its grant vs time
+#: that thread spent serving it (reply sent).  The split is what makes
+#: batching wins legible — coalescing shrinks queue wait without
+#: touching service time.
 _QWAIT = TELEMETRY.metrics.histogram("host.queue_wait_s")
 _SERVICE = TELEMETRY.metrics.histogram("host.service_s")
 
@@ -106,11 +112,6 @@ def _env_int(name: str, default: int) -> int:
         return max(1, int(raw))
     except ValueError:
         return default
-
-
-def loop_serving_enabled() -> bool:
-    """False iff the ``REPRO_HOST_MODE=threads`` kill switch is set."""
-    return os.environ.get("REPRO_HOST_MODE", "").strip().lower() != "threads"
 
 
 def _execute_one(channel, chan: int, handler, fields: dict[str, Any],
@@ -165,22 +166,14 @@ def _execute_one(channel, chan: int, handler, fields: dict[str, Any],
 
 def serve_one(channel, chan: int, handler, rid: int,
               fields: dict[str, Any], payload: bytes,
-              deadline: Deadline, tc) -> bool:
-    """Serve one inbound request and send its reply.
-
-    The single serving body shared by the event loop's executors and
-    the legacy per-channel workers — extracting it is what makes the
-    ``dl``/``tc`` semantics of the two modes identical by construction.
-    Returns False when the peer is gone (callers stop serving the
-    channel).
-    """
+              deadline: Deadline, tc) -> None:
+    """Serve one inbound request and send its reply."""
     out_fields, out_payload = _execute_one(channel, chan, handler,
                                            fields, payload, deadline, tc)
     try:
         channel._send_reply(rid, chan, out_fields, out_payload)
     except (ChannelClosedError, OSError, ValueError):
-        return False  # peer is gone; nothing left to answer to
-    return True
+        pass  # peer is gone; nothing left to answer to
 
 
 def unpack_batch(fields: dict[str, Any], payload: bytes) -> list[tuple]:
@@ -188,7 +181,7 @@ def unpack_batch(fields: dict[str, Any], payload: bytes) -> list[tuple]:
 
     Returns ``[(rid, fields, payload, Deadline, tc), ...]`` in wire
     order.  Per-sub ``dl`` budgets re-anchor on the local monotonic
-    clock *here* — at intake time, on the reader thread — which is the
+    clock *here* — at intake time, on the reading thread — which is the
     same point (hence the same semantics) as unbatched submission.
     Raises ``ValueError`` on a malformed frame.
     """
@@ -219,12 +212,12 @@ def unpack_batch(fields: dict[str, Any], payload: bytes) -> list[tuple]:
 
 
 def serve_batch(channel, chan: int, handler, rid: int,
-                subs: list[tuple]) -> bool:
+                subs: list[tuple]) -> None:
     """Serve one multi-op frame: execute sub-ops in order, reply once.
 
     Sub-ops run strictly in wire order on the one scheduling grant the
     frame was given — the serial-per-channel contract is preserved by
-    construction, and N ops cost one executor hop and one reply frame.
+    construction, and N ops cost one grant and one reply frame.
     The aggregate reply carries each sub-op's reply fields (tagged with
     its rid) plus the concatenated reply payloads, split by ``lens``.
     """
@@ -254,8 +247,7 @@ def serve_batch(channel, chan: int, handler, rid: int,
                             {"ok": True, "n": len(rs), "rs": rs,
                              "lens": lens}, parts)
     except (ChannelClosedError, OSError, ValueError):
-        return False
-    return True
+        pass  # peer is gone; nothing left to answer to
 
 
 def latency_split_stats() -> dict[str, float]:
@@ -283,7 +275,7 @@ def _item_weight(fields: dict[str, Any]) -> int:
 
 
 class TimerHandle:
-    """A cancellable one-shot timer on the scheduler wheel.
+    """A cancellable one-shot timer on the loop's timer wheel.
 
     API-compatible with the ``threading.Timer`` objects the host pool's
     idle reapers used to be, minus the thread per timer.
@@ -303,36 +295,41 @@ class TimerHandle:
 class _ChanState:
     """One registered channel's serving state on the loop.
 
-    Implements the worker interface (:meth:`submit`/:meth:`stop`) so
-    :class:`~repro.core.channel.Channel` treats loop-served and
-    thread-served channels uniformly.
+    :class:`~repro.core.channel.Channel` routes inbound requests to
+    :meth:`submit` and tears serving down with :meth:`stop`.
     """
 
     __slots__ = ("server", "channel", "chan", "handler", "name",
-                 "blocking", "governed", "fifo", "qweight", "scheduled",
-                 "detached")
+                 "governed", "fifo", "qweight", "scheduled", "detached")
 
     def __init__(self, server: "EventLoopServer", channel, chan: int,
-                 handler, name: str, blocking: bool,
-                 governed: bool) -> None:
+                 handler, name: str, governed: bool) -> None:
         self.server = server
         self.channel = channel
         self.chan = chan
         self.handler = handler
         self.name = name
-        self.blocking = blocking
         self.governed = governed
         self.fifo: deque = deque()
         #: Admission weight of the FIFO: a queued batch of N sub-ops
         #: counts as N against ``queue_depth``, exactly as if the N ops
         #: had arrived unbatched.
         self.qweight = 0
+        #: True while the channel is granted: queued on the ready queue
+        #: or running on a pool thread.  Only one grant exists at a
+        #: time, which is what keeps the channel serial.
         self.scheduled = False
         self.detached = False
 
-    def submit(self, rid: int, fields: dict[str, Any],
-               payload: bytes) -> None:
-        self.server.submit(self, rid, fields, payload)
+    def submit(self, rid: int, fields: dict[str, Any], payload: bytes,
+               lead: "Callable[[], bool] | None" = None
+               ) -> "_ChanState | None":
+        return self.server.submit(self, rid, fields, payload, lead)
+
+    def run(self, lead: Callable[[], bool]) -> None:
+        """Serve the request :meth:`submit` granted to the reading
+        thread, handing its read role *lead* to the pool first."""
+        self.server._run_one(self, lead)
 
     def stop(self) -> None:
         # Detaching is O(1) and never joins: kill() may run from a
@@ -341,12 +338,14 @@ class _ChanState:
 
 
 class EventLoopServer:
-    """One scheduler + K executors serving every channel of a process.
+    """A pool of interchangeable threads serving every channel of a process.
 
-    The scheduler thread owns the timer wheel and the round-robin ready
-    queue; executors pop exactly one request per scheduling grant, so
-    no channel can hold an executor across ops.  All threads are lazy:
-    a process that never serves a channel (a pure client) starts none.
+    A pool thread at any moment reads one connection (holding its read
+    role), runs one granted request, runs one fired timer callback, or
+    parks idle.  The pool holds ``executors`` threads plus one per
+    connection whose read role it carries, so reading never eats into
+    the threads that run requests.  Threads start lazily: a process
+    that never serves a channel (a pure client) starts none.
     """
 
     def __init__(self, name: str = "af-loop", *,
@@ -371,13 +370,26 @@ class EventLoopServer:
         #: metrics registry at snapshot time (only the process's shared
         #: loop does, so private test servers cannot clobber them).
         self.publish_gauges = publish_gauges
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: Idle pool threads park here; :meth:`_wake_locked` wakes one.
+        self._work = threading.Condition(self._lock)
+        #: Throttled readers park here until the backlog drains.
+        self._drained = threading.Condition(self._lock)
+        #: The timer thread parks here until the next timer is due.
+        self._tick = threading.Condition(self._lock)
+        #: Granted channels awaiting a pool thread, in round-robin order.
         self._ready: deque[_ChanState] = deque()
+        #: Read roles to take up and fired timer callbacks; each task
+        #: returns True when the connection it read has ended.
+        self._tasks: deque[Callable[[], bool]] = deque()
         self._timers: list[tuple[float, int, TimerHandle]] = []
         self._timer_seq = itertools.count()
-        self._exec_q: SimpleQueue = SimpleQueue()
-        self._scheduler: threading.Thread | None = None
-        self._exec_threads: list[threading.Thread] = []
+        self._timer_thread: threading.Thread | None = None
+        self._thread_seq = itertools.count()
+        self._threads = 0    # live pool threads
+        self._idle = 0       # pool threads parked and not yet woken
+        self._readers = 0    # connections whose read role the pool carries
+        self._throttled = 0  # readers parked in throttle()
         self._stopping = False
         self._channels = 0   # attached states
         self._queued = 0     # admitted requests waiting in a FIFO
@@ -390,18 +402,15 @@ class EventLoopServer:
     # -- registration --------------------------------------------------------
 
     def attach(self, channel, chan: int, handler, *, name: str,
-               blocking: bool = True, governed: bool = True) -> _ChanState:
+               governed: bool = True) -> _ChanState:
         """Serve *chan* of *channel* on this loop; returns the state.
 
-        ``blocking=False`` promises the handler never blocks (no I/O,
-        no nested exchanges): it then runs inline on the scheduler
-        thread, skipping the executor hop.  ``governed=False`` exempts
-        the channel from admission control (the control/bridge plane).
+        ``governed=False`` exempts the channel from admission control
+        (the control/bridge plane).
         """
         state = _ChanState(self, channel, int(chan), handler, name,
-                           blocking, governed)
-        self._ensure_scheduler()
-        with self._cond:
+                           governed)
+        with self._lock:
             self._channels += 1
         return state
 
@@ -412,7 +421,7 @@ class EventLoopServer:
         happens on unregister/kill, where the channel itself fails
         every outstanding future.
         """
-        with self._cond:
+        with self._lock:
             if state.detached:
                 return
             state.detached = True
@@ -422,14 +431,40 @@ class EventLoopServer:
             self._queued -= dropped
             self._inflight -= dropped
             self._channels -= 1
-            self._cond.notify_all()
+            if dropped and self._throttled:
+                self._drained.notify_all()
 
-    # -- submission (called on the reader thread) ----------------------------
+    def add_reader(self, lead: Callable[[], bool]) -> None:
+        """Carry one connection's read role on the pool.
+
+        *lead* reads and dispatches the connection's frames; it returns
+        False once it has handed the role on and run a request itself,
+        True once the connection has ended.  The pool grows by one
+        thread per carried connection and shrinks back when it ends.
+        """
+        with self._lock:
+            if self._stopping:
+                return
+            self._readers += 1
+            self._tasks.append(lead)
+            self._wake_locked()
+
+    # -- submission (called on the reading thread) ---------------------------
 
     def submit(self, state: _ChanState, rid: int, fields: dict[str, Any],
-               payload: bytes) -> None:
+               payload: bytes, lead: "Callable[[], bool] | None" = None
+               ) -> _ChanState | None:
+        """Admit one request; returns *state* iff the caller must run it.
+
+        *lead* is passed by a thread holding a connection's read role:
+        it is the role itself, ready to be handed to an idle pool
+        thread.  When the request may run to completion on the reading
+        thread (its channel is idle, nothing else is admitted and a
+        pool thread is idle), the caller must call ``state.run(lead)``,
+        which hands the role on before the handler runs.
+        """
         # Re-anchor the sender's remaining budget (``dl``, milliseconds)
-        # on the local monotonic clock at enqueue time; the queue wait
+        # on the local monotonic clock at intake time; the queue wait
         # counts against it.  The trace context (``tc``) rides the same
         # way: popped here, re-parented at serve time.
         deadline = Deadline.from_ms(fields.pop("dl", None))
@@ -449,16 +484,17 @@ class EventLoopServer:
                         control.error_fields(ProtocolError(str(exc))), b"")
                 except (ChannelClosedError, OSError, ValueError):
                     pass
-                return
+                return None
             fields = {"cmd": "batch", "subs": subs}
             payload = b""
             deadline = Deadline.never()
             tc = None
             weight = len(subs)
         reject = None
-        with self._cond:
+        inline = None
+        with self._lock:
             if state.detached or self._stopping:
-                return  # channel is tearing down; kill() fails the peer
+                return None  # channel is tearing down; kill() fails the peer
             if state.governed and (self._inflight >= self.max_inflight
                                    or state.qweight + weight
                                    > self.queue_depth):
@@ -474,10 +510,18 @@ class EventLoopServer:
                 self._inflight += weight
                 if not state.scheduled:
                     state.scheduled = True
-                    self._ready.append(state)
-                    self._cond.notify_all()
+                    if (lead is not None and self._idle
+                            and self._inflight == weight):
+                        # Run to completion (see run()); the idle
+                        # thread that will take the read role is
+                        # reserved now, so nothing else can claim it.
+                        self._idle -= 1
+                        inline = state
+                    else:
+                        self._ready.append(state)
+                        self._wake_locked()
         if reject is not None:
-            # Fast-reject straight from the caller (reader) thread: an
+            # Fast-reject straight from the reading thread: an
             # overloaded host sheds load without queueing it first.
             # The reply may overtake queued siblings on the wire; rid
             # matching makes that harmless.
@@ -488,26 +532,31 @@ class EventLoopServer:
                     control.error_fields(HostOverloadedError(reject)), b"")
             except (ChannelClosedError, OSError, ValueError):
                 pass
+        return inline
 
     def throttle(self, channel) -> None:
-        """Backpressure hook for the transport's reader thread.
+        """Backpressure hook for the thread holding a read role.
 
         Called after each dispatched frame; blocks while the admitted
         backlog sits above the intake high-water mark, so the kernel
         pipe (not this process's memory) absorbs a flood.  Never stalls
         a connection with in-flight *outbound* requests: their replies
-        are resolved by this very reader thread, and stalling it would
+        are resolved by this very reader, and stalling it would
         deadlock any handler awaiting a bridge reply.
         """
         if self._queued < self.intake_high or channel.dead:
             return
         self._stalls += 1
         _STALLS.inc()
-        with self._cond:
-            while (self._queued > self.intake_low
-                   and not channel.dead and not self._stopping
-                   and channel.counters.in_flight == 0):
-                self._cond.wait(policy.SCHED_TICK_S)
+        with self._lock:
+            self._throttled += 1
+            try:
+                while (self._queued > self.intake_low
+                       and not channel.dead and not self._stopping
+                       and channel.counters.in_flight == 0):
+                    self._drained.wait(policy.SCHED_TICK_S)
+            finally:
+                self._throttled -= 1
 
     # -- timer wheel ---------------------------------------------------------
 
@@ -516,31 +565,34 @@ class EventLoopServer:
         """Run ``fn(*args)`` after *delay* seconds; returns a handle.
 
         One wheel replaces the thread-per-timer ``threading.Timer``
-        idiom; callbacks run on the executor pool (they may block —
-        the host pool's reaper waits on child exit) so a slow callback
-        never stalls the scheduler tick.
+        idiom; callbacks run on the pool (they may block — the host
+        pool's reaper waits on child exit), never on the timer thread.
         """
         handle = TimerHandle(fn, args)
         when = time.monotonic() + max(0.0, float(delay))
-        self._ensure_scheduler()
-        with self._cond:
+        with self._lock:
+            if self._timer_thread is None and not self._stopping:
+                self._timer_thread = threading.Thread(
+                    target=self._timer_loop, name=f"{self.name}-timer",
+                    daemon=True)
+                self._timer_thread.start()
             heapq.heappush(self._timers, (when, next(self._timer_seq),
                                           handle))
-            self._cond.notify_all()
+            self._tick.notify()
         return handle
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """The ``host.*`` gauge family (also the telemetry collector)."""
-        with self._cond:
+        with self._lock:
             out = {
                 "host.channels.active": self._channels,
                 "host.queue.depth": self._queued,
                 "host.inflight": self._inflight,
                 "host.rejects": self._rejects,
                 "host.backpressure.stalls": self._stalls,
-                "host.executors": len(self._exec_threads),
+                "host.executors": max(0, self._threads - self._readers),
                 "host.timers": sum(1 for _, _, h in self._timers
                                    if not h.cancelled),
             }
@@ -553,82 +605,87 @@ class EventLoopServer:
 
     def shutdown(self) -> None:
         """Stop the loop's threads (used by tests owning a private loop)."""
-        with self._cond:
+        with self._lock:
             self._stopping = True
-            started = len(self._exec_threads)
-            self._cond.notify_all()
-        for _ in range(started):
-            self._exec_q.put(None)
+            self._work.notify_all()
+            self._drained.notify_all()
+            self._tick.notify_all()
 
     # -- internals -----------------------------------------------------------
 
-    def _ensure_scheduler(self) -> None:
-        with self._cond:
-            if self._scheduler is not None or self._stopping:
-                return
-            self._scheduler = threading.Thread(
-                target=self._scheduler_loop, name=f"{self.name}-sched",
-                daemon=True)
-            self._scheduler.start()
+    def _wake_locked(self) -> None:
+        """Get one pool thread onto newly queued work.
 
-    def _ensure_executors(self) -> None:
-        with self._cond:
-            if self._stopping:
-                return
-            while len(self._exec_threads) < self.executors:
-                thread = threading.Thread(
-                    target=self._executor_loop,
-                    name=f"{self.name}-exec{len(self._exec_threads)}",
-                    daemon=True)
-                self._exec_threads.append(thread)
-                thread.start()
+        The waker, not the woken thread, takes the thread off the idle
+        count, so two wakes in a row never count on the same thread.
+        """
+        if self._idle:
+            self._idle -= 1
+            self._work.notify()
+        elif (self._threads < self.executors + self._readers
+              and not self._stopping):
+            self._threads += 1
+            threading.Thread(
+                target=self._worker,
+                name=f"{self.name}-{next(self._thread_seq)}",
+                daemon=True).start()
 
-    def _scheduler_loop(self) -> None:
+    def _worker(self) -> None:
         while True:
-            fire: TimerHandle | None = None
-            state: _ChanState | None = None
-            with self._cond:
-                if self._stopping:
-                    return
-                now = time.monotonic()
-                while self._timers:
-                    when, _, handle = self._timers[0]
-                    if handle.cancelled:
-                        heapq.heappop(self._timers)
-                        continue
-                    if when <= now:
-                        heapq.heappop(self._timers)
-                        fire = handle
-                    break
-                if fire is None:
+            task = state = None
+            with self._lock:
+                while True:
+                    if self._stopping:
+                        self._threads -= 1
+                        return
+                    if self._tasks:
+                        task = self._tasks.popleft()
+                        break
                     if self._ready:
                         state = self._ready.popleft()
-                    else:
-                        timeout = None
-                        if self._timers:
-                            timeout = max(0.0, self._timers[0][0] - now)
-                        self._cond.wait(timeout)
-                        continue
-            if fire is not None:
-                # Timer callbacks may block; never run them on the tick.
-                self._ensure_executors()
-                self._exec_q.put(fire)
-                continue
-            # The fault plane's scheduler-tick injection point: delay
-            # stalls this grant, kill crashes the armed process — the
-            # loop-mode analogues of the worker-era injection sites.
-            self._sched_faults(state)
-            if state.blocking:
-                self._ensure_executors()
-                self._exec_q.put(state)
-            else:
+                        break
+                    self._idle += 1
+                    self._work.wait()
+            if state is not None:
                 self._run_one(state)
+            elif task():
+                # The connection this thread was reading has ended: the
+                # pool gives back the thread it grew for it.
+                with self._lock:
+                    self._readers -= 1
+                    if self._threads > self.executors + self._readers:
+                        self._threads -= 1
+                        return
+
+    def _timer_loop(self) -> None:
+        with self._lock:
+            while not self._stopping:
+                now = time.monotonic()
+                while self._timers and (self._timers[0][2].cancelled
+                                        or self._timers[0][0] <= now):
+                    _, _, handle = heapq.heappop(self._timers)
+                    if not handle.cancelled:
+                        self._tasks.append(
+                            functools.partial(self._fire, handle))
+                        self._wake_locked()
+                timeout = self._timers[0][0] - now if self._timers \
+                    else None
+                self._tick.wait(timeout)
+
+    @staticmethod
+    def _fire(handle: TimerHandle) -> bool:
+        if not handle.cancelled:
+            try:
+                handle.fn(*handle.args)
+            except Exception:
+                pass  # a timer callback must not kill the pool
+        return False
 
     def _sched_faults(self, state: _ChanState) -> None:
         plane = getattr(state.channel, "faults", None)
         if plane is None:
             return
-        with self._cond:
+        with self._lock:
             head = state.fifo[0] if state.fifo else None
         op = ""
         if head is not None:
@@ -650,28 +707,30 @@ class EventLoopServer:
             if kill is not None:
                 kill()
 
-    def _executor_loop(self) -> None:
-        while True:
-            task = self._exec_q.get()
-            if task is None:
-                return
-            if isinstance(task, TimerHandle):
-                if not task.cancelled:
-                    try:
-                        task.fn(*task.args)
-                    except Exception:
-                        pass  # a timer callback must not kill the pool
-                continue
-            self._run_one(task)
-
-    def _run_one(self, state: _ChanState) -> None:
+    def _run_one(self, state: _ChanState,
+                 lead: "Callable[[], bool] | None" = None) -> None:
         """Serve exactly one queued request of *state*, then requeue it.
+
+        With *lead* (a read role) the request runs on the thread that
+        read it: the role goes to an idle pool thread first, so intake
+        keeps flowing while the handler runs.  Every grant then passes
+        the fault plane's ``sched`` point (delay stalls the grant, kill
+        crashes the armed process).  Queue wait ends, and service
+        starts, when a thread takes up the grant.
 
         Popping a single item per grant (and re-appending the state to
         the ready *tail*) is the round-robin fairness property: a
-        channel with a deep backlog re-competes after every op.
+        channel with a deep backlog re-competes after every op.  The
+        calling thread goes back to the pool afterwards, so a requeued
+        state needs no extra wake-up.
         """
-        with self._cond:
+        started = time.monotonic()
+        if lead is not None:
+            with self._lock:
+                self._tasks.appendleft(lead)  # first in line
+                self._work.notify()  # the thread submit() reserved
+        self._sched_faults(state)
+        with self._lock:
             if not state.fifo or state.detached:
                 state.scheduled = False
                 return
@@ -679,11 +738,10 @@ class EventLoopServer:
             weight = _item_weight(item[1])
             self._queued -= weight
             state.qweight -= weight
-            if self._queued <= self.intake_low:
-                self._cond.notify_all()  # release a throttled reader
+            if self._throttled and self._queued <= self.intake_low:
+                self._drained.notify_all()  # release a throttled reader
         rid, fields, payload, deadline, tc, submitted = item
-        _QWAIT.observe(time.monotonic() - submitted)
-        started = time.monotonic()
+        _QWAIT.observe(started - submitted)
         try:
             subs = fields.get("subs") if fields.get("cmd") == "batch" \
                 else None
@@ -695,13 +753,12 @@ class EventLoopServer:
                           rid, fields, payload, deadline, tc)
         finally:
             _SERVICE.observe(time.monotonic() - started)
-            with self._cond:
+            with self._lock:
                 self._inflight -= weight
                 if state.fifo and not state.detached:
                     self._ready.append(state)
                 else:
                     state.scheduled = False
-                self._cond.notify_all()
 
 
 _SHARED: EventLoopServer | None = None
@@ -712,8 +769,8 @@ def shared_loop() -> EventLoopServer:
     """The process-wide loop server (created on first use).
 
     Shared across every channel of the process — a thousand registered
-    channels still cost one scheduler and one executor pool, which is
-    the whole O(1)-threads claim.
+    channels still cost one thread pool, which is the whole
+    O(1)-threads claim.
     """
     global _SHARED
     with _SHARED_LOCK:
@@ -724,7 +781,7 @@ def shared_loop() -> EventLoopServer:
 
 def serving_stats(channel) -> dict[str, Any] | None:
     """The ``host.*`` stats of the loop serving *channel* (None if
-    the channel is served by legacy worker threads)."""
+    the channel serves no requests)."""
     server = getattr(channel, "serve_loop", None)
     if server is None:
         return None

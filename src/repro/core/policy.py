@@ -44,6 +44,7 @@ __all__ = [
     "HOST_LINGER_S",
     "JOURNAL_LIMIT_BYTES",
     "SCHED_TICK_S",
+    "READ_POLL_S",
     "HOST_EXECUTOR_THREADS",
     "HOST_MAX_INFLIGHT",
     "HOST_QUEUE_DEPTH",
@@ -100,9 +101,14 @@ HOST_LINGER_S = 0.5
 #: this cannot be transparently respawned (see strategies/common.py).
 JOURNAL_LIMIT_BYTES = 4 * 1024 * 1024
 
-#: Granularity of the event-loop scheduler's bounded waits (throttled
-#: readers and fault-injection ticks re-check at this cadence).
+#: Granularity of a throttled reader's bounded wait for the host's
+#: backlog to drain (it re-checks its release conditions this often).
 SCHED_TICK_S = 0.005
+
+#: Longest one poll of a caller holding a connection's read role; the
+#: caller then re-checks whether its reply was settled some other way
+#: (the channel was killed from another thread).
+READ_POLL_S = 0.05
 
 #: Executor threads of one :class:`~repro.core.hostloop.EventLoopServer`
 #: (override per process with ``REPRO_HOST_EXECUTORS``).

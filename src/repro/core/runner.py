@@ -205,8 +205,7 @@ class HostAgent:
             self._next_chan += 1
             self._sessions[chan] = dispatcher
         self.channel.register(chan, self._session_handler(chan, dispatcher),
-                              name=f"af-session-{chan}",
-                              blocking=dispatcher_class.blocking)
+                              name=f"af-session-{chan}")
         # "chan" itself is an envelope key, so the session id travels
         # under its own name.
         return {"ok": True, "session_chan": chan, "strategy": strategy,
@@ -376,6 +375,9 @@ class SentinelHost:
         self.stderr_tail: deque = deque(maxlen=50)
         threading.Thread(target=self._drain_stderr, name="af-stderr-drain",
                          daemon=True).start()
+        # Without a network bridge the child never calls back, so no
+        # thread needs to read this connection: callers read their own
+        # replies (two cross-process wake-ups per depth-1 op).
         self.channel.start()
         threading.Thread(target=self._watch_proc, name="af-host-watch",
                          daemon=True).start()
@@ -614,7 +616,7 @@ class SentinelHostPool:
         self._lock = threading.RLock()
         self._hosts: dict[Any, SentinelHost] = {}
         self._refs: dict[Any, int] = {}
-        #: key -> pending idle-reap timer on the shared scheduler wheel
+        #: key -> pending idle-reap timer on the shared loop's timer wheel
         #: (one wheel for every lingering lease — a timer no longer
         #: costs a thread).
         self._reapers: dict[Any, hostloop.TimerHandle] = {}

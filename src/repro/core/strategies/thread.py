@@ -203,11 +203,9 @@ def open_session(container: Container, network=None) -> ThreadSession:
     # The "sentinel thread" of §4.3 is now a logical channel on the
     # process's shared event loop — same serial-per-open semantics, but
     # a thousand thread-strategy opens no longer cost a thousand
-    # threads.  The dispatcher may block (origin I/O, bridge calls), so
-    # it runs on the loop's executor pool.
+    # threads.
     sentinel_end.register(SESSION_CHAN, serve,
-                          name=monotonic_name("af-sentinel-thread"),
-                          blocking=SentinelDispatcher.blocking)
+                          name=monotonic_name("af-sentinel-thread"))
     TELEMETRY.metrics.counter("sessions.opened.thread",
                               scope=str(container.path)).inc()
     return ThreadSession(app_end, sentinel_end)

@@ -7,8 +7,7 @@ ways:
 * a hypothesis property over arbitrary op waves (sizes, failures):
   batched and unbatched legs produce byte-identical reply payloads,
   identical error surfacing, identical per-channel arrival order, and
-  no hung futures — in both the event-loop and ``REPRO_HOST_MODE=threads``
-  serving modes;
+  no hung futures;
 * the ``batch`` fault point: a dropped sub-op times out alone (its
   batch-mates complete, the ring drains instead of wedging), a
   corrupted sub-op errors alone;
@@ -119,22 +118,6 @@ class TestEquivalenceProperty:
     def test_batched_equals_one_at_a_time(self, ops):
         assert _run_wave(ops, batching=True) \
             == _run_wave(ops, batching=False)
-
-    @settings(max_examples=10, deadline=None)
-    @given(ops=OPS)
-    def test_batched_equals_one_at_a_time_threads_mode(self, ops):
-        """Same property with the legacy per-channel worker serving
-        (its intake path unpacks multi-op frames too)."""
-        saved = os.environ.get("REPRO_HOST_MODE")
-        os.environ["REPRO_HOST_MODE"] = "threads"
-        try:
-            assert _run_wave(ops, batching=True) \
-                == _run_wave(ops, batching=False)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_HOST_MODE", None)
-            else:
-                os.environ["REPRO_HOST_MODE"] = saved
 
     def test_wave_genuinely_batches(self):
         """The gated wave really exercises multi-op frames — otherwise

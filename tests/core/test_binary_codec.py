@@ -53,6 +53,11 @@ HOT_HEADERS = [
      "rid": 1, "chan": 1},
     {"cmd": "write", "offset": 8, "dl": 0.25,
      "shm": [1, 2, 3, 4], "rid": 6, "chan": 2},
+    # GetFileSize: the bare probe and its reply.
+    {"cmd": "size", "rid": 17, "chan": 5},
+    {"ok": True, "size": 0, "re": True, "rid": 18, "chan": 5},
+    {"ok": True, "size": 2**64 - 1, "re": True, "rid": 19, "chan": 5},
+    {"cmd": "size", "dl": 30000.0, "rid": 20, "chan": 5},
 ]
 
 
@@ -74,6 +79,28 @@ class TestRoundTrip:
         got_fields, got_payload = control.read_wire_message(buf)
         assert got_fields == fields
         assert got_payload == payload
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=U64, rid=U64, chan=U32,
+           dl=st.one_of(st.none(), st.floats(0, 1e12)))
+    def test_size_roundtrip_property(self, size, rid, chan, dl):
+        """GetFileSize rides binary both ways: the bare ``size`` probe
+        and its ``{"ok", "size"}`` reply."""
+        probe = {"cmd": "size", "rid": rid, "chan": chan}
+        if dl is not None:
+            probe["dl"] = dl
+        assert roundtrip(probe) == probe
+        reply = {"ok": True, "size": size, "re": True, "rid": rid,
+                 "chan": chan}
+        assert roundtrip(reply) == reply
+
+    def test_size_probe_with_extra_keys_falls_back(self):
+        # ``truncate`` also carries ``size``; only the bare probe and
+        # the size reply are binary shapes.
+        assert control.encode_head_wire(
+            {"cmd": "size", "offset": 1, "rid": 1, "chan": 1}) is None
+        assert control.encode_head_wire(
+            {"cmd": "truncate", "size": 1, "rid": 1, "chan": 1}) is None
 
     def test_decode_message_handles_both_encodings(self):
         fields = {"ok": True, "written": 5, "re": True, "rid": 1, "chan": 2}
@@ -115,7 +142,7 @@ class TestFallback:
         {"cmd": "rstream", "size": 100, "rid": 1, "chan": 1},
         {"ok": False, "error": "boom", "error_type": "IOError",
          "re": True, "rid": 1, "chan": 1},             # failures stay JSON
-        {"ok": True, "size": 10, "re": True, "rid": 1, "chan": 1},
+        {"ok": True, "size": -10, "re": True, "rid": 1, "chan": 1},
         {"cmd": "read", "offset": 1, "size": 2},       # no envelope
         {"cmd": "read", "offset": 1, "size": 2, "rid": -1, "chan": 1},
         {"ok": True, "written": "ten", "re": True, "rid": 1, "chan": 1},

@@ -6,10 +6,12 @@ interleaved responses under concurrent requests.
 """
 
 import os
+import sys
 import threading
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import control
 from repro.core.channel import (
@@ -18,7 +20,12 @@ from repro.core.channel import (
     LocalChannel,
     StreamChannel,
 )
-from repro.errors import ChannelClosedError, FrameError, ProtocolError
+from repro.errors import (
+    ChannelClosedError,
+    DeadlineExceededError,
+    FrameError,
+    ProtocolError,
+)
 
 # JSON-representable header values (what the codec actually carries)
 _scalars = (st.none() | st.booleans() | st.integers()
@@ -177,6 +184,8 @@ class TestDemux:
 
     def test_request_to_unhandled_channel_is_error_reply(self):
         a, b = make_stream_pair()
+        # b serves (it has a handler), just not on channel 99.
+        b.register(CONTROL_CHAN, lambda f, p: ({"ok": True}, b""))
         a.start()
         b.start()
         try:
@@ -257,3 +266,152 @@ class TestLocalChannel:
         assert snap["requests_sent"] == 1
         assert snap["per_op"]["read"]["count"] == 1
         app.close()
+
+
+class TestCallerRead:
+    """A connection that serves no requests is read by its own callers:
+    the thread blocked in ``PendingReply.wait`` takes the read role and
+    dispatches every frame it reads."""
+
+    @staticmethod
+    def caller_read_pair(handler=None, chans=1):
+        a, b = make_stream_pair()
+        if handler is not None:
+            for offset in range(chans):
+                b.register(FIRST_SESSION_CHAN + offset, handler)
+        a.start()
+        b.start()
+        return a, b
+
+    def test_no_thread_reads_between_requests(self):
+        a, b = self.caller_read_pair(lambda f, p: ({"ok": True}, p))
+        try:
+            fields, payload = a.request(FIRST_SESSION_CHAN, {"n": 1}, b"x")
+            assert fields["ok"] is True and payload == b"x"
+            assert a._poller is not None  # callers read, not the loop
+            assert not a._reading  # the caller gave the role back
+        finally:
+            a.close()
+
+    def test_register_after_start_is_refused(self):
+        """Serving is decided at start: a handler registered later
+        would never be read, so it is refused."""
+        a, b = make_stream_pair()
+        a.start()
+        try:
+            with pytest.raises(RuntimeError):
+                a.register(FIRST_SESSION_CHAN, lambda f, p: ({}, b""))
+            assert not a._handlers
+        finally:
+            a.close()
+            b.close()
+
+    def test_missing_reply_raises_within_its_budget(self):
+        """The role holder polls within its Deadline: a reply that
+        never comes (the peer never reads) is a typed timeout, on
+        time, and the role is free again afterwards."""
+        a, b = make_stream_pair()
+        a.start()  # b is never started: nothing answers
+        try:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                a.request(FIRST_SESSION_CHAN, {"n": 1}, timeout=0.2)
+            elapsed = time.monotonic() - started
+            assert 0.2 <= elapsed < 0.6
+            assert not a._reading
+            assert a.counters.snapshot()["in_flight"] == 0
+        finally:
+            a.close()
+            b.close()
+
+    def test_sibling_reply_wakes_its_caller_while_holder_waits(self):
+        """The role holder waits on a slow handler; a sibling's quick
+        reply lands just as the sibling goes to sleep.  The holder must
+        wake it then, not when the slow reply comes."""
+        def handler(fields, payload):
+            time.sleep(fields["d"])
+            return {"ok": True}, b""
+
+        a, b = self.caller_read_pair(handler, chans=2)
+        slow = threading.Thread(target=a.request, args=(
+            FIRST_SESSION_CHAN, {"d": 2.0}), kwargs={"timeout": 10.0})
+        try:
+            slow.start()
+            while not a._reading:
+                time.sleep(0.001)
+            pending = a.request_async(FIRST_SESSION_CHAN + 1, {"d": 0.05})
+            event = pending._event
+            real_is_set = event.is_set
+            stalled = []
+
+            def is_set_late():
+                # Read the flag, then stall before sleeping on the role
+                # (holding its lock): the reply lands in between.
+                value = real_is_set()
+                if not stalled and a._role._is_owned():
+                    stalled.append(value)
+                    time.sleep(0.3)
+                return value
+
+            event.is_set = is_set_late
+            started = time.monotonic()
+            fields, _ = pending.wait(10.0)
+            elapsed = time.monotonic() - started
+            assert fields["ok"] is True
+            assert stalled == [False]  # the window was really hit
+            assert elapsed < 1.0, f"sibling woke after {elapsed:.2f}s"
+            slow.join(10.0)
+        finally:
+            a.close()
+
+    @settings(max_examples=15, deadline=None)
+    @given(plan=st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                           st.integers(0, 2048)),
+                 min_size=1, max_size=6),
+        min_size=1, max_size=5))
+    def test_pipelining_threads_each_get_their_own_reply(self, plan):
+        """N threads x pipelined requests on one caller-read connection:
+        whoever holds the role resolves everyone's replies, every caller
+        gets its own, and none hangs."""
+        def echo(fields, payload):
+            time.sleep(0.001 * fields["d"])
+            return {"ok": True, "t": fields["t"], "i": fields["i"]}, payload
+
+        a, b = self.caller_read_pair(echo, chans=4)
+        errors: list = []
+        done: list = []
+
+        def caller(t, ops):
+            try:
+                pendings = [
+                    (i, a.request_async(FIRST_SESSION_CHAN + chan,
+                                        {"t": t, "i": i, "d": delay},
+                                        bytes([t, i]) * size))
+                    for i, (chan, delay, size) in enumerate(ops)]
+                # Wait newest-first, so earlier replies are read (and
+                # resolved) by whichever caller holds the role.
+                for i, pending in reversed(pendings):
+                    fields, payload = pending.wait(10.0)
+                    assert (fields["t"], fields["i"]) == (t, i)
+                    assert payload == bytes([t, i]) * ops[i][2]
+                done.append(t)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(t, ops))
+                   for t, ops in enumerate(plan)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings around the role
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert sorted(done) == list(range(len(plan)))
+            assert a.counters.snapshot()["in_flight"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            a.close()

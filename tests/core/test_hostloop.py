@@ -1,11 +1,11 @@
 """Tests for the event-loop sentinel host (:mod:`repro.core.hostloop`).
 
-The loop replaces thread-per-channel serving with one scheduler and a
-small executor pool; these tests pin the properties that refactor must
-preserve (serial-per-channel ordering, cross-channel fairness) and the
-ones it adds (admission control with typed fast-rejects, reader
-backpressure, O(1) thread count, the ``host.*`` telemetry family, and
-the ``REPRO_HOST_MODE=threads`` kill switch).
+The loop serves every channel from one small pool of interchangeable
+threads; these tests pin the properties it must keep (serial-per-channel
+ordering, cross-channel fairness) and the ones it adds (admission control
+with typed fast-rejects, reader backpressure, O(1) thread count, the
+``host.*`` telemetry family, and leader/follower serving that keeps a
+connection readable while the reading thread runs a slow handler).
 """
 
 import threading
@@ -24,14 +24,6 @@ from repro.core.telemetry import TELEMETRY
 from repro.errors import HostOverloadedError, wire_error_registry
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
-
-
-@pytest.fixture(autouse=True)
-def _force_loop_mode(monkeypatch):
-    """These tests pin loop-serving behaviour; neutralise an ambient
-    ``REPRO_HOST_MODE=threads`` (the CI fallback matrix leg) so they
-    stay meaningful there.  The kill-switch test re-sets it itself."""
-    monkeypatch.delenv("REPRO_HOST_MODE", raising=False)
 
 
 class SlowRead:
@@ -220,6 +212,98 @@ class TestBackpressure:
             server.shutdown()
 
 
+class TestLeaderFollower:
+    def test_ping_and_sibling_answer_while_slow_handler_runs(self, tmp_path):
+        """The thread that reads a request runs it, having handed the
+        read role on: a channel-0 ping and another channel's op both
+        answer while a 0.3 s handler runs."""
+        path = tmp_path / "slow.af"
+        create_active(path, f"{__name__}:SlowRead",
+                      params={"delay": 0.3}, data=b"x" * 64,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            slow_chan = host.open("process-control")
+            fast_chan = host.open("process-control")
+            time.sleep(0.05)  # let the pool go idle: the read runs inline
+            slow = host.channel.request_async(
+                slow_chan, {"cmd": "read", "offset": 0, "size": 8})
+            time.sleep(0.05)  # the slow handler is running now
+            started = time.monotonic()
+            info = host.ping(timeout=5.0)
+            fields, _ = host.channel.request(fast_chan, {"cmd": "size"},
+                                             timeout=5.0)
+            elapsed = time.monotonic() - started
+            assert info["ok"] is True and fields["size"] == 64
+            assert elapsed < 0.15, f"blocked behind the slow op: {elapsed}"
+            fields, payload = slow.wait(5.0)
+            assert fields["ok"] is True and payload == b"x" * 8
+        finally:
+            host.shutdown()
+
+    def test_depth_one_ops_run_on_the_reading_thread(self, tmp_path):
+        """Back-to-back ops on an idle host never wait for a hand-off:
+        queue wait stays a small fraction of service time."""
+        path = tmp_path / "quick.af"
+        create_active(path, NULL, data=b"q" * 4096,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            chan = host.open("process-control")
+            before = host.ping(timeout=5.0)["lat"]
+            for _ in range(200):
+                host.channel.request(
+                    chan, {"cmd": "read", "offset": 0, "size": 4096},
+                    timeout=5.0)
+            after = host.ping(timeout=5.0)["lat"]
+            ops = after["queue_wait_ops"] - before["queue_wait_ops"]
+            waited = (after["queue_wait_mean_us"] * after["queue_wait_ops"]
+                      - before["queue_wait_mean_us"]
+                      * before["queue_wait_ops"])
+            served = (after["service_mean_us"] * after["service_ops"]
+                      - before["service_mean_us"] * before["service_ops"])
+            assert ops >= 200
+            assert waited < 0.5 * served
+        finally:
+            host.shutdown()
+
+
+class TestSchedFaultPoint:
+    def test_every_grant_passes_the_sched_point(self):
+        """Requests the reading thread runs itself (depth 1) and
+        requests granted to the pool (a pipelined burst) each pass the
+        fault plane's ``sched`` point exactly once."""
+        import os
+
+        from repro.core.channel import StreamChannel
+        from repro.core.faults import FaultPlane
+
+        a_read, b_write = os.pipe()
+        b_read, a_write = os.pipe()
+        a = StreamChannel(os.fdopen(a_read, "rb", buffering=0),
+                          os.fdopen(a_write, "wb", buffering=0),
+                          name="sched-a")
+        a.batching = False  # one frame, hence one grant, per request
+        b = StreamChannel(os.fdopen(b_read, "rb", buffering=0),
+                          os.fdopen(b_write, "wb", buffering=0),
+                          name="sched-b")
+        plane = FaultPlane(seed=0).delay_sched(0.0, op="tick")
+        plane.arm_channel(b)
+        b.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""))
+        a.start()
+        b.start()
+        try:
+            for _ in range(5):
+                a.request(FIRST_SESSION_CHAN, {"cmd": "tick"}, timeout=5.0)
+            burst = [a.request_async(FIRST_SESSION_CHAN, {"cmd": "tick"})
+                     for _ in range(10)]
+            for pending in burst:
+                pending.wait(5.0)
+            assert plane.summary() == {"sched:delay": 15}
+        finally:
+            a.close()
+
+
 class TestThreadScaling:
     def test_thousand_channels_constant_threads(self, tmp_path):
         """The acceptance bound: 1000 logical channels on one host child
@@ -290,17 +374,6 @@ class TestTelemetry:
 
 
 class TestKillSwitch:
-    def test_threads_mode_restores_worker_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOST_MODE", "threads")
-        app, srv = LocalChannel.pair("legacy")
-        srv.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""),
-                     name="legacy-worker-thread")
-        assert any(t.name == "legacy-worker-thread"
-                   for t in threading.enumerate())
-        fields, _ = app.request(FIRST_SESSION_CHAN, {"cmd": "ping"})
-        assert fields["ok"] is True
-        app.close()
-
     def test_loop_mode_spawns_no_per_channel_thread(self):
         app, srv = LocalChannel.pair("loopy")
         srv.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""),

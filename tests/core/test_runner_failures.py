@@ -227,20 +227,54 @@ class TestShutdownOrdering:
         assert app.counters.snapshot()["in_flight"] == 0
         app.close()
 
-    def test_handler_raising_during_teardown_threads_mode(self, monkeypatch):
-        """Same guarantee under the REPRO_HOST_MODE=threads fallback."""
-        from repro.core.channel import FIRST_SESSION_CHAN, LocalChannel
 
-        monkeypatch.setenv("REPRO_HOST_MODE", "threads")
-        app, srv = LocalChannel.pair("teardown-threads")
-        srv.register(FIRST_SESSION_CHAN,
-                     lambda f, p: (_ for _ in ()).throw(
-                         SystemExit("worker teardown")))
-        pending = app.request_async(FIRST_SESSION_CHAN, {"cmd": "read"})
-        fields, _ = pending.wait(5.0)
-        assert fields["ok"] is False
-        assert fields["error_type"] == "SystemExit"
-        app.close()
+class TestCallerReadCrash:
+    def test_sigkill_while_a_caller_reads_fails_every_waiter(self, tmp_path):
+        """A connection without a network bridge is read by its callers.
+        SIGKILL the host while one caller holds the read role and others
+        sleep: every waiter fails with the typed crash error, none hangs."""
+        import os
+        import threading
+
+        from repro.core.runner import SentinelHost
+
+        path = tmp_path / "stall.af"
+        create_active(path, f"{__name__}:StallRead",
+                      params={"delay": 10.0}, data=b"y" * 64,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            chans = [host.open("process-control") for _ in range(3)]
+            outcomes: list = []
+
+            def waiter(chan):
+                try:
+                    host.channel.request(
+                        chan, {"cmd": "read", "offset": 0, "size": 1},
+                        timeout=30.0)
+                    outcomes.append("replied")
+                except Exception as exc:  # asserted below
+                    outcomes.append(exc)
+
+            threads = [threading.Thread(target=waiter, args=(chan,))
+                       for chan in chans]
+            for thread in threads:
+                thread.start()
+            channel = host.channel
+            deadline = time.monotonic() + 10.0
+            while not (channel._reading and channel._sleepers == 2
+                       and channel.counters.in_flight == 3):
+                assert time.monotonic() < deadline, "callers never parked"
+                time.sleep(0.01)
+            os.kill(host.proc.pid, signal.SIGKILL)
+            for thread in threads:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(outcomes) == 3
+            assert all(isinstance(o, SentinelCrashError) for o in outcomes)
+            assert channel.counters.snapshot()["in_flight"] == 0
+        finally:
+            host.shutdown()
 
 
 class TestApplicationMisbehaviour:

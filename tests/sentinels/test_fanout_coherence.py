@@ -3,9 +3,8 @@ remote file are indistinguishable from a single plain file.
 
 The hypothesis property drives interleaved writes/publishes/reads
 through three process-strategy opens (all members of one coherence
-domain in the pooled host child) against a plain ``bytearray`` model —
-in both the event-loop host and the ``REPRO_HOST_MODE=threads``
-fallback.  The remaining tests pin the plane's failure semantics over
+domain in the pooled host child) against a plain ``bytearray`` model.
+The remaining tests pin the plane's failure semantics over
 the wire: slow-consumer eviction and the typed distribution/aggregation
 fan-out errors."""
 
@@ -53,11 +52,8 @@ def _coherent_rig(tmp_path, name="blob.af", **params):
     return network, server, str(path), base
 
 
-@pytest.mark.parametrize("host_mode", ["loop", "threads"])
 class TestCoherentOpensEquivalentToPlainFile:
-    def test_interleaved_ops_match_bytearray_model(self, tmp_path,
-                                                   monkeypatch, host_mode):
-        monkeypatch.setenv("REPRO_HOST_MODE", host_mode)
+    def test_interleaved_ops_match_bytearray_model(self, tmp_path):
         network, server, path, base = _coherent_rig(tmp_path)
         streams = [open_active(path, "r+b", strategy="process-control",
                                network=network) for _ in range(OPENS)]
@@ -93,9 +89,7 @@ class TestCoherentOpensEquivalentToPlainFile:
             for stream in streams:
                 stream.close()
 
-    def test_leased_reads_cost_zero_origin_trips(self, tmp_path,
-                                                 monkeypatch, host_mode):
-        monkeypatch.setenv("REPRO_HOST_MODE", host_mode)
+    def test_leased_reads_cost_zero_origin_trips(self, tmp_path):
         network, _, path, base = _coherent_rig(tmp_path)
         a = open_active(path, "r+b", strategy="process-control",
                         network=network)
