@@ -60,15 +60,11 @@ BENCH_SWARM_RESULT_KEYS = {
 }
 
 #: Required per-section result keys of BENCH_adaptive.json — the
-#: adaptive plane-selection / ring-batching artifact of
-#: benchmarks/test_adaptive.py (PR 7).
+#: submission-ring batching artifact of benchmarks/test_adaptive.py.
 BENCH_ADAPTIVE_RESULT_KEYS = {
-    **{f"{leg}_{size}": ("size", "ops", "p50_us", "p95_us")
-       for leg in ("fixed", "adaptive", "adaptive_batch")
-       for size in (1024, 4096, 65536, 262144)},
     **{f"stream_{leg}": ("ops", "elapsed_s", "ops_per_s")
-       for leg in ("fixed", "adaptive", "adaptive_batch")},
-    "stream_speedup": ("batched_vs_fixed",),
+       for leg in ("unbatched", "batched")},
+    "stream_speedup": ("batched_vs_unbatched",),
 }
 
 

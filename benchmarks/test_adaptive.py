@@ -1,31 +1,21 @@
-"""Adaptive data-plane selection + ring batching benchmark (ISSUE PR 7).
+"""Submission-ring batching benchmark.
 
-Three legs over the same process-control stack, same child, same
-container — only the selection/submission machinery differs:
+Two legs over the same process-control stack, same child, same
+container — only the submission machinery differs:
 
-* ``fixed``          — static 32 KiB shm threshold, no ring
-  (``REPRO_NO_ADAPTIVE`` + ``REPRO_NO_BATCH``): the pre-PR baseline;
-* ``adaptive``       — the online cost model picks the plane per op
-  family and size bucket (``REPRO_NO_BATCH`` still set);
-* ``adaptive_batch`` — cost model plus the submission/completion ring
-  coalescing pipelined ops into multi-op frames.
+* ``unbatched`` — every op is its own frame (``REPRO_NO_BATCH``);
+* ``batched``   — the submission/completion ring coalesces pipelined
+  ops into multi-op frames.
 
-Two workload shapes:
-
-* *synchronous* ``read_at`` per size bucket — the cost model must never
-  make a bucket slower than the fixed threshold (its exploration taxes
-  a bounded fraction of ops and its steady-state pick is the measured
-  argmin);
-* *pipelined 4 KiB stream* — many ops in flight on one channel, where
-  the ring amortizes frame and wakeup cost.  The acceptance gate:
-  batched throughput ≥ 1.5x the unbatched baseline.
+The workload is a *pipelined 4 KiB read stream*: many ops in flight on
+one channel, where the ring amortizes frame and wakeup cost.  The
+acceptance gate: batched throughput ≥ 1.5x the unbatched baseline.
 
 Numbers land in ``BENCH_adaptive.json`` (schema-guarded by
 ``benchmarks/test_bench_schema.py``); CI archives the artifact.
 
-Environment knobs (CI smoke runs reduced):
+Environment knob (CI smoke runs reduced):
 
-* ``REPRO_ADAPTIVE_SYNC_OPS``   — sync ops per size bucket (default 200)
 * ``REPRO_ADAPTIVE_STREAM_OPS`` — pipelined stream ops (default 600)
 """
 
@@ -47,92 +37,28 @@ SPEC = SentinelSpec("repro.sentinels.null:NullFilterSentinel")
 
 RESULTS_PATH = os.environ.get("BENCH_ADAPTIVE_JSON", "BENCH_adaptive.json")
 
-#: Size axis: well below / just below / above / far above the static
-#: 32 KiB threshold — the buckets where a wrong plane pick would show.
-SIZES = (1024, 4096, 65536, 262144)
-
-SYNC_OPS = int(os.environ.get("REPRO_ADAPTIVE_SYNC_OPS", "200"))
 STREAM_OPS = int(os.environ.get("REPRO_ADAPTIVE_STREAM_OPS", "600"))
 STREAM_BLOCK = 4096
 STREAM_WINDOW = 64  # ops kept in flight on the streaming channel
 
-#: Best-of repetitions (first repetition also warms the cost model's
-#: buckets and the pools) — the same noise filter test_shm_plane uses.
+#: Best-of repetitions (the first also warms the pools) — the same
+#: noise filter test_shm_plane uses.
 REPS = 3
 
 #: The batching gate: pipelined 4 KiB stream op/s vs the unbatched
-#: baseline.  Typical runs show 2-4x; asserted with headroom for CI.
+#: baseline.
 MIN_STREAM_SPEEDUP = 1.5
 
-#: Noise allowance for the "adaptive never slower" per-bucket check —
-#: sync p50s on a loaded CI box jitter well past a few percent.
-NOISE = 1.30
-
-#: Per-leg environment, split by binding time: ``REPRO_NO_BATCH`` is
-#: read once when the host's channel is built, ``REPRO_NO_ADAPTIVE``
-#: per plane decision — so the legs can share one interleaved
-#: measurement schedule (rep-by-rep, leg-by-leg) and machine drift
-#: hits all three alike instead of whichever leg ran last.
+#: Per-leg environment.  ``REPRO_NO_BATCH`` is read once when the
+#: host's channel is built, so it only needs to hold while opening; the
+#: legs then share one interleaved measurement schedule (rep by rep,
+#: leg by leg) and machine drift hits both alike.
 LEGS = {
-    "fixed": {"open": {"REPRO_NO_BATCH": "1"},
-              "op": {"REPRO_NO_ADAPTIVE": "1"}},
-    "adaptive": {"open": {"REPRO_NO_BATCH": "1"}, "op": {}},
-    "adaptive_batch": {"open": {}, "op": {}},
+    "unbatched": {"REPRO_NO_BATCH": "1"},
+    "batched": {},
 }
 
-DATA_BYTES = max(SIZES) * 4
-
-_results: dict[str, dict] = {}
-
-
-def _flush() -> None:
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump({"block_size": STREAM_BLOCK, "total_bytes": DATA_BYTES,
-                   "strategy": "process-control",
-                   "legs": sorted(LEGS),
-                   "results": _results}, handle, indent=2)
-
-
-def _record(name: str, entry: dict) -> None:
-    _results[name] = entry
-    _flush()
-    print(f"\n{name}: {entry}")
-
-
-def _percentile(sorted_values, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
-
-
-class _env:
-    """Set environment variables for the duration of a ``with`` block."""
-
-    def __init__(self, env: dict) -> None:
-        self.env = env
-
-    def __enter__(self):
-        for key, value in self.env.items():
-            os.environ[key] = value
-
-    def __exit__(self, *exc):
-        for key in self.env:
-            os.environ.pop(key, None)
-        return False
-
-
-def _sync_pass(session, size: int) -> tuple[float, float]:
-    """One pass of SYNC_OPS synchronous reads; (p50_us, p95_us)."""
-    span = DATA_BYTES - size
-    lats = []
-    for i in range(SYNC_OPS):
-        started = time.perf_counter()
-        session.read_at((i * size) % span, size)
-        lats.append(time.perf_counter() - started)
-    lats.sort()
-    return (_percentile(lats, 0.50) * 1e6, _percentile(lats, 0.95) * 1e6)
+DATA_BYTES = 1024 * 1024
 
 
 def _stream_pass(session) -> float:
@@ -159,89 +85,52 @@ def _stream_pass(session) -> float:
     return elapsed
 
 
-def _measure(tmp_path) -> dict[str, dict[str, dict]]:
-    """All legs, one interleaved schedule: best-of-REPS per shape.
+def _measure(tmp_path, monkeypatch) -> dict[str, dict]:
+    """Both legs, one interleaved schedule: best-of-REPS elapsed.
 
-    Each repetition measures every leg back-to-back (same sizes, same
-    schedule), so a machine slowdown lands on all legs of that rep and
-    best-of discards it — sequential per-leg measurement was dominated
-    by exactly that drift.  Rep 1 doubles as warm-up: it seeds the
-    cost models' buckets so later reps reflect steady-state picks.
+    Each repetition measures every leg back-to-back, so a machine
+    slowdown lands on both legs of that rep and best-of discards it —
+    sequential per-leg measurement was dominated by exactly that drift.
     """
     sessions = {}
-    measured: dict[str, dict[str, dict]] = {}
     try:
-        for leg, spec in LEGS.items():
-            with _env(spec["open"]):
-                path = tmp_path / f"{leg}.af"
-                container = Container.create(path, SPEC,
+        for leg, env in LEGS.items():
+            with monkeypatch.context() as patch:
+                for key, value in env.items():
+                    patch.setenv(key, value)
+                container = Container.create(tmp_path / f"{leg}.af", SPEC,
                                              data=b"\xca" * DATA_BYTES)
                 sessions[leg] = process_control.open_session(
                     container, pooled=False)
-            measured[leg] = {
-                f"sync_{size}": {"size": size, "ops": SYNC_OPS * REPS,
-                                 "p50_us": float("inf"),
-                                 "p95_us": float("inf")}
-                for size in SIZES}
-            measured[leg]["stream"] = {"ops": STREAM_OPS,
-                                       "elapsed_s": float("inf")}
+        best = dict.fromkeys(LEGS, float("inf"))
         for _ in range(REPS):
-            for size in SIZES:
-                for leg, session in sessions.items():
-                    with _env(LEGS[leg]["op"]):
-                        p50, p95 = _sync_pass(session, size)
-                    entry = measured[leg][f"sync_{size}"]
-                    entry["p50_us"] = round(min(entry["p50_us"], p50), 1)
-                    entry["p95_us"] = round(min(entry["p95_us"], p95), 1)
             for leg, session in sessions.items():
-                with _env(LEGS[leg]["op"]):
-                    elapsed = _stream_pass(session)
-                entry = measured[leg]["stream"]
-                entry["elapsed_s"] = round(min(entry["elapsed_s"],
-                                               elapsed), 4)
-        for leg in LEGS:
-            entry = measured[leg]["stream"]
-            entry["ops_per_s"] = round(
-                STREAM_OPS / entry["elapsed_s"], 1) \
-                if entry["elapsed_s"] else 0.0
-        return measured
+                best[leg] = min(best[leg], _stream_pass(session))
+        return {leg: {"ops": STREAM_OPS, "elapsed_s": round(elapsed, 4),
+                      "ops_per_s": round(STREAM_OPS / elapsed, 1)}
+                for leg, elapsed in best.items()}
     finally:
         for session in sessions.values():
             session.close()
 
 
-def test_adaptive_plane_and_batching(tmp_path):
-    measured = _measure(tmp_path)
-    for leg, sections in measured.items():
-        for shape, entry in sections.items():
-            if shape == "stream":
-                _record(f"stream_{leg}", entry)
-            else:
-                _record(f"{leg}_{entry['size']}", entry)
-
-    speedup = round(
-        measured["adaptive_batch"]["stream"]["ops_per_s"]
-        / measured["fixed"]["stream"]["ops_per_s"], 2)
-    _record("stream_speedup", {"batched_vs_fixed": speedup})
+def test_ring_batching(tmp_path, monkeypatch):
+    measured = _measure(tmp_path, monkeypatch)
+    results = {f"stream_{leg}": entry for leg, entry in measured.items()}
+    speedup = round(measured["batched"]["ops_per_s"]
+                    / measured["unbatched"]["ops_per_s"], 2)
+    results["stream_speedup"] = {"batched_vs_unbatched": speedup}
+    for name, entry in results.items():
+        print(f"\n{name}: {entry}")
 
     doc = {"block_size": STREAM_BLOCK, "total_bytes": DATA_BYTES,
            "strategy": "process-control", "legs": sorted(LEGS),
-           "results": _results}
+           "results": results}
     check_bench_schema(doc, BENCH_ADAPTIVE_RESULT_KEYS,
                        name="BENCH_adaptive.json")
     (REPO_ROOT / RESULTS_PATH).write_text(json.dumps(doc, indent=2) + "\n")
 
-    # Gate 1: the cost model never loses a size bucket to the static
-    # threshold (within CI noise) — adaptation is free downside-wise.
-    for size in SIZES:
-        fixed = measured["fixed"][f"sync_{size}"]["p50_us"]
-        adaptive = measured["adaptive"][f"sync_{size}"]["p50_us"]
-        assert adaptive <= fixed * NOISE, \
-            f"adaptive p50 {adaptive}us vs fixed {fixed}us @ {size}B"
-
-    # Gate 2: the submission ring pays for itself on a pipelined
-    # small-op stream.
+    # The submission ring pays for itself on a pipelined small-op stream.
     assert speedup >= MIN_STREAM_SPEEDUP, \
         f"batched stream {speedup}x < {MIN_STREAM_SPEEDUP}x " \
-        f"({measured['adaptive_batch']['stream']} vs " \
-        f"{measured['fixed']['stream']})"
+        f"({measured['batched']} vs {measured['unbatched']})"

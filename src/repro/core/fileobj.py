@@ -383,13 +383,6 @@ class ActiveFile(io.RawIOBase):
                           ("dirty_high_water", "dirty_high_water")):
             if key in snapshot:
                 setattr(self.stats, attr, int(snapshot[key]))
-        # Fold in the host's live data-plane selection counters (the
-        # ``plane.*`` family) when this open rides a pooled host —
-        # where the op bytes travelled belongs next to how the cache
-        # used them.
-        plane = getattr(self._session, "plane_stats", None)
-        if plane is not None:
-            snapshot["plane"] = plane
         return snapshot
 
     def trace(self) -> dict[str, Any] | None:

@@ -58,7 +58,6 @@ from repro.core.fanout import domain_for
 from repro.core.netproxy import NetworkBridgeServer, ProxyNetwork
 from repro.core.policy import Deadline
 from repro.core.sentinel import SentinelContext
-from repro.core.planesel import PlaneCostModel
 from repro.core.shm import AttachedSegment, ShmPlane, shm_enabled
 from repro.core.strategies.common import make_data_part
 from repro.core.telemetry import TELEMETRY
@@ -352,13 +351,6 @@ class SentinelHost:
                 self.shm = ShmPlane()
             except Exception:
                 self.shm = None
-        # Adaptive data-plane selection: one cost model per host learns
-        # the measured shm-vs-inline crossover for this connection's
-        # workload (sessions consult it in _shm_stage, feed it per op).
-        self.plane_model = PlaneCostModel()
-        TELEMETRY.register_collector(
-            "plane", f"host:{os.path.basename(self.container_path)}",
-            self.plane_model, PlaneCostModel.stats)
         self.proc = Popen(argv, stdin=PIPE, stdout=PIPE, stderr=PIPE,
                           bufsize=0, env=env)
         self.channel = StreamChannel(

@@ -7,10 +7,9 @@ connection (:class:`ChannelSession`).
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
-from repro.core import planesel, policy
+from repro.core import policy
 from repro.core import shm as shmplane
 from repro.core.container import Container
 from repro.core.control import raise_for_response
@@ -144,7 +143,6 @@ class ChannelSession(Session):
                 span = TELEMETRY.begin(f"op.{cmd}", attrs=attrs, push=True)
             status = "error"
             plane = send_lease = reply_lease = None
-            attempt_started = time.monotonic()
             try:
                 wire_fields, wire_payload = fields, payload
                 if use_shm:
@@ -215,11 +213,6 @@ class ChannelSession(Session):
                     continue
                 status = "ok"
                 self._journal_record(cmd, fields, payload)
-                self._plane_record(
-                    cmd, reply, payload, out_payload,
-                    used_shm=(send_lease is not None
-                              or reply_lease is not None),
-                    elapsed=time.monotonic() - attempt_started)
                 return reply, out_payload
             finally:
                 # Runs after any return value is computed, so a reply
@@ -229,45 +222,6 @@ class ChannelSession(Session):
                     plane.release(reply_lease)
                 if span is not None:
                     TELEMETRY.finish(span, status=status)
-
-    # -- adaptive plane selection ---------------------------------------------------
-
-    def _plane_model(self):
-        """The host's :class:`~repro.core.planesel.PlaneCostModel`."""
-        host = getattr(self._lease, "host", None)
-        return getattr(host, "plane_model", None)
-
-    def _want_shm(self, cmd: str, nbytes: int) -> bool:
-        """Should this op's bulk ride shm?  Cost model, else static."""
-        model = self._plane_model()
-        if model is not None:
-            return model.use_shm(cmd, nbytes)
-        return nbytes >= shmplane.SHM_MIN_BYTES
-
-    def _plane_record(self, cmd: str, reply: dict[str, Any], payload: Any,
-                      out_payload: bytes, *, used_shm: bool,
-                      elapsed: float) -> None:
-        """Feed one successful attempt's measured cost to the model."""
-        if cmd not in self.SHM_CMDS:
-            return
-        model = self._plane_model()
-        if model is None:
-            return
-        if cmd in ("write", "writev"):
-            parts = payload if isinstance(payload, (tuple, list)) \
-                else (payload,)
-            nbytes = sum(len(p) for p in parts)
-        else:
-            sl = reply.get("sl")
-            nbytes = int(sl) if sl is not None else len(out_payload)
-        plane = "shm" if used_shm else planesel.inline_plane()
-        model.record(cmd, nbytes, plane, elapsed)
-
-    @property
-    def plane_stats(self) -> "dict[str, Any] | None":
-        """The host's live ``plane.*`` counters (None without a model)."""
-        model = self._plane_model()
-        return model.stats() if model is not None else None
 
     # -- shared-memory staging -----------------------------------------------------
 
@@ -285,14 +239,12 @@ class ChannelSession(Session):
                    payload: Any, into: "memoryview | None"):
         """Swap eligible bulk bytes for slot descriptors.
 
-        Eligibility is decided per op by the host's adaptive cost model
-        (:meth:`_want_shm`; the static ``SHM_MIN_BYTES`` threshold when
-        the model is cold, disabled, or absent).  Chosen request
-        payloads are staged into leased slots (``shm`` descriptor
-        replaces the frame body); bulk replies are offered a pre-leased
-        landing slot (``shm_r``).  Returns the wire form plus the
-        leases the caller must release/park.  An exhausted slab keeps
-        the attempt inline.
+        A payload rides shm exactly when it is at least
+        ``SHM_MIN_BYTES``: such request payloads are staged into leased
+        slots (``shm`` descriptor replaces the frame body), such replies
+        are offered a pre-leased landing slot (``shm_r``).  Returns the
+        wire form plus the leases the caller must release/park.  An
+        exhausted slab keeps the attempt inline.
         """
         send_lease = reply_lease = None
         wire_fields, wire_payload = fields, payload
@@ -300,7 +252,7 @@ class ChannelSession(Session):
             parts = payload if isinstance(payload, (tuple, list)) \
                 else (payload,)
             nbytes = sum(len(p) for p in parts)
-            if self._want_shm(cmd, nbytes):
+            if nbytes >= shmplane.SHM_MIN_BYTES:
                 send_lease = plane.lease(nbytes)
                 if send_lease is None:
                     shmplane.FALLBACK_INLINE.inc()
@@ -316,7 +268,7 @@ class ChannelSession(Session):
                 expect = sum(int(s) for _, s in (fields.get("extents") or ()))
             if into is not None:
                 expect = min(expect, len(into)) if expect else len(into)
-            if self._want_shm(cmd, expect):
+            if expect >= shmplane.SHM_MIN_BYTES:
                 reply_lease = plane.lease(expect)
                 if reply_lease is None:
                     shmplane.FALLBACK_INLINE.inc()

@@ -742,9 +742,6 @@ class Telemetry:
           ``summary()`` dicts;
         * ``host`` — :class:`~repro.core.hostloop.EventLoopServer`
           ``stats()`` dicts (the ``host.*`` gauges);
-        * ``plane`` — :class:`~repro.core.planesel.PlaneCostModel`
-          ``stats()`` dicts (``plane.selected.*``,
-          ``plane.crossover_bytes``);
         * ``close_errors`` — ``{"count", "last"}`` folded from every
           transport connection;
         * ``metrics`` — the :class:`MetricsRegistry` snapshot
@@ -757,7 +754,7 @@ class Telemetry:
         out: dict[str, Any] = {}
         dead: list[tuple[str, str]] = []
         for family in ("transport", "files", "cache", "network", "faults",
-                       "host", "plane"):
+                       "host"):
             rendered: dict[str, Any] = {}
             for key, (ref, fn) in families.get(family, {}).items():
                 owner = ref()
@@ -886,7 +883,6 @@ def render_snapshot(snap: dict[str, Any]) -> str:
     _render_section("network", snap.get("network", {}), lines)
     _render_section("faults", snap.get("faults", {}), lines)
     _render_section("host", snap.get("host", {}), lines)
-    _render_section("plane", snap.get("plane", {}), lines)
     close = snap.get("close_errors", {})
     lines.append(f"close errors: {close.get('count', 0)}"
                  + (f" (last: {close.get('last')})" if close.get("last")

@@ -81,9 +81,6 @@ KNOWN_METRICS = frozenset({
     "batch.ops.served", "batch.singleton",
     "host.backpressure.stalls", "host.rejects.total", "host.respawns",
     "hosts.pooled", "hosts.spawned",
-    "plane.crossover_bytes", "plane.explore", "plane.samples",
-    "plane.adaptive", "plane.static_min_bytes",
-    "plane.selected.inline", "plane.selected.binhdr", "plane.selected.shm",
     "shm.bytes", "shm.fallback_inline", "shm.slots_leased",
     # coherence + fan-out plane
     "fanout.published", "fanout.delivered", "fanout.dropped",
@@ -128,7 +125,7 @@ KNOWN_METRICS = frozenset({
 #: Open-ended key families (suffix varies per run: fault rules, op
 #: families, session strategies, live latency splits).
 KNOWN_METRIC_PREFIXES = (
-    "faults.injected.", "faults.fired.", "plane.crossover.",
+    "faults.injected.", "faults.fired.",
     "sessions.opened.", "host.lat.", "transport.latency.",
 )
 
@@ -218,17 +215,12 @@ def _sum_into(out: dict[str, float], key: str, value: Any,
         return
     if how == "max":
         out[key] = max(out.get(key, 0), value)
-    elif how == "min":
-        out[key] = min(out.get(key, value), value)
     else:
         out[key] = out.get(key, 0) + value
 
 
 #: cache fields where summing across caches would be wrong.
 _CACHE_MAX_FIELDS = frozenset({"window", "dirty_high_water"})
-#: plane fields where the effective value is the min/max across hosts.
-_PLANE_MIN_PREFIXES = ("plane.crossover",)
-_PLANE_MAX_KEYS = frozenset({"plane.adaptive", "plane.static_min_bytes"})
 
 
 def flatten_snapshot(snap: dict[str, Any],
@@ -243,8 +235,6 @@ def flatten_snapshot(snap: dict[str, Any],
     * ``host`` — the serving loop's already-prefixed ``host.*`` gauges,
       summed across loops; a live ``ping`` reply overrides them and
       adds ``host.sessions``/``host.threads`` and ``host.lat.*``;
-    * ``plane`` — selection counters summed, ``plane.crossover*``
-      min'd (the effective break-even), flags max'd;
     * ``network`` — numeric fields summed (``network.requests`` ...);
     * ``faults`` — armed-plane summaries as ``faults.fired.<rule>``;
     * ``transport`` — the totals dict as ``transport.<key>``;
@@ -263,15 +253,6 @@ def flatten_snapshot(snap: dict[str, Any],
         if isinstance(entry, dict):
             for key, value in entry.items():
                 _sum_into(out, key, value)
-    for entry in (snap.get("plane") or {}).values():
-        if isinstance(entry, dict):
-            for key, value in entry.items():
-                if key.startswith(_PLANE_MIN_PREFIXES):
-                    _sum_into(out, key, value, "min")
-                elif key in _PLANE_MAX_KEYS:
-                    _sum_into(out, key, value, "max")
-                else:
-                    _sum_into(out, key, value)
     for entry in (snap.get("network") or {}).values():
         if isinstance(entry, dict):
             for fld, value in entry.items():

@@ -200,6 +200,27 @@ class TestSessionIntegration:
         finally:
             session.close()
 
+    def test_plane_is_a_fixed_function_of_size(self, tmp_path):
+        """Every op below SHM_MIN_BYTES rides inline and every op at or
+        above it rides shm: no op is ever routed to the other plane."""
+        small, bulk = 4096, 65536
+        assert small < shmplane.SHM_MIN_BYTES <= bulk <= shmplane.SLOT_BYTES
+        container = Container.create(os.path.join(str(tmp_path), "rule.af"),
+                                     SPEC)
+        session = process_control.open_session(container)
+        try:
+            assert session.host.shm_ready
+            for size in (small, bulk):
+                leased = shmplane.SLOTS_LEASED.value
+                for i in range(64):
+                    block = bytes([i]) * size
+                    assert session.write_at(i * size, block) == size
+                    assert session.read_at(i * size, size) == block
+                expected = 0 if size == small else 128  # one slot per op
+                assert shmplane.SLOTS_LEASED.value - leased == expected, size
+        finally:
+            session.close()
+
     @pytest.mark.parametrize("fault,op", [("corrupt_shm_slot", "write"),
                                           ("stale_shm_generation", "write"),
                                           ("stale_shm_generation", "read")])

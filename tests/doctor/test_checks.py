@@ -39,13 +39,13 @@ class TestShippedChecksFireAndStaySilent:
     def test_shm_slab_undersized(self, shipped):
         check = shipped["shm-slab-undersized"]
         dirty = make_evidence({"shm.fallback_inline": 5,
-                               "plane.selected.shm": 20})
+                               "shm.slots_leased": 20})
         found = fires(check, dirty)
         assert found and found[0].subsystem == "shm"
         assert found[0].evidence["ratio"] == pytest.approx(0.25)
         # below min_denominator the rule abstains even at a bad ratio
         sparse = make_evidence({"shm.fallback_inline": 4,
-                                "plane.selected.shm": 5})
+                                "shm.slots_leased": 5})
         assert not fires(check, sparse)
 
     def test_write_behind_degrading_trend(self, shipped):
@@ -220,7 +220,7 @@ class TestLinter:
 
     def test_ratio_bad_min_denominator(self):
         with pytest.raises(DoctorError, match="min_denominator"):
-            self.lint(type="ratio", over="plane.selected.shm",
+            self.lint(type="ratio", over="shm.slots_leased",
                       min_denominator=0)
 
     def test_trend_needs_delta_comparator(self):
@@ -233,7 +233,7 @@ class TestLinter:
 
     def test_ratio_is_global_only(self):
         with pytest.raises(DoctorError, match="global-only"):
-            self.lint(type="ratio", over="plane.selected.shm",
+            self.lint(type="ratio", over="shm.slots_leased",
                       scope="container")
 
 

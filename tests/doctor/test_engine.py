@@ -27,9 +27,9 @@ from tests.doctor.conftest import make_evidence, make_snapshot
 class TestFlatten:
     def test_registry_metrics_pass_through(self):
         flat = flatten_snapshot(make_snapshot({"shm.bytes": 42,
-                                               "plane.explore": 3}))
+                                               "shm.slots_leased": 3}))
         assert flat["shm.bytes"] == 42
-        assert flat["plane.explore"] == 3
+        assert flat["shm.slots_leased"] == 3
 
     def test_cache_fields_sum_except_watermarks(self):
         snap = make_snapshot(cache={
@@ -45,12 +45,13 @@ class TestFlatten:
         assert flat["cache.dirty_high_water"] == 10
 
     def test_metrics_global_overlays_section_aggregates(self):
-        # plane.selected.shm exists both as a section field and as a
-        # registry counter; the registry (authoritative) must win so
-        # the value is never double-counted.
-        snap = make_snapshot({"plane.selected.shm": 7},
-                             plane={"host:a.af#1": {"plane.selected.shm": 7}})
-        assert flatten_snapshot(snap)["plane.selected.shm"] == 7
+        # host.backpressure.stalls exists both as a section field and
+        # as a registry counter; the registry (authoritative) must win
+        # so the value is never double-counted.
+        snap = make_snapshot(
+            {"host.backpressure.stalls": 7},
+            host={"loop#1": {"host.backpressure.stalls": 7}})
+        assert flatten_snapshot(snap)["host.backpressure.stalls"] == 7
 
     def test_histograms_gain_percentiles(self):
         hist = {"count": 4, "sum": 1.0,
@@ -199,7 +200,7 @@ class TestReportContract:
 
     def test_fingerprint_stable_across_replays(self, tmp_path):
         evidence = make_evidence(
-            {"shm.fallback_inline": 5, "plane.selected.shm": 20},
+            {"shm.fallback_inline": 5, "shm.slots_leased": 20},
             scopes={"a.af": {"host.respawns": 4}})
         evidence.export(str(tmp_path / "b"))
         first = run_doctor(Evidence.from_bundle(str(tmp_path / "b")))
