@@ -59,14 +59,6 @@ BENCH_SWARM_RESULT_KEYS = {
                     "service_p50_us", "service_p95_us"),
 }
 
-#: Required per-section result keys of BENCH_adaptive.json — the
-#: submission-ring batching artifact of benchmarks/test_adaptive.py.
-BENCH_ADAPTIVE_RESULT_KEYS = {
-    **{f"stream_{leg}": ("ops", "elapsed_s", "ops_per_s")
-       for leg in ("unbatched", "batched")},
-    "stream_speedup": ("batched_vs_unbatched",),
-}
-
 
 #: Per-leg measurement keys shared by both legs of BENCH_fanout.json.
 _BENCH_FANOUT_LEG_KEYS = ("subscribers", "rounds", "reads", "bytes_read",

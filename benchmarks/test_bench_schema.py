@@ -15,7 +15,6 @@ import pathlib
 import pytest
 
 from benchmarks.conftest import (
-    BENCH_ADAPTIVE_RESULT_KEYS,
     BENCH_CACHE_RESULT_KEYS,
     BENCH_FANOUT_RESULT_KEYS,
     BENCH_RECOVERY_RESULT_KEYS,
@@ -58,12 +57,6 @@ def test_bench_swarm_schema():
 def test_bench_fanout_schema():
     check_bench_schema(_load("BENCH_fanout.json"), BENCH_FANOUT_RESULT_KEYS,
                        name="BENCH_fanout.json")
-
-
-def test_bench_adaptive_schema():
-    check_bench_schema(_load("BENCH_adaptive.json"),
-                       BENCH_ADAPTIVE_RESULT_KEYS,
-                       name="BENCH_adaptive.json")
 
 
 def test_schema_checker_rejects_dropped_key():

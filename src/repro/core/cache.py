@@ -442,9 +442,8 @@ class BlockCache:
         # Issue every missing run of the range up-front, before
         # resolving any of them: a range with several holes (blocks
         # made resident by scattered writes between them) then has all
-        # its fetches in flight at once — over the batching transport
-        # they coalesce into one multi-op frame and one host wakeup
-        # instead of paying one synchronous round trip per hole.
+        # its fetches in flight at once instead of paying one
+        # synchronous round trip per hole.
         end = self._effective_end()
         for run_start, run_len in self._missing_runs(first, last):
             run_end_byte = (run_start + run_len) * bs

@@ -7,7 +7,8 @@ pair per concern.  This module is the single transport they now share:
 
 * every message is tagged with a *request id* (``rid``) and a *logical
   channel id* (``chan``) — the envelope of
-  :func:`repro.core.control.split_envelope`;
+  :func:`repro.core.control.split_envelope` — and every request is
+  exactly one frame: nothing coalesces ops on the way out;
 * a demultiplexer routes replies to per-request futures
   (:class:`PendingReply`), so callers can pipeline many operations over
   one connection;
@@ -43,11 +44,9 @@ control/bridge traffic; sessions use channels 1 and up.
 
 from __future__ import annotations
 
-import os
 import select
 import threading
 import time
-from collections import deque
 from typing import Any, BinaryIO, Callable
 
 from repro.core import control, hostloop
@@ -83,26 +82,6 @@ Handler = Callable[[dict[str, Any], bytes], "tuple[dict[str, Any], bytes]"]
 #: the metrics-registry lock.
 _HDR_BINARY = TELEMETRY.metrics.counter("transport.header.binary")
 _HDR_JSON = TELEMETRY.metrics.counter("transport.header.json")
-
-#: Submission-ring tallies (the client-side ``batch.*`` family):
-#: frames that coalesced >1 op, the ops they carried, and flushes that
-#: passed a lone op straight through as a plain (binary-header) frame.
-_BATCH_FLUSHES = TELEMETRY.metrics.counter("batch.flushes")
-_BATCH_OPS = TELEMETRY.metrics.counter("batch.ops.batched")
-_BATCH_SINGLETON = TELEMETRY.metrics.counter("batch.singleton")
-
-#: Most sub-ops one multi-op frame may carry (well under the host's
-#: HOST_QUEUE_DEPTH, so one frame can never be auto-rejected by the
-#: per-channel admission bound it weighs against).
-BATCH_MAX_OPS = 32
-
-#: Most payload bytes one multi-op frame may carry; a large op cuts the
-#: batch rather than ballooning the frame past the pipe's fast path.
-BATCH_MAX_BYTES = 1 << 20
-
-#: Environment kill-switch: set ``REPRO_NO_BATCH=1`` to send every op
-#: as its own frame (read at channel construction).
-ENV_NO_BATCH = "REPRO_NO_BATCH"
 
 #: What the send path accepts as a payload: one buffer, or a sequence of
 #: buffers gathered under the same frame (scatter-gather, copy-free on
@@ -233,7 +212,7 @@ class ChannelCounters:
 class PendingReply:
     """A per-request future: one in-flight operation awaiting its reply."""
 
-    __slots__ = ("channel", "rid", "op", "started", "span", "ring",
+    __slots__ = ("channel", "rid", "op", "started", "span",
                  "_event", "_fields", "_payload", "_error")
 
     def __init__(self, channel: "Channel", rid: int, op: str) -> None:
@@ -244,20 +223,10 @@ class PendingReply:
         #: The frame span covering this request's wire round trip (only
         #: set while tracing; finished at settle/withdraw time).
         self.span = None
-        #: The submission ring whose outstanding count this request is
-        #: part of — set at *flush* time (not enqueue), cleared on the
-        #: first settle/withdraw so the ring is notified exactly once.
-        self.ring = None
         self._event = threading.Event()
         self._fields: dict[str, Any] | None = None
         self._payload = b""
         self._error: BaseException | None = None
-
-    def _notify_ring(self) -> None:
-        ring = self.ring
-        if ring is not None:
-            self.ring = None
-            ring.on_settle()
 
     def resolve(self, fields: dict[str, Any], payload: bytes) -> None:
         if self._event.is_set():
@@ -269,7 +238,6 @@ class PendingReply:
         if self.span is not None:
             TELEMETRY.finish(self.span)
         self._event.set()
-        self._notify_ring()
 
     def fail(self, error: BaseException) -> None:
         if self._event.is_set():
@@ -281,7 +249,6 @@ class PendingReply:
             self.span.set(error=type(error).__name__)
             TELEMETRY.finish(self.span, status="error")
         self._event.set()
-        self._notify_ring()
 
     def wait(self, timeout: "float | Deadline | None" = None
              ) -> tuple[dict[str, Any], bytes]:
@@ -295,10 +262,6 @@ class PendingReply:
             withdrawn = self.channel._withdraw(self.rid) is self
             if withdrawn:
                 self.channel.counters.request_withdrawn(self.op)
-                # A timed-out flushed op still settles its ring slot —
-                # otherwise a dropped frame would wedge the ring's
-                # completion pacing forever.
-                self._notify_ring()
                 if self.span is not None:
                     TELEMETRY.finish(self.span, status="timeout")
                 raise DeadlineExceededError(
@@ -308,231 +271,6 @@ class PendingReply:
         if self._error is not None:
             raise self._error
         return self._fields or {}, self._payload
-
-
-class _BatchPending:
-    """The wire-level future of one multi-op frame.
-
-    Registered under the frame's own rid so :meth:`Channel._dispatch`
-    routes the aggregate reply here; :meth:`resolve` then demuxes the
-    per-op reply fields and payload slices back to the sub-ops'
-    :class:`PendingReply` futures.  Deliberately *not* counted by the
-    transport counters — the frame is plumbing; only its sub-ops are
-    requests.
-    """
-
-    __slots__ = ("channel", "rid", "op", "span", "started", "sub_rids")
-
-    def __init__(self, channel: "Channel", rid: int,
-                 sub_rids: list[int]) -> None:
-        self.channel = channel
-        self.rid = rid
-        self.op = "batch"
-        self.span = None
-        self.started = time.monotonic()
-        self.sub_rids = sub_rids
-
-    def resolve(self, fields: dict[str, Any], payload: bytes) -> None:
-        rs = fields.get("rs")
-        if not fields.get("ok", False) or not isinstance(rs, list):
-            # A batch-level failure (admission reject, malformed-frame
-            # error): every sub-op resolves with its own copy of the
-            # error fields, exactly as if it had been rejected alone —
-            # the caller's raise_for_response sees the identical error.
-            for rid in self.sub_rids:
-                pending = self.channel._withdraw(rid)
-                if pending is not None:
-                    pending.resolve(dict(fields), b"")
-            return
-        lens = fields.get("lens") or []
-        view = memoryview(payload or b"")
-        offset = 0
-        for index, sub in enumerate(rs):
-            try:
-                size = max(0, int(lens[index])) if index < len(lens) else 0
-            except (TypeError, ValueError):
-                size = 0
-            chunk = bytes(view[offset:offset + size]) if size else b""
-            offset += size
-            if not isinstance(sub, dict) or "rid" not in sub:
-                continue
-            try:
-                rid = int(sub.pop("rid"))
-            except (TypeError, ValueError):
-                continue
-            pending = self.channel._withdraw(rid)
-            if pending is None:
-                continue  # withdrawn (timed out) while the frame flew
-            if "tsp" in sub:  # spans the peer produced serving this sub
-                TELEMETRY.ingest(sub.pop("tsp"), anchor=pending.span)
-            pending.resolve(sub, chunk)
-        # Sub-ops absent from rs (an injected per-sub drop) stay
-        # pending; their per-attempt timeouts withdraw and retry them.
-
-    def fail(self, error: BaseException) -> None:
-        # Channel death: kill() clears _pending first and fails every
-        # sub directly, so these withdraws are usually no-ops; they
-        # matter on the send-failure path, where the subs still live.
-        for rid in self.sub_rids:
-            pending = self.channel._withdraw(rid)
-            if pending is not None:
-                pending.fail(error)
-
-
-class _Ring:
-    """Per-channel submission/completion ring coalescing ops into frames.
-
-    Callers enqueue already-registered requests; the ring decides when
-    to put them on the wire.  The flush policy is completion-paced, the
-    way io_uring amortizes syscalls: with nothing outstanding the first
-    op flushes immediately (an idle channel pays zero added latency —
-    and a lone op passes through as a plain frame, byte-identical to
-    the unbatched transport); while ops are outstanding, arrivals
-    accumulate, and the next completion flushes them as *one* multi-op
-    frame — one syscall, one host wakeup for N ops.  A flush takes at
-    most :data:`BATCH_MAX_OPS` ops / :data:`BATCH_MAX_BYTES` payload;
-    the remainder rides the next completion.
-
-    ``outstanding`` counts flushed-but-unsettled *sub-ops*, and every
-    settle path — resolve, fail, and a timed-out ``wait()``'s
-    withdraw — decrements it, so dropped or lost frames drain the ring
-    instead of wedging it.
-    """
-
-    __slots__ = ("channel", "chan", "_lock", "_queue", "outstanding")
-
-    def __init__(self, channel: "Channel", chan: int) -> None:
-        self.channel = channel
-        self.chan = chan
-        # Reentrant: a send failure inside a flush fails the batch's
-        # futures, whose settle notifications re-enter this lock.
-        self._lock = threading.RLock()
-        self._queue: deque = deque()
-        self.outstanding = 0
-
-    def enqueue(self, pending: PendingReply, fields: dict[str, Any],
-                parts: tuple, deadline: Deadline) -> None:
-        with self._lock:
-            self._queue.append((pending, fields, parts, deadline))
-            # Strictly completion-paced: while ops are outstanding,
-            # arrivals wait client-side.  That is what bounds the
-            # host's queue (the intake throttle keeps seeing one
-            # frame's worth of work) — the host serves this channel
-            # serially anyway, so sending early could only move the
-            # queueing across the wire.
-            if self.outstanding == 0:
-                self._flush_locked()
-
-    def on_settle(self) -> None:
-        """One flushed sub-op settled (reply, failure, or timeout)."""
-        with self._lock:
-            if self.outstanding > 0:
-                self.outstanding -= 1
-            if self.outstanding == 0 and self._queue:
-                self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        channel = self.channel
-        if channel.dead:
-            # kill() has already failed every registered future; drain
-            # any enqueue that raced it so nothing hangs.
-            stale = list(self._queue)
-            self._queue.clear()
-            error = channel._death_error()
-            for pending, _fields, _parts, _deadline in stale:
-                live = channel._withdraw(pending.rid)
-                if live is not None:
-                    live.fail(error)
-            return
-        batch: list = []
-        size = 0
-        while self._queue and len(batch) < BATCH_MAX_OPS:
-            entry = self._queue[0]
-            nbytes = sum(len(p) for p in entry[2])
-            if batch and size + nbytes > BATCH_MAX_BYTES:
-                break
-            self._queue.popleft()
-            with channel._pending_lock:
-                live = channel._pending.get(entry[0].rid) is entry[0]
-            if not live:
-                continue  # withdrawn (timed out) while queued here
-            batch.append(entry)
-            size += nbytes
-        if not batch:
-            return
-        plane = getattr(channel, "faults", None)
-        if plane is not None and len(batch) > 1:
-            # The `batch` fault point: per-sub drop (the op vanishes
-            # from the frame; its future times out and retries) or
-            # corrupt (a mangled header the host rejects) — exercised
-            # only on genuinely multi-op frames.
-            kept: list = []
-            for entry in batch:
-                rule = plane.on_batch(entry[1])
-                if rule is None:
-                    kept.append(entry)
-                elif rule.action == "corrupt":
-                    mangled = dict(entry[1])
-                    mangled["cmd"] = f"corrupt:{mangled.get('cmd', '')}"
-                    kept.append((entry[0], mangled, entry[2], entry[3]))
-            batch = kept
-            if not batch:
-                return
-        for pending, _fields, _parts, _deadline in batch:
-            pending.ring = self
-        self.outstanding += len(batch)
-        try:
-            if len(batch) == 1:
-                pending, fields, parts, deadline = batch[0]
-                _BATCH_SINGLETON.inc()
-                channel._send_op(self.chan, pending, fields, parts,
-                                 deadline)
-            else:
-                _BATCH_FLUSHES.inc()
-                _BATCH_OPS.inc(len(batch))
-                self._send_batch(batch)
-        except BaseException as exc:
-            # The error surfaces through the futures (their waiters sit
-            # in wait(), the same place transport failures land when
-            # unbatched); each fail() settles its ring slot.
-            for pending, _fields, _parts, _deadline in batch:
-                live = channel._withdraw(pending.rid)
-                if live is not None:
-                    live.fail(exc)
-
-    def _send_batch(self, batch: list) -> None:
-        channel = self.channel
-        ops: list[dict[str, Any]] = []
-        lens: list[int] = []
-        parts_out: list = []
-        for pending, fields, parts, deadline in batch:
-            sub = dict(fields)
-            sub["rid"] = pending.rid
-            # Budgets are computed at send time, so ring wait counted
-            # against the sender — same rule as the direct path.
-            budget_ms = deadline.to_ms()
-            if budget_ms is not None:
-                sub["dl"] = budget_ms
-            if pending.span is not None:
-                sub["tc"] = (pending.span.trace, pending.span.sid)
-            ops.append(sub)
-            size = 0
-            for part in parts:
-                parts_out.append(part)
-                size += len(part)
-            lens.append(size)
-        brid = channel._next_rid_locked()
-        envelope = {"cmd": "batch", "rid": brid, "chan": self.chan,
-                    "n": len(ops), "ops": ops, "lens": lens}
-        frame = _BatchPending(channel, brid,
-                              [entry[0].rid for entry in batch])
-        with channel._pending_lock:
-            channel._pending[brid] = frame
-        try:
-            channel._send(envelope, tuple(parts_out))
-        except BaseException:
-            channel._withdraw(brid)
-            raise
 
 
 class Channel:
@@ -563,12 +301,6 @@ class Channel:
         self._pending_lock = threading.Lock()
         self._next_rid = 0
         self._rid_lock = threading.Lock()
-        #: Whether :meth:`request_async` may coalesce session-channel
-        #: ops into multi-op frames (only the wire transport opts in).
-        self.batching = False
-        #: chan -> :class:`_Ring`, created lazily per session channel.
-        self._rings: dict[int, _Ring] = {}
-        self._rings_lock = threading.Lock()
         #: chan -> serving state on the loop
         #: (:class:`~repro.core.hostloop._ChanState`).
         self._handlers: dict[int, Any] = {}
@@ -599,7 +331,9 @@ class Channel:
         """
         self._check_alive()
         deadline = Deadline.coerce(deadline)
-        rid = self._next_rid_locked()
+        with self._rid_lock:
+            self._next_rid += 1
+            rid = self._next_rid
         op = str(fields.get("cmd") or fields.get("op") or "?")
         pending = PendingReply(self, rid, op)
         with self._pending_lock:
@@ -611,14 +345,6 @@ class Channel:
             if parent is not None:
                 pending.span = TELEMETRY.begin(f"frame.{op}", parent=parent,
                                                attrs={"chan": int(chan)})
-        ring = self._ring_for(int(chan))
-        if ring is not None:
-            # The submission ring owns the wire from here: the op may
-            # coalesce with its neighbours into one multi-op frame.
-            # Send errors surface through pending.wait(), the same
-            # place they land for an unbatched transport failure.
-            ring.enqueue(pending, fields, parts, deadline)
-            return pending
         try:
             self._send_op(chan, pending, fields, parts, deadline)
         except BaseException:
@@ -632,19 +358,13 @@ class Channel:
             pending.fail(self._death_error())
         return pending
 
-    def _next_rid_locked(self) -> int:
-        with self._rid_lock:
-            self._next_rid += 1
-            return self._next_rid
-
     def _send_op(self, chan: int, pending: PendingReply,
                  fields: dict[str, Any], parts: tuple,
                  deadline: Deadline) -> None:
-        """Wire one registered request (direct path and ring flushes).
+        """Wire one registered request as its own frame.
 
-        The ``dl`` budget is stamped *here*, at send time — any wait in
-        the submission ring counts against the sender's budget instead
-        of silently extending it.
+        The ``dl`` budget is stamped *here*, at send time, so it is the
+        sender's remaining budget when the frame leaves.
         """
         envelope = {**fields, "rid": pending.rid, "chan": int(chan)}
         budget_ms = deadline.to_ms()
@@ -653,15 +373,6 @@ class Channel:
         if pending.span is not None:
             envelope["tc"] = (pending.span.trace, pending.span.sid)
         self._send(envelope, parts)
-
-    def _ring_for(self, chan: int) -> "_Ring | None":
-        if not self.batching or chan == CONTROL_CHAN:
-            return None  # control/bridge ops must never wait on a ring
-        with self._rings_lock:
-            ring = self._rings.get(chan)
-            if ring is None:
-                ring = self._rings[chan] = _Ring(self, chan)
-            return ring
 
     def request(self, chan: int, fields: dict[str, Any],
                 payload: Any = b"",
@@ -844,10 +555,6 @@ class StreamChannel(Channel):
         super().__init__(name)
         self._rfile = rfile
         self._wfile = wfile
-        # Only the wire transport batches: a frame and a syscall are
-        # what coalescing amortizes.  LocalChannel crosses by reference
-        # and would gain nothing.
-        self.batching = not os.environ.get(ENV_NO_BATCH)
         self._write_lock = threading.Lock()
         #: Guards the read role.  Callers without it sleep here until
         #: their reply lands or the role is given up.

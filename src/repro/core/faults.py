@@ -26,10 +26,6 @@ shm      ``shm-corrupt`` (flip a staged byte after the CRC is taken),
          ``shm-stale-generation`` (bump the slot's generation word)
 sched    ``delay`` (stall one event-loop scheduling grant),
          ``kill`` (hard-kill the host at a scheduling grant)
-batch    ``drop`` (one sub-op vanishes from a multi-op frame; its
-         caller times out and retries), ``corrupt`` (one sub-op's
-         header is mangled; its caller sees a protocol error while
-         its batch-mates complete normally)
 ======== ==========================================================
 
 Rules match on the message's command/op name (``op=``), an address
@@ -57,7 +53,6 @@ _NETWORK_ACTIONS = ("fail", "delay", "partition")
 _SERVICE_ACTIONS = ("fail",)
 _SHM_ACTIONS = ("shm-corrupt", "shm-stale-generation")
 _SCHED_ACTIONS = ("delay", "kill")
-_BATCH_ACTIONS = ("drop", "corrupt")
 
 _POINTS = {
     "send": _SEND_ACTIONS,
@@ -66,7 +61,6 @@ _POINTS = {
     "service": _SERVICE_ACTIONS,
     "shm": _SHM_ACTIONS,
     "sched": _SCHED_ACTIONS,
-    "batch": _BATCH_ACTIONS,
 }
 
 
@@ -202,25 +196,6 @@ class FaultPlane:
         return self.rule("shm", "shm-stale-generation", op=op, after=after,
                          times=times)
 
-    def drop_batch_op(self, *, op: str | None = None, after: int = 0,
-                      times: int | None = 1) -> "FaultPlane":
-        """One sub-op matching *op* vanishes from a batched frame.
-
-        Its batch-mates complete normally; the dropped op's future
-        never resolves for that attempt and the caller's per-attempt
-        timeout retries it.
-        """
-        return self.rule("batch", "drop", op=op, after=after, times=times)
-
-    def corrupt_batch_op(self, *, op: str | None = None, after: int = 0,
-                         times: int | None = 1) -> "FaultPlane":
-        """One sub-op of a batched frame goes out with a mangled header.
-
-        The host rejects that sub-op with a protocol error while its
-        batch-mates complete normally.
-        """
-        return self.rule("batch", "corrupt", op=op, after=after, times=times)
-
     def delay_sched(self, seconds: float, *, op: str | None = None,
                     p: float = 1.0, after: int = 0,
                     times: int | None = None) -> "FaultPlane":
@@ -263,27 +238,7 @@ class FaultPlane:
 
     def on_send(self, fields: dict[str, Any]) -> FaultRule | None:
         op = str(fields.get("cmd") or fields.get("op") or "")
-        if op == "batch" and isinstance(fields.get("ops"), list):
-            # A multi-op frame is matchable by its own name or by any
-            # sub-op's name — `drop_frame(op="read")` still fells a
-            # frame whose reads ride inside a batch.
-            rule = self._match("send", "batch")
-            if rule is not None:
-                return rule
-            for sub in fields["ops"]:
-                if isinstance(sub, dict):
-                    rule = self._match("send",
-                                       str(sub.get("cmd") or sub.get("op")
-                                           or ""))
-                    if rule is not None:
-                        return rule
-            return None
         return self._match("send", op)
-
-    def on_batch(self, fields: dict[str, Any]) -> FaultRule | None:
-        """Consulted per sub-op as the submission ring flushes a batch."""
-        op = str(fields.get("cmd") or fields.get("op") or "")
-        return self._match("batch", op)
 
     def on_recv(self, fields: dict[str, Any]) -> FaultRule | None:
         op = str(fields.get("cmd") or fields.get("op") or "")

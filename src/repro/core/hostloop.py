@@ -72,15 +72,12 @@ from repro.errors import (
     ChannelClosedError,
     DeadlineExceededError,
     HostOverloadedError,
-    ProtocolError,
 )
 
 __all__ = [
     "EventLoopServer",
     "TimerHandle",
     "serve_one",
-    "serve_batch",
-    "unpack_batch",
     "latency_split_stats",
     "shared_loop",
     "serving_stats",
@@ -91,15 +88,10 @@ __all__ = [
 _REJECTS = TELEMETRY.metrics.counter("host.rejects.total")
 _STALLS = TELEMETRY.metrics.counter("host.backpressure.stalls")
 
-#: Multi-op frame serving tallies (the host-side ``batch.*`` family).
-_BATCH_FRAMES = TELEMETRY.metrics.counter("batch.frames.served")
-_BATCH_OPS = TELEMETRY.metrics.counter("batch.ops.served")
-
 #: End-to-end host latency, split at the scheduling grant: time an
 #: admitted request waited for a thread to take up its grant vs time
-#: that thread spent serving it (reply sent).  The split is what makes
-#: batching wins legible — coalescing shrinks queue wait without
-#: touching service time.
+#: that thread spent serving it (reply sent).  The split tells a
+#: backlog (queue wait grows) from a slow handler (service time grows).
 _QWAIT = TELEMETRY.metrics.histogram("host.queue_wait_s")
 _SERVICE = TELEMETRY.metrics.histogram("host.service_s")
 
@@ -114,16 +106,13 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
-def _execute_one(channel, chan: int, handler, fields: dict[str, Any],
-                 payload: bytes, deadline: Deadline, tc):
-    """Run one request body; returns its ``(fields, payload)`` reply.
+def serve_one(channel, chan: int, handler, rid: int,
+              fields: dict[str, Any], payload: bytes,
+              deadline: Deadline, tc) -> None:
+    """Serve one inbound request and send its reply.
 
-    The single execution body shared by unbatched serving
-    (:func:`serve_one`) and multi-op frames (:func:`serve_batch`) —
-    every sub-op of a batch gets the same span parenting, deadline
-    check, nested-budget inheritance and error envelope it would get
-    alone.  A handler raising *any* exception — ``BaseException``
-    included — still produces an error reply: a teardown-grade failure
+    A handler raising *any* exception — ``BaseException`` included —
+    still produces an error reply: a teardown-grade failure
     (``SystemExit`` from a dying sentinel, say) must never leave the
     peer's reply future unresolved.
     """
@@ -161,91 +150,8 @@ def _execute_one(channel, chan: int, handler, fields: dict[str, Any],
             out_fields["tsp"] = TELEMETRY.end_collect(
                 collector, anchor_us=span.start_us)
     channel.counters.request_served(op)
-    return out_fields, out_payload
-
-
-def serve_one(channel, chan: int, handler, rid: int,
-              fields: dict[str, Any], payload: bytes,
-              deadline: Deadline, tc) -> None:
-    """Serve one inbound request and send its reply."""
-    out_fields, out_payload = _execute_one(channel, chan, handler,
-                                           fields, payload, deadline, tc)
     try:
         channel._send_reply(rid, chan, out_fields, out_payload)
-    except (ChannelClosedError, OSError, ValueError):
-        pass  # peer is gone; nothing left to answer to
-
-
-def unpack_batch(fields: dict[str, Any], payload: bytes) -> list[tuple]:
-    """Split a multi-op frame into its re-anchored sub-requests.
-
-    Returns ``[(rid, fields, payload, Deadline, tc), ...]`` in wire
-    order.  Per-sub ``dl`` budgets re-anchor on the local monotonic
-    clock *here* — at intake time, on the reading thread — which is the
-    same point (hence the same semantics) as unbatched submission.
-    Raises ``ValueError`` on a malformed frame.
-    """
-    ops = fields.get("ops")
-    lens = fields.get("lens")
-    if (not isinstance(ops, list) or not isinstance(lens, list)
-            or len(ops) != len(lens) or not ops):
-        raise ValueError("malformed batch frame: ops/lens mismatch")
-    view = memoryview(payload or b"")
-    subs: list[tuple] = []
-    offset = 0
-    for sub, size in zip(ops, lens):
-        if not isinstance(sub, dict) or "rid" not in sub:
-            raise ValueError("malformed batch frame: sub-op without rid")
-        size = int(size)
-        if size < 0 or offset + size > len(view):
-            raise ValueError("malformed batch frame: payload overrun")
-        sub = dict(sub)
-        rid = int(sub.pop("rid"))
-        deadline = Deadline.from_ms(sub.pop("dl", None))
-        tc = sub.pop("tc", None)
-        chunk = bytes(view[offset:offset + size]) if size else b""
-        offset += size
-        subs.append((rid, sub, chunk, deadline, tc))
-    if offset != len(view):
-        raise ValueError("malformed batch frame: trailing payload")
-    return subs
-
-
-def serve_batch(channel, chan: int, handler, rid: int,
-                subs: list[tuple]) -> None:
-    """Serve one multi-op frame: execute sub-ops in order, reply once.
-
-    Sub-ops run strictly in wire order on the one scheduling grant the
-    frame was given — the serial-per-channel contract is preserved by
-    construction, and N ops cost one grant and one reply frame.
-    The aggregate reply carries each sub-op's reply fields (tagged with
-    its rid) plus the concatenated reply payloads, split by ``lens``.
-    """
-    rs: list[dict[str, Any]] = []
-    lens: list[int] = []
-    parts: list = []
-    for sub_rid, sub_fields, sub_payload, sub_deadline, sub_tc in subs:
-        out_fields, out_payload = _execute_one(
-            channel, chan, handler, sub_fields, sub_payload,
-            sub_deadline, sub_tc)
-        out_fields["rid"] = sub_rid
-        rs.append(out_fields)
-        if isinstance(out_payload, (tuple, list)):
-            size = 0
-            for part in out_payload:
-                parts.append(part)
-                size += len(part)
-            lens.append(size)
-        else:
-            chunk = out_payload or b""
-            parts.append(chunk)
-            lens.append(len(chunk))
-    _BATCH_FRAMES.inc()
-    _BATCH_OPS.inc(len(subs))
-    try:
-        channel._send_reply(rid, chan,
-                            {"ok": True, "n": len(rs), "rs": rs,
-                             "lens": lens}, parts)
     except (ChannelClosedError, OSError, ValueError):
         pass  # peer is gone; nothing left to answer to
 
@@ -266,12 +172,6 @@ def latency_split_stats() -> dict[str, float]:
         out[f"{label}_p50_us"] = hist.percentile(0.5) * 1e6
         out[f"{label}_p95_us"] = hist.percentile(0.95) * 1e6
     return out
-
-
-def _item_weight(fields: dict[str, Any]) -> int:
-    """Admission weight of one queued item (a batch of N counts as N)."""
-    subs = fields.get("subs")
-    return len(subs) if isinstance(subs, list) else 1
 
 
 class TimerHandle:
@@ -300,7 +200,7 @@ class _ChanState:
     """
 
     __slots__ = ("server", "channel", "chan", "handler", "name",
-                 "governed", "fifo", "qweight", "scheduled", "detached")
+                 "governed", "fifo", "scheduled", "detached")
 
     def __init__(self, server: "EventLoopServer", channel, chan: int,
                  handler, name: str, governed: bool) -> None:
@@ -311,10 +211,6 @@ class _ChanState:
         self.name = name
         self.governed = governed
         self.fifo: deque = deque()
-        #: Admission weight of the FIFO: a queued batch of N sub-ops
-        #: counts as N against ``queue_depth``, exactly as if the N ops
-        #: had arrived unbatched.
-        self.qweight = 0
         #: True while the channel is granted: queued on the ready queue
         #: or running on a pool thread.  Only one grant exists at a
         #: time, which is what keeps the channel serial.
@@ -425,9 +321,8 @@ class EventLoopServer:
             if state.detached:
                 return
             state.detached = True
-            dropped = sum(_item_weight(item[1]) for item in state.fifo)
+            dropped = len(state.fifo)
             state.fifo.clear()
-            state.qweight = 0
             self._queued -= dropped
             self._inflight -= dropped
             self._channels -= 1
@@ -469,49 +364,26 @@ class EventLoopServer:
         # way: popped here, re-parented at serve time.
         deadline = Deadline.from_ms(fields.pop("dl", None))
         tc = fields.pop("tc", None)
-        weight = 1
-        if fields.get("cmd") == "batch" and "ops" in fields:
-            # Unpack at intake time so every sub-op's budget re-anchors
-            # exactly as it would have unbatched; a batch of N then
-            # weighs N against admission control — coalescing frames
-            # must not smuggle ops past HOST_QUEUE_DEPTH.
-            try:
-                subs = unpack_batch(fields, payload)
-            except (ValueError, TypeError) as exc:
-                try:
-                    state.channel._send_reply(
-                        rid, state.chan,
-                        control.error_fields(ProtocolError(str(exc))), b"")
-                except (ChannelClosedError, OSError, ValueError):
-                    pass
-                return None
-            fields = {"cmd": "batch", "subs": subs}
-            payload = b""
-            deadline = Deadline.never()
-            tc = None
-            weight = len(subs)
         reject = None
         inline = None
         with self._lock:
             if state.detached or self._stopping:
                 return None  # channel is tearing down; kill() fails the peer
             if state.governed and (self._inflight >= self.max_inflight
-                                   or state.qweight + weight
-                                   > self.queue_depth):
+                                   or len(state.fifo) >= self.queue_depth):
                 reject = (f"host overloaded: {self._inflight} in flight "
                           f"(max {self.max_inflight}), channel backlog "
-                          f"{state.qweight}+{weight}/{self.queue_depth}")
+                          f"{len(state.fifo)}/{self.queue_depth}")
                 self._rejects += 1
             else:
                 state.fifo.append((rid, fields, payload, deadline, tc,
                                    time.monotonic()))
-                state.qweight += weight
-                self._queued += weight
-                self._inflight += weight
+                self._queued += 1
+                self._inflight += 1
                 if not state.scheduled:
                     state.scheduled = True
                     if (lead is not None and self._idle
-                            and self._inflight == weight):
+                            and self._inflight == 1):
                         # Run to completion (see run()); the idle
                         # thread that will take the read role is
                         # reserved now, so nothing else can claim it.
@@ -689,14 +561,7 @@ class EventLoopServer:
             head = state.fifo[0] if state.fifo else None
         op = ""
         if head is not None:
-            head_fields = head[1]
-            subs = head_fields.get("subs")
-            if isinstance(subs, list) and subs:
-                # A batch grant is matchable by its first sub-op's name.
-                op = str(subs[0][1].get("cmd") or "")
-            else:
-                op = str(head_fields.get("cmd")
-                         or head_fields.get("op") or "")
+            op = str(head[1].get("cmd") or head[1].get("op") or "")
         rule = plane.on_sched({"cmd": op})
         if rule is None:
             return
@@ -735,26 +600,18 @@ class EventLoopServer:
                 state.scheduled = False
                 return
             item = state.fifo.popleft()
-            weight = _item_weight(item[1])
-            self._queued -= weight
-            state.qweight -= weight
+            self._queued -= 1
             if self._throttled and self._queued <= self.intake_low:
                 self._drained.notify_all()  # release a throttled reader
         rid, fields, payload, deadline, tc, submitted = item
         _QWAIT.observe(started - submitted)
         try:
-            subs = fields.get("subs") if fields.get("cmd") == "batch" \
-                else None
-            if subs is not None:
-                serve_batch(state.channel, state.chan, state.handler,
-                            rid, subs)
-            else:
-                serve_one(state.channel, state.chan, state.handler,
-                          rid, fields, payload, deadline, tc)
+            serve_one(state.channel, state.chan, state.handler,
+                      rid, fields, payload, deadline, tc)
         finally:
             _SERVICE.observe(time.monotonic() - started)
             with self._lock:
-                self._inflight -= weight
+                self._inflight -= 1
                 if state.fifo and not state.detached:
                     self._ready.append(state)
                 else:

@@ -85,14 +85,6 @@ _GEN = struct.Struct("<Q")
 #: payload inline (read per host spawn, so tests can flip it).
 ENV_KILL_SWITCH = "REPRO_NO_SHM"
 
-#: Set ``REPRO_SHM_CRC=1`` to checksum every staged payload.  The
-#: protocol's correctness envelope is the generation fencing (a slot is
-#: only ever read while its producer holds the lease); the checksum is
-#: belt-and-braces against a buggy peer — and the detection channel for
-#: the ``shm-corrupt`` fault action — so it is opt-in: at slab speeds
-#: CRC-ing every byte twice would halve the plane's throughput.
-ENV_CHECKSUM = "REPRO_SHM_CRC"
-
 #: Descriptor checksums are self-describing: bit 32 marks "present", the
 #: low 32 bits carry the CRC.  A bare 0 means the producer skipped it.
 _SUM_PRESENT = 1 << 32
@@ -198,13 +190,18 @@ class ShmPlane:
 
     def __init__(self, slots: int = SEGMENT_SLOTS,
                  slot_bytes: int = SLOT_BYTES,
-                 checksums: "bool | None" = None) -> None:
+                 checksums: bool = False) -> None:
         from multiprocessing import shared_memory
         self.slots = int(slots)
         self.slot_bytes = int(slot_bytes)
-        #: Whether staged payloads carry a CRC (see :data:`ENV_CHECKSUM`).
-        self.checksums = bool(os.environ.get(ENV_CHECKSUM)) \
-            if checksums is None else bool(checksums)
+        #: Whether staged payloads carry a CRC.  The protocol's
+        #: correctness envelope is the generation fencing (a slot is
+        #: only ever read while its producer holds the lease); the
+        #: checksum is belt-and-braces against a buggy peer — and the
+        #: detection channel for the ``shm-corrupt`` fault action — so
+        #: it is off by default: at slab speeds CRC-ing every byte
+        #: twice would halve the plane's throughput.
+        self.checksums = bool(checksums)
         self._header_bytes = self.slots * _GEN.size
         size = self._header_bytes + self.slots * self.slot_bytes
         self._shm = shared_memory.SharedMemory(

@@ -77,8 +77,6 @@ _SEV_RANK = {sev: rank for rank, sev in enumerate(SEVERITIES)}
 #: Exact flattened keys (see :func:`flatten_snapshot` for provenance).
 KNOWN_METRICS = frozenset({
     # metrics registry (global scope)
-    "batch.flushes", "batch.frames.served", "batch.ops.batched",
-    "batch.ops.served", "batch.singleton",
     "host.backpressure.stalls", "host.rejects.total", "host.respawns",
     "hosts.pooled", "hosts.spawned",
     "shm.bytes", "shm.fallback_inline", "shm.slots_leased",

@@ -183,10 +183,6 @@ class TestBackpressure:
         b_read, a_write = os.pipe()
         a = StreamChannel(os.fdopen(a_read, "rb", buffering=0),
                           os.fdopen(a_write, "wb", buffering=0), name="bp-a")
-        # Pin the client to one-frame-per-op: this test exercises the
-        # host's intake throttle, which the submission ring would
-        # otherwise preempt by holding the flood client-side.
-        a.batching = False
         b = StreamChannel(os.fdopen(b_read, "rb", buffering=0),
                           os.fdopen(b_write, "wb", buffering=0), name="bp-b")
         b.loop = server
@@ -283,7 +279,6 @@ class TestSchedFaultPoint:
         a = StreamChannel(os.fdopen(a_read, "rb", buffering=0),
                           os.fdopen(a_write, "wb", buffering=0),
                           name="sched-a")
-        a.batching = False  # one frame, hence one grant, per request
         b = StreamChannel(os.fdopen(b_read, "rb", buffering=0),
                           os.fdopen(b_write, "wb", buffering=0),
                           name="sched-b")
