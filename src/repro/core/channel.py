@@ -20,9 +20,10 @@ pair per concern.  This module is the single transport they now share:
   thousand;
 * the thread that reads a frame is the thread that acts on it: on a
   connection that serves requests, a pool thread holding the read role
-  runs an idle channel's request itself (leader/follower); on one that
-  serves none, the caller blocked in :meth:`PendingReply.wait` reads
-  the replies itself (see :class:`StreamChannel`);
+  runs an idle channel's request itself and keeps the role through a
+  short op (leader/follower, with a lazy hand-off); on one that serves
+  none, the caller blocked in :meth:`PendingReply.wait` reads the
+  replies itself (see :class:`StreamChannel`);
 * the transport keeps per-operation latency/throughput counters
   (:class:`ChannelCounters`), so every strategy gets instrumentation
   for free.
@@ -535,7 +536,8 @@ class StreamChannel(Channel):
       a sentinel host or an application bridging its network): the
       serving loop's pool carries the role.  A pool thread reads
       frames, resolves replies, and runs an idle channel's request
-      itself after handing the role to an idle pool thread (see
+      itself, keeping the role unless the op outlives a grace period
+      or must wait on a reply only a reader can deliver (see
       :mod:`repro.core.hostloop`).
     * **Not serving** (no handler at :meth:`start`: a process-control
       connection with no network bridge): no thread reads on its own.
@@ -622,8 +624,11 @@ class StreamChannel(Channel):
     def _lead(self) -> bool:
         """Hold the read role on a serving-loop thread.
 
-        Returns False after the loop handed the role on and this thread
-        ran a request itself, True once the connection has ended.
+        Requests the loop grants to this thread run inline; the thread
+        keeps reading after each one for as long as the loop leaves it
+        the role.  Returns False once the role went to another pool
+        thread during such a request, True once the connection has
+        ended.
         """
         while not self.dead:
             try:
@@ -634,9 +639,8 @@ class StreamChannel(Channel):
                     ValueError) as exc:
                 self.kill(f"transport closed: {exc}")
                 break
-            if grant is not None:
-                grant.run(self._lead)  # another pool thread reads meanwhile
-                return False
+            if grant is not None and not grant.run(self._lead):
+                return False  # another pool thread reads from here on
             # Backpressure: past the intake high-water mark the reader
             # stalls here, leaving the flood in the kernel pipe instead
             # of this process.
@@ -697,6 +701,16 @@ class StreamChannel(Channel):
             with self._role:
                 if self._sleepers:
                     self._role.notify_all()
+
+    def _send_op(self, chan: int, pending: PendingReply,
+                 fields: dict[str, Any], parts: tuple,
+                 deadline: Deadline) -> None:
+        loop = self.serve_loop
+        if loop is not None:
+            # Only the read role's holder can read this request's reply;
+            # if it is busy running an op, hand the role on first.
+            loop.release_lead(self._lead)
+        super()._send_op(chan, pending, fields, parts, deadline)
 
     def _send(self, fields: dict[str, Any], parts: tuple) -> None:
         self._check_alive()

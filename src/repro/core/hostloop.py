@@ -19,13 +19,27 @@ the worker model guaranteed:
 **Leader/follower serving.**  Reading a connection is a *role* that
 one pool thread holds at a time (the leader).  When a request arrives
 for an idle channel and the loop has nothing else admitted, the leader
-hands the read role to an idle pool thread and runs the op itself —
-the thread that read the frame is the thread that runs it, so a
-depth-1 op costs no in-process hand-off on its critical path.  The
-follower keeps intake, channel-0 ``ping``/``open`` and bridge replies
-flowing while the handler runs.  Otherwise the leader grants the
-channel straight to the pool's ready queue, where any free thread
-picks it up.
+runs the op itself and *keeps the role*: after the reply it goes
+straight back to reading, so a depth-1 op costs the host one wake-up
+(the leader's blocking read) and no in-process hand-off.  The role
+moves to another pool thread (the follower), which keeps intake,
+channel-0 ``ping``/``open`` and bridge replies flowing, only when the
+leader could stall them:
+
+* **grace hand-off** — the op outlives
+  :data:`~repro.core.policy.LEAD_GRACE_S`; the timer thread, acting as
+  sentry, moves the role then;
+* **eager hand-off** — before the op runs, when its channel is
+  ungoverned (channel-0 handlers block on the network) or the
+  connection already owes replies (the op may wait on one that only
+  this reader can deliver); and whenever a request goes out on the
+  connection while the role is held through an op
+  (:meth:`EventLoopServer.release_lead`), so a handler's bridge call
+  never waits out the grace period for its reply.
+
+Otherwise (the channel is busy, or other requests are admitted) the
+leader grants the channel straight to the pool's ready queue, where
+any free thread picks it up.
 
 Scheduling is round-robin over ready channels: a channel finishing an
 op goes to the *tail* of the ready queue, so a saturated channel can
@@ -49,9 +63,10 @@ deadlock the very handler we are waiting for.
 Deadline (``dl``) and trace-context (``tc``) are popped at submit time
 on the reading thread, so queue wait counts against the sender's
 budget, and the dispatch span parents on the sender's frame span (see
-:func:`serve_one`).  A timer thread, started on the first
-:meth:`~EventLoopServer.call_later`, owns only the timer wheel; it is
-never on the request path.
+:func:`serve_one`).  A timer thread, started with the first carried
+connection or the first :meth:`~EventLoopServer.call_later`, owns the
+timer wheel and is the read-role sentry; it is never on the request
+path, and a busy stream of short ops never wakes it.
 """
 
 from __future__ import annotations
@@ -94,6 +109,10 @@ _STALLS = TELEMETRY.metrics.counter("host.backpressure.stalls")
 #: backlog (queue wait grows) from a slow handler (service time grows).
 _QWAIT = TELEMETRY.metrics.histogram("host.queue_wait_s")
 _SERVICE = TELEMETRY.metrics.histogram("host.service_s")
+
+#: How long the sentry keeps polling after the last read role was held
+#: through an op, so the next arm of a busy stream needs no notify.
+_SENTRY_WARM_S = 0.05
 
 
 def _env_int(name: str, default: int) -> int:
@@ -222,10 +241,12 @@ class _ChanState:
                ) -> "_ChanState | None":
         return self.server.submit(self, rid, fields, payload, lead)
 
-    def run(self, lead: Callable[[], bool]) -> None:
+    def run(self, lead: Callable[[], bool]) -> bool:
         """Serve the request :meth:`submit` granted to the reading
-        thread, handing its read role *lead* to the pool first."""
-        self.server._run_one(self, lead)
+        thread; True if the thread still holds its read role *lead*
+        afterwards, False if the role went to a pool thread meanwhile
+        (see :meth:`EventLoopServer._run_one`)."""
+        return self.server._run_one(self, lead)
 
     def stop(self) -> None:
         # Detaching is O(1) and never joins: kill() may run from a
@@ -281,6 +302,11 @@ class EventLoopServer:
         self._timers: list[tuple[float, int, TimerHandle]] = []
         self._timer_seq = itertools.count()
         self._timer_thread: threading.Thread | None = None
+        #: Read roles held through an inline op: lead -> when the op
+        #: started.  The sentry hands on any held past LEAD_GRACE_S.
+        self._armed: dict[Callable[[], bool], float] = {}
+        self._last_arm = 0.0       # when the latest role was armed
+        self._sentry_hot = False   # the timer thread is polling _armed
         self._thread_seq = itertools.count()
         self._threads = 0    # live pool threads
         self._idle = 0       # pool threads parked and not yet woken
@@ -332,14 +358,17 @@ class EventLoopServer:
     def add_reader(self, lead: Callable[[], bool]) -> None:
         """Carry one connection's read role on the pool.
 
-        *lead* reads and dispatches the connection's frames; it returns
-        False once it has handed the role on and run a request itself,
+        *lead* reads and dispatches the connection's frames, running
+        requests inline as :meth:`submit` grants them; it returns False
+        once the role went to another pool thread during such an op,
         True once the connection has ended.  The pool grows by one
-        thread per carried connection and shrinks back when it ends.
+        thread per carried connection and shrinks back when it ends;
+        the timer thread starts here too, as the read-role sentry.
         """
         with self._lock:
             if self._stopping:
                 return
+            self._start_timer_locked()
             self._readers += 1
             self._tasks.append(lead)
             self._wake_locked()
@@ -352,11 +381,11 @@ class EventLoopServer:
         """Admit one request; returns *state* iff the caller must run it.
 
         *lead* is passed by a thread holding a connection's read role:
-        it is the role itself, ready to be handed to an idle pool
-        thread.  When the request may run to completion on the reading
-        thread (its channel is idle, nothing else is admitted and a
-        pool thread is idle), the caller must call ``state.run(lead)``,
-        which hands the role on before the handler runs.
+        it is the role itself.  When the request may run to completion
+        on the reading thread (its channel is idle and nothing else is
+        admitted), the caller must call ``state.run(lead)``, which
+        keeps the role through a short op and hands it to the pool
+        only when the op needs that (see :meth:`_run_one`).
         """
         # Re-anchor the sender's remaining budget (``dl``, milliseconds)
         # on the local monotonic clock at intake time; the queue wait
@@ -382,13 +411,8 @@ class EventLoopServer:
                 self._inflight += 1
                 if not state.scheduled:
                     state.scheduled = True
-                    if (lead is not None and self._idle
-                            and self._inflight == 1):
-                        # Run to completion (see run()); the idle
-                        # thread that will take the read role is
-                        # reserved now, so nothing else can claim it.
-                        self._idle -= 1
-                        inline = state
+                    if lead is not None and self._inflight == 1:
+                        inline = state  # run to completion (see run())
                     else:
                         self._ready.append(state)
                         self._wake_locked()
@@ -443,15 +467,24 @@ class EventLoopServer:
         handle = TimerHandle(fn, args)
         when = time.monotonic() + max(0.0, float(delay))
         with self._lock:
-            if self._timer_thread is None and not self._stopping:
-                self._timer_thread = threading.Thread(
-                    target=self._timer_loop, name=f"{self.name}-timer",
-                    daemon=True)
-                self._timer_thread.start()
+            self._start_timer_locked()
             heapq.heappush(self._timers, (when, next(self._timer_seq),
                                           handle))
             self._tick.notify()
         return handle
+
+    def release_lead(self, lead: Callable[[], bool]) -> None:
+        """Hand read role *lead* to the pool now if it is held through
+        an op.
+
+        Called before a request goes out on the role's connection: only
+        the role's holder can read the reply, so a handler about to
+        wait on it must not wait out the grace period first.
+        """
+        if lead in self._armed:  # lock-free peek; re-checked below
+            with self._lock:
+                if self._armed.pop(lead, None) is not None:
+                    self._hand_off_locked(lead)
 
     # -- introspection -------------------------------------------------------
 
@@ -502,6 +535,18 @@ class EventLoopServer:
                 name=f"{self.name}-{next(self._thread_seq)}",
                 daemon=True).start()
 
+    def _hand_off_locked(self, lead: Callable[[], bool]) -> None:
+        """Put read role *lead* first in line for a pool thread."""
+        self._tasks.appendleft(lead)
+        self._wake_locked()
+
+    def _start_timer_locked(self) -> None:
+        if self._timer_thread is None and not self._stopping:
+            self._timer_thread = threading.Thread(
+                target=self._timer_loop, name=f"{self.name}-timer",
+                daemon=True)
+            self._timer_thread.start()
+
     def _worker(self) -> None:
         while True:
             task = state = None
@@ -530,6 +575,16 @@ class EventLoopServer:
                         return
 
     def _timer_loop(self) -> None:
+        """Fire due timers, and hand on read roles held too long.
+
+        As the read-role sentry, the loop moves any role armed for
+        LEAD_GRACE_S or longer to the head of the task queue.  While a
+        role is armed, or was within the last ``_SENTRY_WARM_S``, it
+        waits at most LEAD_GRACE_S, so the arms of a busy stream of
+        ops never need to wake it; a cold sentry is woken once, by the
+        first arm of a burst.
+        """
+        grace = policy.LEAD_GRACE_S
         with self._lock:
             while not self._stopping:
                 now = time.monotonic()
@@ -542,6 +597,18 @@ class EventLoopServer:
                         self._wake_locked()
                 timeout = self._timers[0][0] - now if self._timers \
                     else None
+                poll = None
+                for lead, since in list(self._armed.items()):
+                    if now - since >= grace:
+                        del self._armed[lead]
+                        self._hand_off_locked(lead)
+                    elif poll is None or since + grace - now < poll:
+                        poll = since + grace - now
+                if poll is None and now - self._last_arm < _SENTRY_WARM_S:
+                    poll = grace
+                self._sentry_hot = poll is not None
+                if poll is not None and (timeout is None or poll < timeout):
+                    timeout = poll
                 self._tick.wait(timeout)
 
     @staticmethod
@@ -573,32 +640,47 @@ class EventLoopServer:
                 kill()
 
     def _run_one(self, state: _ChanState,
-                 lead: "Callable[[], bool] | None" = None) -> None:
+                 lead: "Callable[[], bool] | None" = None) -> bool:
         """Serve exactly one queued request of *state*, then requeue it.
 
         With *lead* (a read role) the request runs on the thread that
-        read it: the role goes to an idle pool thread first, so intake
-        keeps flowing while the handler runs.  Every grant then passes
-        the fault plane's ``sched`` point (delay stalls the grant, kill
-        crashes the armed process).  Queue wait ends, and service
-        starts, when a thread takes up the grant.
+        read it, which keeps the role through the op: the role is
+        *armed* (recorded with the op's start time) and the sentry
+        (:meth:`_timer_loop`) hands it to the pool if the op outlives
+        LEAD_GRACE_S.  It goes to the pool at once instead when the
+        channel is ungoverned (channel-0 handlers block on the network)
+        or the connection already owes replies (the op may wait on one
+        that only this reader can deliver).  Returns True iff the role
+        is still held, so the caller goes straight back to reading.
+
+        Every grant passes the fault plane's ``sched`` point (delay
+        stalls the grant, kill crashes the armed process).  Queue wait
+        ends, and service starts, when a thread takes up the grant.
 
         Popping a single item per grant (and re-appending the state to
         the ready *tail*) is the round-robin fairness property: a
-        channel with a deep backlog re-competes after every op.  The
-        calling thread goes back to the pool afterwards, so a requeued
-        state needs no extra wake-up.
+        channel with a deep backlog re-competes after every op.  A
+        requeued state needs no extra wake-up: the calling thread goes
+        back to the pool afterwards, unless it kept a read role — and
+        then it requeues nothing, since only it could have read more
+        requests for the channel meanwhile.
         """
         started = time.monotonic()
         if lead is not None:
             with self._lock:
-                self._tasks.appendleft(lead)  # first in line
-                self._work.notify()  # the thread submit() reserved
+                if state.governed and not state.channel.counters.in_flight:
+                    self._armed[lead] = started
+                    self._last_arm = started
+                    if not self._sentry_hot:
+                        self._sentry_hot = True
+                        self._tick.notify()  # first arm of a burst
+                else:
+                    self._hand_off_locked(lead)
         self._sched_faults(state)
         with self._lock:
             if not state.fifo or state.detached:
                 state.scheduled = False
-                return
+                return self._armed.pop(lead, None) is not None
             item = state.fifo.popleft()
             self._queued -= 1
             if self._throttled and self._queued <= self.intake_low:
@@ -608,14 +690,23 @@ class EventLoopServer:
         try:
             serve_one(state.channel, state.chan, state.handler,
                       rid, fields, payload, deadline, tc)
+        except BaseException:
+            self.release_lead(lead)  # never strand the read role
+            raise
         finally:
             _SERVICE.observe(time.monotonic() - started)
             with self._lock:
+                # The op counts as in flight, and the role stays armed,
+                # until the reply is written: a write blocked on a full
+                # pipe must neither stall intake nor let another op run
+                # inline while this thread is tied up.
                 self._inflight -= 1
                 if state.fifo and not state.detached:
                     self._ready.append(state)
                 else:
                     state.scheduled = False
+                held = self._armed.pop(lead, None) is not None
+        return held
 
 
 _SHARED: EventLoopServer | None = None

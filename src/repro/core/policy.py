@@ -45,6 +45,7 @@ __all__ = [
     "JOURNAL_LIMIT_BYTES",
     "SCHED_TICK_S",
     "READ_POLL_S",
+    "LEAD_GRACE_S",
     "HOST_EXECUTOR_THREADS",
     "HOST_MAX_INFLIGHT",
     "HOST_QUEUE_DEPTH",
@@ -109,6 +110,11 @@ SCHED_TICK_S = 0.005
 #: caller then re-checks whether its reply was settled some other way
 #: (the channel was killed from another thread).
 READ_POLL_S = 0.05
+
+#: How long a pool thread that read a request may run it while still
+#: holding the connection's read role; an op that outlives this hands
+#: the role to another pool thread, so intake keeps flowing.
+LEAD_GRACE_S = 0.002
 
 #: Executor threads of one :class:`~repro.core.hostloop.EventLoopServer`
 #: (override per process with ``REPRO_HOST_EXECUTORS``).

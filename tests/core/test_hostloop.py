@@ -5,9 +5,13 @@ threads; these tests pin the properties it must keep (serial-per-channel
 ordering, cross-channel fairness) and the ones it adds (admission control
 with typed fast-rejects, reader backpressure, O(1) thread count, the
 ``host.*`` telemetry family, and leader/follower serving that keeps a
-connection readable while the reading thread runs a slow handler).
+connection readable while the reading thread runs a slow handler, yet
+hands the read role on only when an op needs that).
 """
 
+import glob
+import os
+import statistics
 import threading
 import time
 from collections import defaultdict
@@ -16,9 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import create_active, hostloop
-from repro.core.channel import FIRST_SESSION_CHAN, LocalChannel
+from repro.core.channel import (
+    CONTROL_CHAN,
+    FIRST_SESSION_CHAN,
+    LocalChannel,
+    StreamChannel,
+)
 from repro.core.control import raise_for_response
 from repro.core.hostloop import EventLoopServer
+from repro.core.policy import LEAD_GRACE_S
 from repro.core.runner import SentinelHost
 from repro.core.telemetry import TELEMETRY
 from repro.errors import HostOverloadedError, wire_error_registry
@@ -27,7 +37,8 @@ NULL = "repro.sentinels.null:NullFilterSentinel"
 
 
 class SlowRead:
-    """Importable sentinel whose reads stall (host-side saturation)."""
+    """Importable sentinel whose reads stall (host-side saturation);
+    with an ``at`` offset, only reads there stall."""
 
     def __new__(cls, params):
         from repro.core.sentinel import Sentinel
@@ -36,10 +47,49 @@ class SlowRead:
             def on_read(self, ctx, offset, size):
                 import time as _time
 
-                _time.sleep(float(self.params.get("delay", 0.1)))
+                if self.params.get("at", offset) == offset:
+                    _time.sleep(float(self.params.get("delay", 0.1)))
                 return ctx.data.read_at(offset, size)
 
         return Impl(params)
+
+
+def _stream_pair(name: str) -> "tuple[StreamChannel, StreamChannel]":
+    """Two unstarted stream channels joined by a pair of pipes."""
+    a_read, b_write = os.pipe()
+    b_read, a_write = os.pipe()
+    a = StreamChannel(os.fdopen(a_read, "rb", buffering=0),
+                      os.fdopen(a_write, "wb", buffering=0),
+                      name=f"{name}-a")
+    b = StreamChannel(os.fdopen(b_read, "rb", buffering=0),
+                      os.fdopen(b_write, "wb", buffering=0),
+                      name=f"{name}-b")
+    return a, b
+
+
+def _voluntary_switches(pid: int) -> int:
+    """Voluntary context switches summed over every thread of *pid*."""
+    total = 0
+    for path in glob.glob(f"/proc/{pid}/task/*/status"):
+        try:
+            with open(path) as status:
+                for line in status:
+                    if line.startswith("voluntary_ctxt_switches"):
+                        total += int(line.split()[1])
+        except OSError:
+            pass  # the thread exited meanwhile
+    return total
+
+
+def _latency_split(before: dict, after: dict) -> "tuple[int, float, float]":
+    """Ops served, total queue wait and total service time (µs) between
+    two ``ping`` latency snapshots."""
+    def total(lat, label):
+        return lat[f"{label}_mean_us"] * lat[f"{label}_ops"]
+
+    return (after["queue_wait_ops"] - before["queue_wait_ops"],
+            total(after, "queue_wait") - total(before, "queue_wait"),
+            total(after, "service") - total(before, "service"))
 
 
 class TestSerialPerChannel:
@@ -172,19 +222,10 @@ class TestBackpressure:
         """A flood against a stalled handler piles up in the kernel pipe,
         not in this process: the reader stops past the high-water mark
         and drains once the backlog clears."""
-        import os
-
         server = EventLoopServer("bp-loop", executors=1,
                                  max_inflight=1000, queue_depth=1000,
                                  intake_high=4, intake_low=2)
-        from repro.core.channel import StreamChannel
-
-        a_read, b_write = os.pipe()
-        b_read, a_write = os.pipe()
-        a = StreamChannel(os.fdopen(a_read, "rb", buffering=0),
-                          os.fdopen(a_write, "wb", buffering=0), name="bp-a")
-        b = StreamChannel(os.fdopen(b_read, "rb", buffering=0),
-                          os.fdopen(b_write, "wb", buffering=0), name="bp-b")
+        a, b = _stream_pair("bp")
         b.loop = server
         gate = threading.Event()
         b.register(FIRST_SESSION_CHAN,
@@ -210,9 +251,10 @@ class TestBackpressure:
 
 class TestLeaderFollower:
     def test_ping_and_sibling_answer_while_slow_handler_runs(self, tmp_path):
-        """The thread that reads a request runs it, having handed the
-        read role on: a channel-0 ping and another channel's op both
-        answer while a 0.3 s handler runs."""
+        """The thread that reads a request runs it, and the read role
+        moves on once the op outlives the grace period: a channel-0
+        ping and another channel's op both answer while a 0.3 s
+        handler runs."""
         path = tmp_path / "slow.af"
         create_active(path, f"{__name__}:SlowRead",
                       params={"delay": 0.3}, data=b"x" * 64,
@@ -252,12 +294,182 @@ class TestLeaderFollower:
                     chan, {"cmd": "read", "offset": 0, "size": 4096},
                     timeout=5.0)
             after = host.ping(timeout=5.0)["lat"]
-            ops = after["queue_wait_ops"] - before["queue_wait_ops"]
-            waited = (after["queue_wait_mean_us"] * after["queue_wait_ops"]
-                      - before["queue_wait_mean_us"]
-                      * before["queue_wait_ops"])
-            served = (after["service_mean_us"] * after["service_ops"]
-                      - before["service_mean_us"] * before["service_ops"])
+            ops, waited, served = _latency_split(before, after)
+            assert ops >= 200
+            assert waited < 0.5 * served
+        finally:
+            host.shutdown()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="per-thread switch counts need /proc")
+    def test_depth_one_op_costs_about_one_host_switch(self, tmp_path):
+        """The switch budget: the reader keeps its role through a short
+        op, so a depth-1 read costs the host about one voluntary
+        context switch (its blocking read), not one per thread
+        hand-off."""
+        path = tmp_path / "budget.af"
+        create_active(path, NULL, data=b"b" * 65536,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            chan = host.open("process-control")
+            read = {"cmd": "read", "offset": 0, "size": 4096}
+            for _ in range(500):  # warm up
+                host.channel.request(chan, dict(read), timeout=5.0)
+            before = _voluntary_switches(host.proc.pid)
+            ops = 2000
+            for _ in range(ops):
+                host.channel.request(chan, dict(read), timeout=5.0)
+            per_op = (_voluntary_switches(host.proc.pid) - before) / ops
+            assert per_op <= 2.0, f"{per_op:.2f} host switches per op"
+        finally:
+            host.shutdown()
+
+
+class TestLazyHandOff:
+    """The reader hands its role on only when an op needs that; each
+    test pins one trigger."""
+
+    @staticmethod
+    def _serve(a: StreamChannel, b: StreamChannel) -> "list[EventLoopServer]":
+        loops = [EventLoopServer(f"{a.name}-loop"),
+                 EventLoopServer(f"{b.name}-loop")]
+        a.loop, b.loop = loops
+        return loops
+
+    @staticmethod
+    def _stop(a: StreamChannel, loops: "list[EventLoopServer]") -> None:
+        a.close()
+        for loop in loops:
+            loop.shutdown()
+
+    def test_request_sent_by_a_handler_hands_the_role_on(self):
+        """A handler that calls back over its own connection gets its
+        reply at once: sending the request hands the role on, so no op
+        waits for the sentry's grace hand-off."""
+        a, b = _stream_pair("callback")
+        loops = self._serve(a, b)
+        a.register(CONTROL_CHAN,
+                   lambda f, p: ({"ok": True, "n": f["n"]}, b""))
+
+        def handler(fields, payload):
+            reply, _ = b.request(CONTROL_CHAN,
+                                 {"cmd": "echo", "n": fields["n"]},
+                                 timeout=5.0)
+            return {"ok": True, "n": reply["n"]}, b""
+
+        b.register(FIRST_SESSION_CHAN, handler)
+        a.start()
+        b.start()
+        try:
+            a.request(FIRST_SESSION_CHAN, {"cmd": "op", "n": -1},
+                      timeout=5.0)
+            started = time.monotonic()
+            for n in range(100):
+                fields, _ = a.request(FIRST_SESSION_CHAN,
+                                      {"cmd": "op", "n": n}, timeout=5.0)
+                assert fields["n"] == n
+            elapsed = time.monotonic() - started
+            assert elapsed < 0.5 * 100 * LEAD_GRACE_S, \
+                f"100 call-back ops took {elapsed * 1e3:.1f} ms"
+        finally:
+            self._stop(a, loops)
+
+    def test_op_on_a_connection_owing_replies_hands_the_role_on(self):
+        """An op that blocks on the reply to a request already
+        outstanding on the connection (sent by another thread) does not
+        wait out the grace period: the role is handed on before it
+        runs."""
+        a, b = _stream_pair("owing")
+        loops = self._serve(a, b)
+        arrived = threading.Event()
+        answer = threading.Event()
+
+        def bridge(fields, payload):
+            arrived.set()
+            answer.wait(5.0)
+            return {"ok": True}, b""
+
+        outstanding = []
+
+        def handler(fields, payload):
+            answer.set()
+            outstanding.pop().wait(5.0)
+            return {"ok": True}, b""
+
+        a.register(CONTROL_CHAN, bridge)
+        b.register(FIRST_SESSION_CHAN, handler)
+        a.start()
+        b.start()
+        try:
+            elapsed = []
+            for _ in range(20):
+                arrived.clear()
+                answer.clear()
+                outstanding.append(
+                    b.request_async(CONTROL_CHAN, {"cmd": "fetch"}))
+                assert arrived.wait(5.0)
+                started = time.monotonic()
+                a.request(FIRST_SESSION_CHAN, {"cmd": "use"}, timeout=5.0)
+                elapsed.append(time.monotonic() - started)
+            median = statistics.median(elapsed)
+            assert median < 0.5 * LEAD_GRACE_S, \
+                f"median op {median * 1e3:.2f} ms"
+        finally:
+            self._stop(a, loops)
+
+    def test_reply_blocked_on_a_full_pipe_hands_the_role_on(self):
+        """A reply too big for the pipe, to a peer still busy writing
+        requests, blocks the thread that ran the op inline: the role
+        must move on so intake drains the peer's writes, or both sides
+        would block writing forever."""
+        a, b = _stream_pair("full-pipe")
+        loop = EventLoopServer("full-pipe-loop")
+        b.loop = loop
+        b.register(FIRST_SESSION_CHAN,
+                   lambda f, p: ({"ok": True}, b"r" * (256 * 1024)))
+        a.start()  # no handler: a caller reads its own replies
+        b.start()
+        replies: list[int] = []
+
+        def flood() -> None:
+            pendings = [a.request_async(FIRST_SESSION_CHAN, {"n": n},
+                                        b"q" * 65536) for n in range(8)]
+            replies.extend(len(p.wait(5.0)[1]) for p in pendings)
+
+        sender = threading.Thread(target=flood, daemon=True)
+        try:
+            sender.start()
+            sender.join(10.0)
+            assert not sender.is_alive(), "both sides blocked writing"
+            assert replies == [256 * 1024] * 8
+        finally:
+            self._stop(a, [loop])
+
+    def test_reader_keeps_the_role_after_a_grace_hand_off(self, tmp_path):
+        """Once a 50 ms op has made the sentry hand the role on, the
+        thread now holding it runs the next depth-1 ops itself and
+        keeps the role: queue wait stays a small fraction of service
+        time."""
+        path = tmp_path / "slow-once.af"
+        create_active(path, f"{__name__}:SlowRead",
+                      params={"delay": 0.05, "at": 1}, data=b"s" * 4096,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            chan = host.open("process-control")
+
+            def read(offset):
+                host.channel.request(
+                    chan, {"cmd": "read", "offset": offset, "size": 8},
+                    timeout=5.0)
+
+            read(1)  # outlives the grace period
+            before = host.ping(timeout=5.0)["lat"]
+            for _ in range(200):
+                read(0)
+            after = host.ping(timeout=5.0)["lat"]
+            ops, waited, served = _latency_split(before, after)
             assert ops >= 200
             assert waited < 0.5 * served
         finally:
@@ -269,19 +481,9 @@ class TestSchedFaultPoint:
         """Requests the reading thread runs itself (depth 1) and
         requests granted to the pool (a pipelined burst) each pass the
         fault plane's ``sched`` point exactly once."""
-        import os
-
-        from repro.core.channel import StreamChannel
         from repro.core.faults import FaultPlane
 
-        a_read, b_write = os.pipe()
-        b_read, a_write = os.pipe()
-        a = StreamChannel(os.fdopen(a_read, "rb", buffering=0),
-                          os.fdopen(a_write, "wb", buffering=0),
-                          name="sched-a")
-        b = StreamChannel(os.fdopen(b_read, "rb", buffering=0),
-                          os.fdopen(b_write, "wb", buffering=0),
-                          name="sched-b")
+        a, b = _stream_pair("sched")
         plane = FaultPlane(seed=0).delay_sched(0.0, op="tick")
         plane.arm_channel(b)
         b.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""))
