@@ -43,7 +43,7 @@ BENCH_SHM_SHAPES = ("write_sync", "read_sync", "write_seq", "read_seq",
 BENCH_SHM_RESULT_KEYS = {
     f"{section}_{block}": ("block",) + BENCH_SHM_SHAPES
     for block in (4096, 65536, 1048576)
-    for section in ("inline", "binhdr", "shm", "speedup")
+    for section in ("inline", "shm", "speedup")
 }
 
 

@@ -5,7 +5,8 @@ each arrangement.  This benchmark opens one container N times
 concurrently, does a small read workload per open, and closes — once
 over the pooled multiplexed host (one child interpreter, N logical
 channels) and once over the legacy arrangement (one child interpreter
-per open, via an exclusive lease).  The pooled path must win on
+per open: each open leases from its own ``SentinelHostPool(linger=0)``,
+so its host retires when it closes).  The pooled path must win on
 aggregate throughput at N >= 4: interpreter startup is paid once
 instead of N times, and operations pipeline over one connection.
 """
@@ -18,6 +19,7 @@ import pytest
 from repro.core import create_active
 from repro.core.container import Container
 from repro.core.strategies import process_control
+from tests.conftest import open_dedicated_session
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
 
@@ -29,10 +31,12 @@ BLOCK = 1024
 def run_opens(container: Container, n: int, pooled: bool) -> None:
     """N concurrent open -> read*OPS -> close cycles; joins all workers."""
     errors = []
+    open_session = process_control.open_session if pooled \
+        else open_dedicated_session
 
     def worker() -> None:
         try:
-            session = process_control.open_session(container, pooled=pooled)
+            session = open_session(container)
             try:
                 for i in range(OPS_PER_OPEN):
                     session.read_at((i * BLOCK) % 65536, BLOCK)

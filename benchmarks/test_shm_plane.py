@@ -1,12 +1,13 @@
 """Shared-memory data plane benchmark (ISSUE PR 5 acceptance numbers).
 
-Three transport legs over the same process-control stack, same child,
+Two transport legs over the same process-control stack, same child,
 same container — only the bulk-byte path differs:
 
-* ``inline``  — everything on the pipe, JSON headers
-  (``REPRO_NO_SHM`` + ``REPRO_NO_BINHDR``): the pre-PR baseline;
-* ``binhdr``  — inline payloads, struct-packed hot-op headers;
-* ``shm``     — payloads ride the per-host shared-memory slab.
+* ``inline``  — everything on the pipe: the host's shared-memory plane
+  fails to come up, as on a machine without ``/dev/shm``;
+* ``shm``     — payloads of 32 KiB and more ride the per-host slab.
+
+Both legs use the binary hot-op headers (there is no switch for them).
 
 Two workload shapes per block size:
 
@@ -28,10 +29,10 @@ import time
 
 import pytest
 
-from repro.core import control
+from repro.core import runner
 from repro.core.container import Container
 from repro.core.spec import SentinelSpec
-from repro.core.strategies import process_control
+from tests.conftest import no_shm_plane, open_dedicated_session
 
 SPEC = SentinelSpec("repro.sentinels.null:NullFilterSentinel")
 
@@ -50,12 +51,7 @@ REPS = 3
 #: Typical runs show 2-3.7x; asserted with headroom against noisy CI.
 MIN_BULK_SPEEDUP = 1.5
 
-LEGS = {
-    "inline": {"env": {"REPRO_NO_SHM": "1", "REPRO_NO_BINHDR": "1"},
-               "binary_headers": False},
-    "binhdr": {"env": {"REPRO_NO_SHM": "1"}, "binary_headers": True},
-    "shm": {"env": {}, "binary_headers": True},
-}
+LEGS = ("inline", "shm")
 
 _results: dict[str, dict] = {}
 
@@ -76,15 +72,12 @@ def _record(name: str, entry: dict, block: int) -> None:
 
 def _measure(leg: str, block: int, tmp_path) -> dict[str, float]:
     """One leg at one block size: MB/s per workload shape, best-of."""
-    spec = LEGS[leg]
-    for key, value in spec["env"].items():
-        os.environ[key] = value
-    saved = control.BINARY_HEADERS
-    control.BINARY_HEADERS = spec["binary_headers"]
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        if leg == "inline":
+            patch.setattr(runner, "ShmPlane", no_shm_plane)
         path = tmp_path / f"{leg}-{block}.af"
         container = Container.create(path, SPEC, data=b"")
-        session = process_control.open_session(container, pooled=False)
+        session = open_dedicated_session(container)
         try:
             nblocks = TOTAL // block
             data = b"\xab" * block
@@ -117,10 +110,6 @@ def _measure(leg: str, block: int, tmp_path) -> dict[str, float]:
             return {shape: round(rate, 1) for shape, rate in best.items()}
         finally:
             session.close()
-    finally:
-        control.BINARY_HEADERS = saved
-        for key in spec["env"]:
-            os.environ.pop(key, None)
 
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -21,7 +21,6 @@ connection as channel 0 (see :mod:`repro.core.netproxy`).
 from __future__ import annotations
 
 import json
-import os
 import struct
 from typing import Any
 
@@ -50,7 +49,6 @@ __all__ = [
     "split_envelope",
     "COMMANDS",
     "ENVELOPE_KEYS",
-    "BINARY_HEADERS",
 ]
 
 _JSON_LEN = struct.Struct(">I")
@@ -190,10 +188,6 @@ def decode_message(blob: bytes) -> tuple[dict[str, Any], bytes]:
 #: Marks a binary header in the header-length word's high bit.
 _BINARY_TAG = 0x80000000
 
-#: Module kill-switch (also honours the ``REPRO_NO_BINHDR`` env var):
-#: when ``False`` every header is JSON, as before this encoding existed.
-BINARY_HEADERS = not os.environ.get("REPRO_NO_BINHDR")
-
 _B_BASE = struct.Struct(">BBIQ")    # kind, flags, chan, rid
 _B_U32 = struct.Struct(">I")
 _B_U64 = struct.Struct(">Q")
@@ -234,8 +228,6 @@ def encode_head_wire(fields: dict[str, Any]) -> bytes | None:
     caller to fall back to :func:`encode_head`.  The fallback is what
     keeps this codec simple: it never needs to express the general case.
     """
-    if not BINARY_HEADERS:
-        return None
     try:
         head = _encode_binary(fields)
     except (struct.error, TypeError, ValueError, OverflowError):

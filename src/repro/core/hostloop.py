@@ -74,7 +74,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import os
 import threading
 import time
 from collections import deque
@@ -113,16 +112,6 @@ _SERVICE = TELEMETRY.metrics.histogram("host.service_s")
 #: How long the sentry keeps polling after the last read role was held
 #: through an op, so the next arm of a busy stream needs no notify.
 _SENTRY_WARM_S = 0.05
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
 
 
 def serve_one(channel, chan: int, handler, rid: int,
@@ -273,12 +262,12 @@ class EventLoopServer:
                  intake_low: int | None = None,
                  publish_gauges: bool = False) -> None:
         self.name = name
-        self.executors = executors if executors is not None else _env_int(
-            "REPRO_HOST_EXECUTORS", policy.HOST_EXECUTOR_THREADS)
+        self.executors = executors if executors is not None \
+            else policy.HOST_EXECUTOR_THREADS
         self.max_inflight = max_inflight if max_inflight is not None \
-            else _env_int("REPRO_HOST_MAX_INFLIGHT", policy.HOST_MAX_INFLIGHT)
+            else policy.HOST_MAX_INFLIGHT
         self.queue_depth = queue_depth if queue_depth is not None \
-            else _env_int("REPRO_HOST_QUEUE_DEPTH", policy.HOST_QUEUE_DEPTH)
+            else policy.HOST_QUEUE_DEPTH
         self.intake_high = intake_high if intake_high is not None \
             else min(policy.HOST_INTAKE_HIGH, self.max_inflight)
         self.intake_low = intake_low if intake_low is not None \

@@ -117,16 +117,15 @@ READ_POLL_S = 0.05
 LEAD_GRACE_S = 0.002
 
 #: Executor threads of one :class:`~repro.core.hostloop.EventLoopServer`
-#: (override per process with ``REPRO_HOST_EXECUTORS``).
+#: (a private server may pass its own; the process's shared loop uses this).
 HOST_EXECUTOR_THREADS = 4
 
 #: Admission high-water mark: total admitted-but-unfinished operations
-#: one host serves before fast-rejecting session requests
-#: (``REPRO_HOST_MAX_INFLIGHT`` overrides).
+#: one host serves before fast-rejecting session requests.
 HOST_MAX_INFLIGHT = 1024
 
 #: Per-channel FIFO bound; a channel this far behind is fast-rejected
-#: rather than buffered deeper (``REPRO_HOST_QUEUE_DEPTH`` overrides).
+#: rather than buffered deeper.
 HOST_QUEUE_DEPTH = 128
 
 #: Reader backpressure: stop decoding frames past this admitted

@@ -58,7 +58,7 @@ from repro.core.fanout import domain_for
 from repro.core.netproxy import NetworkBridgeServer, ProxyNetwork
 from repro.core.policy import Deadline
 from repro.core.sentinel import SentinelContext
-from repro.core.shm import AttachedSegment, ShmPlane, shm_enabled
+from repro.core.shm import AttachedSegment, ShmPlane
 from repro.core.strategies.common import make_data_part
 from repro.core.telemetry import TELEMETRY
 from repro.errors import ProtocolError, SentinelCrashedError, ShmError
@@ -341,16 +341,14 @@ class SentinelHost:
             [src_root] + [p for p in env.get("PYTHONPATH", "").split(
                 os.pathsep) if p and p != src_root])
         # The bulk-data plane: one shared-memory slab per host, offered
-        # to the child in the open handshake.  Creation failure (or the
-        # REPRO_NO_SHM kill-switch) just means every payload rides
-        # inline, exactly as before the plane existed.
+        # to the child in the open handshake.  Creation failure (a host
+        # without /dev/shm) just means every payload rides inline.
         self.shm: ShmPlane | None = None
         self.shm_ready = False
-        if shm_enabled():
-            try:
-                self.shm = ShmPlane()
-            except Exception:
-                self.shm = None
+        try:
+            self.shm = ShmPlane()
+        except Exception:
+            self.shm = None
         self.proc = Popen(argv, stdin=PIPE, stdout=PIPE, stderr=PIPE,
                           bufsize=0, env=env)
         self.channel = StreamChannel(
@@ -503,7 +501,7 @@ class SentinelHost:
 
 
 class HostLease:
-    """One refcounted session on a pooled (or exclusive) host.
+    """One refcounted session on a pooled host.
 
     A lease remembers everything needed to re-establish itself on a
     fresh host (:meth:`respawn`), which is what lets the supervised
@@ -513,7 +511,7 @@ class HostLease:
     surface every crash.
     """
 
-    def __init__(self, pool: "SentinelHostPool | None", key,
+    def __init__(self, pool: "SentinelHostPool", key,
                  host: SentinelHost, chan: int, strategy: str,
                  supervised: bool = True) -> None:
         self._pool = pool
@@ -546,26 +544,15 @@ class HostLease:
     def respawn(self, deadline: "Deadline | float | None" = None) -> None:
         """Re-establish this session on a live host after a crash.
 
-        The dead host is evicted; a replacement is pooled (or spawned
-        exclusively) and a fresh logical session opened on it.  The
-        caller replays whatever state the new sentinel instance must
-        observe (see the session-layer write journal).
+        The dead host is evicted; a replacement is pooled and a fresh
+        logical session opened on it.  The caller replays whatever state
+        the new sentinel instance must observe (see the session-layer
+        write journal).
         """
         deadline = Deadline.coerce(deadline, policy.OPEN_TIMEOUT)
-        dead = self.host
-        if self._pool is not None:
-            host, chan = self._pool._respawn(
-                self._key, dead, self.host.container_path,
-                self.host.network, self.strategy, deadline)
-        else:
-            host = SentinelHost(dead.container_path, network=dead.network,
-                                faults=dead.channel.faults)
-            try:
-                chan = host.open(self.strategy, timeout=deadline)
-            except BaseException:
-                host.shutdown()
-                raise
-            dead.shutdown()
+        host, chan = self._pool._respawn(
+            self._key, self.host, self.host.container_path,
+            self.host.network, self.strategy, deadline)
         self.host = host
         self.chan = chan
         self.respawns += 1
@@ -577,14 +564,11 @@ class HostLease:
                                   scope=host.container_path).inc()
 
     def release(self) -> None:
-        """Return the session's slot to the pool (or retire the host)."""
+        """Return the session's slot to the pool."""
         if self.released:
             return
         self.released = True
-        if self._pool is not None:
-            self._pool._release(self._key, self.host)
-        else:
-            self.host.shutdown()
+        self._pool._release(self._key, self.host)
 
 
 class SentinelHostPool:
@@ -619,23 +603,13 @@ class SentinelHostPool:
                 id(network) if network is not None else None)
 
     def lease(self, container_path: str, *, strategy: str,
-              network=None, exclusive: bool = False) -> HostLease:
-        """Open one session, pooling the host unless *exclusive*.
+              network=None) -> HostLease:
+        """Open one session on this pool's host for *container_path*.
 
-        ``exclusive=True`` spawns a dedicated, unpooled host for this
-        single open — the legacy one-process-per-open arrangement, kept
-        for comparison benchmarks.
+        A caller that wants a host of its own leases from a private
+        ``SentinelHostPool(linger=0)``: the host retires as soon as its
+        last session closes.
         """
-        if exclusive:
-            host = SentinelHost(container_path, network=network,
-                                faults=self.faults)
-            try:
-                chan = host.open(strategy)
-            except BaseException:
-                host.shutdown()
-                raise
-            return HostLease(None, None, host, chan, strategy)
-
         key = self._key(container_path, network)
         host, reaper = self._checkout_locked(key, container_path, network)
         if reaper is not None:

@@ -57,7 +57,6 @@ __all__ = [
     "ShmPlane",
     "SlotLease",
     "AttachedSegment",
-    "shm_enabled",
     "SHM_MIN_BYTES",
     "SLOT_BYTES",
     "SEGMENT_SLOTS",
@@ -81,10 +80,6 @@ SEGMENT_SLOTS = 256
 
 _GEN = struct.Struct("<Q")
 
-#: Environment kill-switch: set ``REPRO_NO_SHM=1`` to force every
-#: payload inline (read per host spawn, so tests can flip it).
-ENV_KILL_SWITCH = "REPRO_NO_SHM"
-
 #: Descriptor checksums are self-describing: bit 32 marks "present", the
 #: low 32 bits carry the CRC.  A bare 0 means the producer skipped it.
 _SUM_PRESENT = 1 << 32
@@ -94,11 +89,6 @@ _SUM_PRESENT = 1 << 32
 SLOTS_LEASED = TELEMETRY.metrics.counter("shm.slots_leased")
 SHM_BYTES = TELEMETRY.metrics.counter("shm.bytes")
 FALLBACK_INLINE = TELEMETRY.metrics.counter("shm.fallback_inline")
-
-
-def shm_enabled() -> bool:
-    """Whether the shared-memory plane may be used at all."""
-    return not os.environ.get(ENV_KILL_SWITCH)
 
 
 def _crc(view: "memoryview | bytes") -> int:

@@ -88,11 +88,10 @@ class ProcessSession(ChannelSession):
         return total
 
 
-def open_session(container: Container, network=None, *,
-                 pooled: bool = True) -> ProcessSession:
+def open_session(container: Container, network=None) -> ProcessSession:
     """Open *container* with the simple process strategy."""
     lease = HOST_POOL.lease(str(container.path), strategy="process",
-                            network=network, exclusive=not pooled)
+                            network=network)
     lease.supervised = bool(container.meta.get("supervise", True))
     TELEMETRY.metrics.counter("sessions.opened.process",
                               scope=str(container.path)).inc()

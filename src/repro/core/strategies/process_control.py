@@ -112,15 +112,12 @@ class ProcessControlSession(ChannelSession):
         return fields, out_payload
 
 
-def open_session(container: Container, network=None, *,
-                 pooled: bool = True) -> ProcessControlSession:
-    """Open *container* with the process-plus-control strategy.
-
-    ``pooled=False`` spawns a dedicated host for this single open (the
-    legacy one-process-per-open arrangement), for comparison benchmarks.
-    """
+def open_session(container: Container,
+                 network=None) -> ProcessControlSession:
+    """Open *container* with the process-plus-control strategy on the
+    shared host pool (one host per container, many sessions)."""
     lease = HOST_POOL.lease(str(container.path), strategy="process-control",
-                            network=network, exclusive=not pooled)
+                            network=network)
     lease.supervised = bool(container.meta.get("supervise", True))
     TELEMETRY.metrics.counter("sessions.opened.process-control",
                               scope=str(container.path)).inc()

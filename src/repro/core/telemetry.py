@@ -64,6 +64,8 @@ __all__ = [
     "SPAN_BUFFER_LIMIT",
     "HISTOGRAM_BOUNDS",
     "BUNDLE_SCHEMA",
+    "bucket_percentile",
+    "snap_buckets",
 ]
 
 #: Default bound on the in-memory span buffer (oldest spans drop first).
@@ -77,6 +79,17 @@ BUNDLE_SCHEMA = 1
 #: two from 1 µs to ~134 s, plus an implicit overflow bucket.  Fixed
 #: bounds keep snapshots comparable across runs and machines.
 HISTOGRAM_BOUNDS: tuple[float, ...] = tuple(1e-6 * (1 << i) for i in range(28))
+
+#: Every bucket's upper bound, the overflow bucket's included.
+_BUCKET_BOUNDS = HISTOGRAM_BOUNDS + (math.inf,)
+
+
+def _bucket_key(bound: float) -> str:
+    return "le_inf" if bound == math.inf else f"le_{bound:.6g}"
+
+
+#: Snapshot bucket key -> exact bound (a key keeps only six digits).
+_BOUND_OF_KEY = {_bucket_key(bound): bound for bound in _BUCKET_BOUNDS}
 
 _ids = itertools.count(1)
 
@@ -284,38 +297,51 @@ class Histogram:
             self.total = 0.0
 
     def percentile(self, q: float) -> float:
-        """Approximate the *q*-quantile (``0 < q <= 1``) in seconds.
-
-        Resolution is one log-scale bucket: the returned value is the
-        upper bound of the bucket holding the q-th observation (the
-        last finite bound for overflow observations), 0.0 when empty.
-        """
+        """Approximate the *q*-quantile (``0 < q <= 1``) in seconds
+        (see :func:`bucket_percentile`)."""
         with self._lock:
-            count = self.count
             counts = list(self._counts)
-        if count <= 0:
-            return 0.0
-        rank = max(1, math.ceil(min(max(q, 0.0), 1.0) * count))
-        seen = 0
-        for index, tally in enumerate(counts):
-            seen += tally
-            if seen >= rank:
-                return HISTOGRAM_BOUNDS[min(index,
-                                            len(HISTOGRAM_BOUNDS) - 1)]
-        return HISTOGRAM_BOUNDS[-1]
+        return bucket_percentile(zip(_BUCKET_BOUNDS, counts), q)
 
     def snap(self) -> dict[str, Any]:
         with self._lock:
             counts = list(self._counts)
             count = self.count
             total = self.total
-        buckets = {}
-        for bound, tally in zip(HISTOGRAM_BOUNDS, counts):
-            if tally:
-                buckets[f"le_{bound:.6g}"] = tally
-        if counts[-1]:
-            buckets["le_inf"] = counts[-1]
+        buckets = {_bucket_key(bound): tally
+                   for bound, tally in zip(_BUCKET_BOUNDS, counts) if tally}
         return {"count": count, "sum": total, "buckets": buckets}
+
+
+def bucket_percentile(buckets: Iterable[tuple[float, int]],
+                      q: float) -> float:
+    """The *q*-quantile (``0 < q <= 1``) of a bucketed histogram.
+
+    *buckets* are ``(upper bound, tally)`` pairs in ascending bound
+    order, the overflow bucket's bound being ``inf``.  Resolution is one
+    bucket: the result is the upper bound of the bucket holding the q-th
+    observation (``HISTOGRAM_BOUNDS[-1]``, where the overflow bucket
+    starts, for an overflow observation), 0.0 when empty.
+    """
+    buckets = list(buckets)
+    count = sum(tally for _, tally in buckets)
+    if count <= 0:
+        return 0.0
+    rank = max(1, math.ceil(min(max(q, 0.0), 1.0) * count))
+    seen = 0
+    for bound, tally in buckets:
+        seen += tally
+        if seen >= rank:
+            break
+    return min(bound, HISTOGRAM_BOUNDS[-1])
+
+
+def snap_buckets(snap: dict[str, Any]) -> list[tuple[float, int]]:
+    """A :meth:`Histogram.snap` dict back as :func:`bucket_percentile`
+    pairs (a key outside the fixed layout keeps the bound it spells)."""
+    return sorted((_BOUND_OF_KEY.get(key) or float(key[3:]), int(tally))
+                  for key, tally in (snap.get("buckets") or {}).items()
+                  if key.startswith("le_"))
 
 
 _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

@@ -40,6 +40,8 @@ from repro.core.telemetry import (
     BUNDLE_SCHEMA,
     TELEMETRY,
     MetricsRegistry,
+    bucket_percentile,
+    snap_buckets,
 )
 from repro.errors import DoctorError
 
@@ -170,38 +172,14 @@ class Finding:
 # Snapshot flattening
 # ---------------------------------------------------------------------------
 
-def _hist_percentile(snap: dict[str, Any], q: float) -> float:
-    """The *q*-quantile of a serialized histogram snap (bucket upper
-    bound, in the histogram's native unit; 0.0 when empty)."""
-    count = int(snap.get("count") or 0)
-    if count <= 0:
-        return 0.0
-    buckets: list[tuple[float, int]] = []
-    for key, tally in (snap.get("buckets") or {}).items():
-        if not key.startswith("le_"):
-            continue
-        bound = float("inf") if key == "le_inf" else float(key[3:])
-        buckets.append((bound, int(tally)))
-    buckets.sort()
-    rank = max(1, int(q * count + 0.999999))
-    seen = 0
-    last_finite = 0.0
-    for bound, tally in buckets:
-        if bound != float("inf"):
-            last_finite = bound
-        seen += tally
-        if seen >= rank:
-            return last_finite
-    return last_finite
-
-
 def _flat_metrics(metrics: dict[str, Any]) -> dict[str, float]:
     """One metrics scope flattened, histograms gaining p50/p95 keys."""
     flat = MetricsRegistry._flat(metrics)
     for name, value in metrics.items():
         if isinstance(value, dict) and "buckets" in value:
-            flat[f"{name}.p50"] = _hist_percentile(value, 0.50)
-            flat[f"{name}.p95"] = _hist_percentile(value, 0.95)
+            buckets = snap_buckets(value)
+            flat[f"{name}.p50"] = bucket_percentile(buckets, 0.50)
+            flat[f"{name}.p95"] = bucket_percentile(buckets, 0.95)
     return flat
 
 

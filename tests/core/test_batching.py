@@ -13,7 +13,7 @@ import pytest
 from repro.core.container import Container
 from repro.core.control import raise_for_response
 from repro.core.spec import SentinelSpec
-from repro.core.strategies import process_control
+from tests.conftest import open_dedicated_session
 
 SPEC = SentinelSpec("repro.sentinels.null:NullFilterSentinel")
 
@@ -33,7 +33,7 @@ class TestSessionIntegration:
         container = Container.create(str(tmp_path / "wave.af"), SPEC,
                                      data=self.DATA)
         # A dedicated host, so it is spawned with this leg's environment.
-        session = process_control.open_session(container, pooled=False)
+        session = open_dedicated_session(container)
         try:
             offsets = [i * 4096 for i in range(self.DEPTH)]
             pendings = [session._lease.request_async(

@@ -158,11 +158,6 @@ class TestFallback:
         blob = control.encode_message(fields, b"")
         assert control.decode_message(blob) == (fields, b"")
 
-    def test_kill_switch_forces_json(self, monkeypatch):
-        monkeypatch.setattr(control, "BINARY_HEADERS", False)
-        fields = {"cmd": "read", "offset": 1, "size": 2, "rid": 1, "chan": 1}
-        assert control.encode_head_wire(fields) is None
-
     def test_encode_never_mutates_its_input(self):
         fields = {"cmd": "read", "offset": 1, "size": 2, "rid": 1, "chan": 1,
                   "dl": 2.0, "shm_r": [0, 65536, 1]}

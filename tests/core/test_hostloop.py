@@ -19,7 +19,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import create_active, hostloop
+from repro.core import create_active, hostloop, policy
 from repro.core.channel import (
     CONTROL_CHAN,
     FIRST_SESSION_CHAN,
@@ -186,20 +186,20 @@ class TestAdmissionControl:
             app.close()
             server.shutdown()
 
-    def test_overload_round_trips_the_wire(self, tmp_path, monkeypatch):
-        """A real host child fast-rejects past its (tiny) FIFO bound and
-        the typed error crosses the framed transport intact."""
-        monkeypatch.setenv("REPRO_HOST_QUEUE_DEPTH", "2")
+    def test_overload_round_trips_the_wire(self, tmp_path):
+        """A real host child fast-rejects past its FIFO bound
+        (``policy.HOST_QUEUE_DEPTH``) and the typed error crosses the
+        framed transport intact."""
         path = tmp_path / "slow.af"
         create_active(path, f"{__name__}:SlowRead",
-                      params={"delay": 0.15}, data=b"x" * 64,
+                      params={"delay": 0.02}, data=b"x" * 64,
                       meta={"data": "memory"})
         host = SentinelHost(str(path))
         try:
             chan = host.open("process-control")
             pendings = [host.channel.request_async(
                 chan, {"cmd": "read", "offset": 0, "size": 1})
-                for _ in range(12)]
+                for _ in range(policy.HOST_QUEUE_DEPTH + 12)]
             outcomes = [pending.wait(30.0)[0] for pending in pendings]
             rejected = [f for f in outcomes if not f.get("ok", False)]
             served = [f for f in outcomes if f.get("ok", False)]

@@ -9,6 +9,7 @@ transport counters.
 import threading
 
 from repro.core import create_active, open_active
+from tests.conftest import open_dedicated_session
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
 
@@ -192,7 +193,7 @@ class TestPoolLifecycle:
             except Exception:
                 pass  # the killed host surfaces as a crash; expected
 
-    def test_exclusive_lease_gets_private_host(self, tmp_path):
+    def test_private_pool_lease_gets_own_host(self, tmp_path):
         from repro.core.container import Container
         from repro.core.strategies import process_control
 
@@ -200,10 +201,12 @@ class TestPoolLifecycle:
         create_active(path, NULL, data=b"data")
         container = Container.load(str(path))
         pooled = process_control.open_session(container)
-        exclusive = process_control.open_session(container, pooled=False)
+        private = open_dedicated_session(container)
         try:
-            assert pooled.host is not exclusive.host
-            assert exclusive.read_at(0, 4) == b"data"
+            assert pooled.host is not private.host
+            assert private.read_at(0, 4) == b"data"
         finally:
-            exclusive.close()
+            private.close()
             pooled.close()
+        # The private pool keeps no idle host: closing retires it.
+        assert private.host.proc.wait(timeout=10) is not None

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import runner
 from repro.core import shm as shmplane
 from repro.core.container import Container
 from repro.core.faults import FaultPlane
@@ -24,15 +25,17 @@ from repro.core.shm import AttachedSegment, ShmPlane
 from repro.core.spec import SentinelSpec
 from repro.core.strategies import process_control
 from repro.errors import ShmCorruptError, ShmError, ShmStaleGenerationError
+from tests.conftest import no_shm_plane, open_dedicated_session
 
 SPEC = SentinelSpec("repro.sentinels.null:NullFilterSentinel")
 
-#: The CI matrix runs one leg with the plane killed; tests that assert
-#: the plane *engages* are meaningless there (the allocator and child
-#: validation tests still run — they never consult the kill switch).
+#: The CI matrix runs one leg with ``--no-shm`` (no host's plane comes
+#: up); tests that assert the plane *engages* are meaningless there (the
+#: allocator and child validation tests still run — they build their
+#: own planes).
 requires_shm = pytest.mark.skipif(
-    bool(os.environ.get(shmplane.ENV_KILL_SWITCH)),
-    reason=f"shared-memory plane disabled via {shmplane.ENV_KILL_SWITCH}")
+    "config.getoption('--no-shm')",
+    reason="shared-memory plane unavailable (--no-shm)")
 
 #: Comfortably above SHM_MIN_BYTES so the plane engages.
 BULK = shmplane.SHM_MIN_BYTES * 4
@@ -162,7 +165,7 @@ class TestChildValidation:
 def _open(tmp, name, data=b""):
     path = os.path.join(str(tmp), name)
     container = Container.create(path, SPEC, data=data)
-    return process_control.open_session(container, pooled=False)
+    return open_dedicated_session(container)
 
 
 @requires_shm
@@ -274,7 +277,8 @@ class TestSessionIntegration:
 
 @requires_shm
 class TestShmInlineEquivalence:
-    """Property: REPRO_NO_SHM on/off is observationally invisible."""
+    """Property: a host whose plane never came up (no /dev/shm) serves
+    exactly the bytes a host with the plane serves."""
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**16),
@@ -286,12 +290,10 @@ class TestShmInlineEquivalence:
     def test_same_ops_same_bytes(self, tmp_path_factory, seed, ops):
         def run(inline: bool):
             tmp = tmp_path_factory.mktemp("equiv")
-            if inline:
-                os.environ[shmplane.ENV_KILL_SWITCH] = "1"
-            try:
+            with pytest.MonkeyPatch.context() as patch:
+                if inline:
+                    patch.setattr(runner, "ShmPlane", no_shm_plane)
                 session = _open(tmp, "blob.af")
-            finally:
-                os.environ.pop(shmplane.ENV_KILL_SWITCH, None)
             try:
                 assert session.host.shm_ready is not inline
                 out = []

@@ -2,10 +2,11 @@
 
 import json
 import os
+import random
 
 import pytest
 
-from repro.core.telemetry import BUNDLE_SCHEMA
+from repro.core.telemetry import BUNDLE_SCHEMA, Histogram
 from repro.doctor import engine
 from repro.doctor.engine import (
     DOCTOR_SCHEMA,
@@ -60,6 +61,21 @@ class TestFlatten:
         assert flat["host.queue_wait_s.count"] == 4
         assert flat["host.queue_wait_s.p50"] == 0.001
         assert flat["host.queue_wait_s.p95"] > 0.001
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_snapshot_percentiles_match_the_live_histogram(self, seed):
+        """The doctor reads p50/p95 off a snapshot exactly as the live
+        histogram computes them, from sub-µs to overflow samples."""
+        rng = random.Random(seed)
+        hists = [Histogram(f"h{i}") for i in range(3)]
+        for hist in hists:
+            for _ in range(rng.randrange(1, 400)):
+                hist.observe(10 ** rng.uniform(-7, 2.5))
+        flat = flatten_snapshot(make_snapshot(
+            {hist.name: hist.snap() for hist in hists}))
+        for hist in hists:
+            assert flat[f"{hist.name}.p50"] == hist.percentile(0.50)
+            assert flat[f"{hist.name}.p95"] == hist.percentile(0.95)
 
     def test_ping_overlays_host_gauges(self):
         snap = make_snapshot(host={"af-loop#1": {"host.inflight": 5,
