@@ -62,9 +62,10 @@ class SentinelDispatcher:
         """
         cmd = fields.get("cmd", "")
         budget_ms = fields.get("dl")
-        self.ctx.deadline = Deadline.from_ms(budget_ms) \
-            if budget_ms is not None else None
         try:
+            # Inside the try: a malformed budget fails this op, not the loop.
+            self.ctx.deadline = Deadline.from_ms(budget_ms) \
+                if budget_ms is not None else None
             return self._execute(cmd, fields, payload, reply_into)
         except Exception as exc:
             return ({"ok": False, "error": str(exc),

@@ -45,6 +45,15 @@ class TestDispatcherNeverDies:
         out_fields, _ = dispatcher.execute({**fields, "cmd": cmd}, payload)
         assert isinstance(out_fields.get("ok"), bool)
 
+    def test_malformed_deadline_budget_fails_only_that_op(self):
+        dispatcher = SentinelDispatcher(Sentinel(), SentinelContext())
+        for bad in ("", [], {}, "soon"):
+            out_fields, _ = dispatcher.execute({"cmd": "read", "dl": bad,
+                                                "offset": 0, "size": 1}, b"")
+            assert out_fields["ok"] is False
+        ok_fields, _ = dispatcher.execute({"cmd": "size"}, b"")
+        assert ok_fields["ok"] is True
+
 
 class TestCodecFuzz:
     @settings(max_examples=300, deadline=None)
