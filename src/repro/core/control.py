@@ -3,11 +3,17 @@
 The process-plus-control strategy sends "all API requests from the
 application ... to the sentinel process via the control channel and the
 response of the sentinel process is read from the read pipe" (§4.2).
-This module defines the wire encoding of those commands and responses —
-a 4-byte length-prefixed JSON header followed by an opaque payload — and
-the command vocabulary shared by every channel-based strategy (process,
-process-plus-control and thread all reuse it; only the transport
-differs).
+This module defines the wire encoding of those commands and responses:
+a length-prefixed frame whose body is a header — struct-packed binary
+for the hot data-plane shapes, JSON for everything else, told apart by
+the high bit of the header-length word — followed by an opaque payload.
+Senders encode with :func:`encode_head_wire` (falling back to
+:func:`encode_head`) and :func:`repro.util.framing.write_frame`; the
+one decoder is :func:`read_wire_message`.  Failures travel as
+:func:`error_fields` and are re-raised by :func:`raise_for_response`.
+The command vocabulary itself has one client,
+:class:`~repro.core.strategies.common.CommandSession`, and one server
+per plane in :mod:`repro.core.dispatch`.
 
 On top of the bare codec sits the *multiplexing envelope*: every message
 carried by a :class:`~repro.core.channel.Channel` is tagged with a
@@ -27,27 +33,18 @@ from typing import Any
 from repro.errors import (
     ChannelClosedError,
     FrameError,
-    ProtocolError,
     SentinelError,
     wire_error_registry,
 )
 
 __all__ = [
-    "encode_message",
     "encode_head",
     "encode_head_wire",
-    "decode_message",
     "decode_binary_head",
     "read_wire_message",
-    "command",
-    "ok_response",
-    "error_response",
     "error_fields",
     "raise_for_response",
-    "request_envelope",
-    "reply_envelope",
     "split_envelope",
-    "COMMANDS",
     "ENVELOPE_KEYS",
 ]
 
@@ -60,16 +57,6 @@ _PREFIX = struct.Struct(">II")
 #: slicing; the payload copy is cheaper than a second read(2).
 _SMALL_BODY = 16 * 1024
 
-#: The full command vocabulary of the control channel.  ``rstream`` and
-#: ``wstream`` are the sequential plane of the simple process strategy
-#: (§4.1) expressed as commands over the multiplexed transport.
-#: ``readv``/``writev`` are the vectored (scatter-gather) ops: one round
-#: trip carries many extents, which is what lets the cache pipeline move
-#: whole prefetch windows and coalesced flush batches per exchange.
-COMMANDS = ("read", "write", "readv", "writev", "size", "truncate",
-            "flush", "control", "close", "rstream", "wstream", "open",
-            "ping")
-
 #: Header fields reserved for the multiplexing envelope.
 ENVELOPE_KEYS = ("rid", "chan", "re")
 
@@ -79,17 +66,8 @@ ENVELOPE_KEYS = ("rid", "chan", "re")
 _ERROR_TYPES: dict[str, type[Exception]] = wire_error_registry()
 
 
-def encode_message(fields: dict[str, Any],
-                   payload: bytes | memoryview = b"") -> bytes:
-    """Encode a header dict + payload into one frame body."""
-    head = encode_head(fields)
-    if not payload:
-        return head
-    return b"".join((head, payload))
-
-
 def encode_head(fields: dict[str, Any]) -> bytes:
-    """Encode just the length-prefixed JSON header of a message.
+    """Encode the length-prefixed JSON header of a message.
 
     Senders that keep the payload separate (to write it as its own
     frame part, copy-free) pair this with
@@ -106,13 +84,13 @@ def encode_head(fields: dict[str, Any]) -> bytes:
 def read_wire_message(stream: Any) -> tuple[dict[str, Any], bytes]:
     """Read one framed message off *stream* as ``(fields, payload)``.
 
-    Equivalent to ``decode_message(read_frame(stream))``.  This is the
-    hot inbound path of :class:`~repro.core.channel.StreamChannel`, so
-    it costs two stream reads for a small frame: the frame-length and
-    header-length words together, then the whole body (header and
-    payload split by slicing).  A large payload is read on its own and
-    arrives in exactly one buffer — no frame-sized intermediate blob,
-    no slice copy.  The header-length word carries the binary-header
+    The protocol's one decoder, and the hot inbound path of
+    :class:`~repro.core.channel.StreamChannel`, so it costs two stream
+    reads for a small frame: the frame-length and header-length words
+    together, then the whole body (header and payload split by
+    slicing).  A large payload is read on its own and arrives in
+    exactly one buffer — no frame-sized intermediate blob, no slice
+    copy.  The header-length word carries the binary-header
     tag in its high bit (see :func:`encode_head_wire`).
     """
     from repro.util.framing import MAX_FRAME, read_exact
@@ -152,22 +130,6 @@ def _decode_json_head(header: bytes) -> dict[str, Any]:
         raise FrameError(
             f"message header must be an object, got {type(fields).__name__}")
     return fields
-
-
-def decode_message(blob: bytes) -> tuple[dict[str, Any], bytes]:
-    """Decode one frame body into (fields, payload)."""
-    if len(blob) < _JSON_LEN.size:
-        raise FrameError(f"message of {len(blob)} bytes has no header")
-    (word,) = _JSON_LEN.unpack_from(blob)
-    header_len = word & ~_BINARY_TAG
-    header_end = _JSON_LEN.size + header_len
-    if len(blob) < header_end:
-        raise FrameError("message header extends past frame body")
-    if word & _BINARY_TAG:
-        fields = decode_binary_head(bytes(blob[_JSON_LEN.size:header_end]))
-    else:
-        fields = _decode_json_head(blob[_JSON_LEN.size:header_end])
-    return fields, blob[header_end:]
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +355,6 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
         raise FrameError(f"binary header is malformed: {exc}") from exc
 
 
-def command(cmd: str, payload: bytes = b"", **fields: Any) -> bytes:
-    """Encode an application-to-sentinel command message."""
-    if cmd not in COMMANDS:
-        raise ProtocolError(f"unknown command {cmd!r}")
-    return encode_message({"cmd": cmd, **fields}, payload)
-
-
-def ok_response(payload: bytes = b"", **fields: Any) -> bytes:
-    """Encode a success response."""
-    return encode_message({"ok": True, **fields}, payload)
-
-
 def error_fields(exc: BaseException) -> dict[str, Any]:
     """The header dict describing *exc* as a failure response."""
     return {
@@ -412,11 +362,6 @@ def error_fields(exc: BaseException) -> dict[str, Any]:
         "error": str(exc),
         "error_type": type(exc).__name__,
     }
-
-
-def error_response(exc: BaseException) -> bytes:
-    """Encode an exception as a failure response."""
-    return encode_message(error_fields(exc))
 
 
 def raise_for_response(fields: dict[str, Any]) -> None:
@@ -432,20 +377,6 @@ def raise_for_response(fields: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 # Multiplexing envelope
 # ---------------------------------------------------------------------------
-
-def request_envelope(rid: int, chan: int, fields: dict[str, Any],
-                     payload: bytes = b"") -> bytes:
-    """Encode a request message tagged with its ``rid``/``chan``."""
-    return encode_message({**fields, "rid": int(rid), "chan": int(chan)},
-                          payload)
-
-
-def reply_envelope(rid: int, chan: int, fields: dict[str, Any],
-                   payload: bytes = b"") -> bytes:
-    """Encode a reply to request ``rid`` on channel ``chan``."""
-    return encode_message({**fields, "rid": int(rid), "chan": int(chan),
-                           "re": True}, payload)
-
 
 def split_envelope(fields: dict[str, Any]) -> tuple[int, int, bool,
                                                     dict[str, Any]]:

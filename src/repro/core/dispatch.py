@@ -68,13 +68,7 @@ class SentinelDispatcher:
                 if budget_ms is not None else None
             return self._execute(cmd, fields, payload, reply_into)
         except Exception as exc:
-            return ({"ok": False, "error": str(exc),
-                     "error_type": type(exc).__name__}, b"")
-
-    def handle(self, fields: dict[str, Any], payload: bytes) -> bytes:
-        """Like :meth:`execute` but returns an encoded response frame body."""
-        out_fields, out_payload = self.execute(fields, payload)
-        return control.encode_message(out_fields, out_payload)
+            return control.error_fields(exc), b""
 
     def _execute(self, cmd: str, fields: dict[str, Any], payload: bytes,
                  reply_into: memoryview | None = None
@@ -190,7 +184,7 @@ class SentinelDispatcher:
                 self.ctx.data.close()
 
 
-class StreamDispatcher:
+class StreamDispatcher(SentinelDispatcher):
     """The simple process strategy (§4.1) served as channel commands.
 
     Instead of two free-running pump threads pushing raw bytes through
@@ -199,37 +193,27 @@ class StreamDispatcher:
     sentinel's generated stream, ``wstream`` feeds the sentinel's
     consumed stream.  Semantics are unchanged — reads are sequential,
     writes are sequential, no random access — but the transport is the
-    same framed Channel every other strategy uses.
+    same framed Channel every other strategy uses.  Failure replies and
+    the close lifecycle are the :class:`SentinelDispatcher`'s.
     """
 
     def __init__(self, sentinel: Sentinel, ctx: SentinelContext) -> None:
-        self.sentinel = sentinel
-        self.ctx = ctx
-        self.closed = False
+        super().__init__(sentinel, ctx)
         self._generator = None
         self._buffer = bytearray()
         self._generated_eof = False
         self._write_offset = 0
 
     def open(self) -> None:
-        self.sentinel.on_open(self.ctx)
+        super().open()
         self._generator = self.sentinel.generate(self.ctx)
 
-    def execute(self, fields: dict[str, Any], payload: bytes,
-                reply_into: memoryview | None = None
-                ) -> tuple[dict[str, Any], bytes]:
-        # ``reply_into`` is accepted for interface parity but unused:
-        # the stream commands carry cursor state, so they never travel
-        # the shared-memory fast path (see strategies/process.py).
-        cmd = fields.get("cmd", "")
-        try:
-            return self._execute(cmd, fields, payload)
-        except Exception as exc:
-            return ({"ok": False, "error": str(exc),
-                     "error_type": type(exc).__name__}, b"")
-
-    def _execute(self, cmd: str, fields: dict[str, Any],
-                 payload: bytes) -> tuple[dict[str, Any], bytes]:
+    def _execute(self, cmd: str, fields: dict[str, Any], payload: bytes,
+                 reply_into: memoryview | None = None
+                 ) -> tuple[dict[str, Any], bytes]:
+        # ``reply_into`` is never offered: the stream commands carry
+        # cursor state, so they never travel the shared-memory fast
+        # path (see strategies/process.py).
         if cmd == "rstream":
             size = int(fields.get("size", 0))
             while len(self._buffer) < size and not self._generated_eof:
@@ -251,20 +235,10 @@ class StreamDispatcher:
         raise ProtocolError(f"unknown stream command {cmd!r}")
 
     def close(self) -> None:
-        """Run close-side lifecycle exactly once."""
-        if self.closed:
-            return
-        self.closed = True
+        """Stop the generated stream, then run the close lifecycle."""
+        generator, self._generator = self._generator, None
         try:
-            if self._generator is not None:
-                self._generator.close()
+            if generator is not None:
+                generator.close()
         finally:
-            try:
-                self.sentinel.on_close(self.ctx)
-            finally:
-                try:
-                    release = getattr(self.sentinel, "_fanout_release", None)
-                    if release is not None:
-                        release(self.ctx)
-                finally:
-                    self.ctx.data.close()
+            super().close()

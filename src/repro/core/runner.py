@@ -54,12 +54,10 @@ from repro.core.channel import (
 )
 from repro.core.container import Container
 from repro.core.dispatch import SentinelDispatcher, StreamDispatcher
-from repro.core.fanout import domain_for
 from repro.core.netproxy import NetworkBridgeServer, ProxyNetwork
 from repro.core.policy import Deadline
-from repro.core.sentinel import SentinelContext
 from repro.core.shm import AttachedSegment, ShmPlane
-from repro.core.strategies.common import make_data_part
+from repro.core.strategies.common import make_context
 from repro.core.telemetry import TELEMETRY
 from repro.errors import ProtocolError, SentinelCrashedError, ShmError
 
@@ -180,23 +178,15 @@ class HostAgent:
         shm_ok = bool(shm_info) and self._attach_shm(shm_info)
         # Each open re-loads the container so concurrent sessions keep the
         # independent data-part state per-open children used to have;
-        # cross-open coordination stays on FileLock (shared=None).  This
+        # cross-open coordination stays on FileLock (shared=False).  This
         # child serves every open of its container, so it IS the
         # container's consistency domain: each open joins the shared
         # CoherenceDomain (leases, write fences, single-flight fills,
         # pub/sub fan-out).
         container = Container.load(self.container_path)
         sentinel = container.spec.instantiate()
-        ctx = SentinelContext(
-            path=str(container.path),
-            params=dict(container.spec.params),
-            data=make_data_part(container),
-            network=ProxyNetwork(self.channel) if self.use_network else None,
-            shared=None,
-            coherence=domain_for(self.container_path),
-            meta=dict(container.meta),
-            strategy=strategy,
-        )
+        network = ProxyNetwork(self.channel) if self.use_network else None
+        ctx = make_context(container, network, strategy, shared=False)
         dispatcher = dispatcher_class(sentinel, ctx)
         dispatcher.open()
         with self._lock:

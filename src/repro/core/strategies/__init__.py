@@ -1,9 +1,12 @@
 """The four active-file implementation strategies (paper §4).
 
-Each strategy module exposes ``open_session(container, network, path)``
-returning a :class:`~repro.core.strategies.base.Session`.  The registry
-here maps user-facing names (including the paper's DLL terminology) to
-modules.
+Each strategy module exposes ``open_session(container, network=None)``
+returning a :class:`~repro.core.strategies.base.Session`.  The thread
+and process-plus-control strategies share one client of the command
+vocabulary, :class:`~repro.core.strategies.common.CommandSession`, and
+differ only in the transport under it; the simple process strategy
+speaks the stream commands alone.  The registry here maps user-facing
+names (including the paper's DLL terminology) to modules.
 """
 
 from __future__ import annotations

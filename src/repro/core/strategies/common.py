@@ -1,7 +1,8 @@
 """Shared helpers for the strategy implementations.
 
-Context construction for every strategy, plus the session base class
-shared by the strategies whose sentinel lives behind a pooled host
+Context construction for every strategy, the command vocabulary every
+channel strategy speaks (:class:`CommandSession`), and the supervised
+transport of the strategies whose sentinel lives behind a pooled host
 connection (:class:`ChannelSession`).
 """
 
@@ -29,8 +30,8 @@ from repro.errors import (
     ShmError,
 )
 
-__all__ = ["make_data_part", "make_context", "ChannelSession",
-           "IDEMPOTENT_CMDS"]
+__all__ = ["make_data_part", "make_context", "CommandSession",
+           "ChannelSession", "IDEMPOTENT_CMDS"]
 
 #: Commands safe to re-issue after a crash or a lost frame: every one is
 #: expressed in absolute offsets (or touches no state), so executing it
@@ -47,8 +48,197 @@ _TRANSPORT_FAILURES = (ChannelClosedError, SentinelCrashError, OSError,
                        ValueError)
 
 
+class CommandSession(Session):
+    """The command vocabulary of the control channel (paper §4.2).
+
+    Every file operation becomes one or more ``(fields, payload)``
+    commands — ``read``, ``write``, ``readv``, ``size`` and the rest —
+    sent through :meth:`_op`.  This class is the single client of that
+    vocabulary; a subclass supplies only the transport by implementing
+    :meth:`_op`: the supervised host lease of :class:`ChannelSession`
+    (process-plus-control) or the in-process channel pair of the thread
+    strategy.
+    """
+
+    #: Transfers larger than this are split into several commands:
+    #: payloads travel one frame each, and the frame codec caps bodies
+    #: at 16 MiB.
+    READ_CHUNK = 4 * 1024 * 1024
+    WRITE_CHUNK = 4 * 1024 * 1024
+
+    #: A vectored batch is split so one exchange never exceeds this
+    #: many payload bytes.
+    VECTOR_CHUNK = 4 * 1024 * 1024
+
+    def _op(self, fields: dict[str, Any], payload: Any = b""
+            ) -> tuple[dict[str, Any], bytes]:
+        """One command round trip; raises the reply's typed error."""
+        raise NotImplementedError
+
+    # -- data plane ---------------------------------------------------------------
+
+    def read_at(self, offset: int, size: int) -> bytes:
+        pieces: list[bytes] = []
+        remaining = size
+        position = offset
+        while remaining > 0:
+            step = min(remaining, self.READ_CHUNK)
+            _, payload = self._op({"cmd": "read", "offset": position,
+                                   "size": step})
+            pieces.append(payload)
+            position += len(payload)
+            remaining -= step
+            if len(payload) < step:
+                break  # sentinel reported EOF
+        return b"".join(pieces)
+
+    def write_at(self, offset: int, data: bytes) -> int:
+        if len(data) <= self.WRITE_CHUNK:
+            fields, _ = self._op({"cmd": "write", "offset": offset}, data)
+            return int(fields["written"])
+        view = memoryview(data)
+        total = 0
+        while total < len(data):
+            chunk = view[total:total + self.WRITE_CHUNK]
+            fields, _ = self._op({"cmd": "write", "offset": offset + total},
+                                 chunk)
+            written = int(fields["written"])
+            total += written
+            if written < len(chunk):
+                break  # sentinel accepted a partial write
+        return total
+
+    def size(self) -> int:
+        fields, _ = self._op({"cmd": "size"})
+        return int(fields["size"])
+
+    def truncate(self, size: int) -> None:
+        self._op({"cmd": "truncate", "size": size})
+
+    def flush(self) -> None:
+        self._op({"cmd": "flush"})
+
+    def control(self, op: str, args: dict[str, Any] | None = None,
+                payload: bytes = b"") -> tuple[dict[str, Any], bytes]:
+        fields, out_payload = self._op(
+            {"cmd": "control", "op": op, "args": args or {}}, payload
+        )
+        fields.pop("ok", None)
+        return fields, out_payload
+
+    # -- vectored plane ------------------------------------------------------------
+
+    def read_multi(self, extents: list[tuple[int, int]]) -> list[bytes]:
+        """Fetch many extents per exchange with the ``readv`` command."""
+        out: list[bytes] = []
+        batch: list[list[int]] = []
+        pending = 0
+
+        def drain() -> None:
+            nonlocal pending
+            if not batch:
+                return
+            fields, payload = self._op({"cmd": "readv", "extents": batch})
+            sizes = fields["sizes"]
+            if len(sizes) == 1:
+                out.append(payload)  # the payload IS the extent: no copy
+            else:
+                view = memoryview(payload)
+                cursor = 0
+                for n in sizes:
+                    out.append(bytes(view[cursor:cursor + int(n)]))
+                    cursor += int(n)
+            batch.clear()
+            pending = 0
+
+        for offset, size in extents:
+            size = int(size)
+            if size > self.VECTOR_CHUNK:
+                drain()
+                out.append(self.read_at(int(offset), size))
+                continue
+            if pending + size > self.VECTOR_CHUNK:
+                drain()
+            batch.append([int(offset), size])
+            pending += size
+        drain()
+        return out
+
+    def write_extents(self, extents: list[tuple[int, bytes]]) -> list[int]:
+        """Push many extents per exchange with the ``writev`` command.
+
+        The extents' buffers are gathered straight onto the wire (each
+        is its own frame part) — a coalesced write-behind flush costs
+        one exchange and zero client-side concatenation.
+        """
+        out: list[int] = []
+        batch: list[tuple[int, Any]] = []
+        pending = 0
+
+        def drain() -> None:
+            nonlocal pending
+            if not batch:
+                return
+            fields, _ = self._op(
+                {"cmd": "writev",
+                 "extents": [[offset, len(data)] for offset, data in batch]},
+                tuple(data for _, data in batch))
+            out.extend(int(n) for n in fields["written"])
+            batch.clear()
+            pending = 0
+
+        for offset, data in extents:
+            if len(data) > self.VECTOR_CHUNK:
+                drain()
+                out.append(self.write_at(int(offset), data))
+                continue
+            if pending + len(data) > self.VECTOR_CHUNK:
+                drain()
+            batch.append((int(offset), data))
+            pending += len(data)
+        drain()
+        return out
+
+    # -- fan-out plane -------------------------------------------------------------
+
+    def publish(self, offset: int, data: bytes,
+                meta: "dict[str, Any] | None" = None) -> tuple[int, int]:
+        """Write *data* and fan it out to every peer open/subscriber.
+
+        Returns ``(written, seq)``.  Not idempotent (a replayed publish
+        would double-deliver to subscriber queues), so it is deliberately
+        outside the supervised-retry command set.
+        """
+        fields, _ = self._op({"cmd": "publish", "offset": int(offset),
+                              "meta": meta or {}}, bytes(data))
+        return int(fields["written"]), int(fields["seq"])
+
+    def subscribe(self, max_pending: int | None = None) -> int:
+        """Open a bounded update queue on the coherence domain."""
+        args: dict[str, Any] = {}
+        if max_pending is not None:
+            args["max_pending"] = int(max_pending)
+        fields, _ = self._op({"cmd": "subscribe", "args": args})
+        return int(fields["sub"])
+
+    def poll(self, sub: int, max_items: int = 64) -> list[dict[str, Any]]:
+        """Drain pending update records (oldest first) for *sub*."""
+        fields, _ = self._op({"cmd": "poll",
+                              "args": {"sub": int(sub),
+                                       "max_items": int(max_items)}})
+        return list(fields.get("updates") or [])
+
+    def unsubscribe(self, sub: int) -> None:
+        self._op({"cmd": "unsubscribe", "args": {"sub": int(sub)}})
+
+
 class ChannelSession(Session):
-    """Base for sessions that drive one logical channel on a host lease.
+    """Transport for sessions that drive one logical channel on a host lease.
+
+    It supplies the supervised :meth:`_op`, shared-memory staging, the
+    write journal and :meth:`close`; the command vocabulary itself comes
+    from :class:`CommandSession` (process-plus-control) or, for the
+    simple process strategy, is the stream plane alone.
 
     Operations are *pipelinable*: there is deliberately no per-session
     operation lock.  Ordering within the session is guaranteed by the
@@ -101,10 +291,6 @@ class ChannelSession(Session):
     def counters(self):
         """Shared transport counters of the host connection."""
         return self._lease.channel.counters
-
-    #: A vectored batch is split so one exchange never exceeds this
-    #: many payload bytes (the frame codec caps bodies at 16 MiB).
-    VECTOR_CHUNK = 4 * 1024 * 1024
 
     def _op(self, fields: dict[str, Any], payload: Any = b"",
             timeout: "float | Deadline | None" = None,
@@ -397,115 +583,6 @@ class ChannelSession(Session):
                 timeout=deadline.capped(policy.ATTEMPT_TIMEOUT))
             raise_for_response(reply)
 
-    # -- vectored plane ------------------------------------------------------------
-
-    def read_multi(self, extents: list[tuple[int, int]]) -> list[bytes]:
-        """Fetch many extents per exchange with the ``readv`` command."""
-        if not self.supports_random_access:
-            return super().read_multi(extents)
-        out: list[bytes] = []
-        batch: list[list[int]] = []
-        pending = 0
-
-        def drain() -> None:
-            nonlocal pending
-            if not batch:
-                return
-            fields, payload = self._op({"cmd": "readv", "extents": batch})
-            sizes = fields["sizes"]
-            if len(sizes) == 1:
-                out.append(payload)  # the payload IS the extent: no copy
-            else:
-                view = memoryview(payload)
-                cursor = 0
-                for n in sizes:
-                    out.append(bytes(view[cursor:cursor + int(n)]))
-                    cursor += int(n)
-            batch.clear()
-            pending = 0
-
-        for offset, size in extents:
-            size = int(size)
-            if size > self.VECTOR_CHUNK:
-                drain()
-                out.append(self.read_at(int(offset), size))
-                continue
-            if pending + size > self.VECTOR_CHUNK:
-                drain()
-            batch.append([int(offset), size])
-            pending += size
-        drain()
-        return out
-
-    def write_extents(self, extents: list[tuple[int, bytes]]) -> list[int]:
-        """Push many extents per exchange with the ``writev`` command.
-
-        The extents' buffers are gathered straight onto the wire (each
-        is its own frame part) — a coalesced write-behind flush costs
-        one exchange and zero client-side concatenation.
-        """
-        if not self.supports_random_access:
-            return super().write_extents(extents)
-        out: list[int] = []
-        batch: list[tuple[int, Any]] = []
-        pending = 0
-
-        def drain() -> None:
-            nonlocal pending
-            if not batch:
-                return
-            fields, _ = self._op(
-                {"cmd": "writev",
-                 "extents": [[offset, len(data)] for offset, data in batch]},
-                tuple(data for _, data in batch))
-            out.extend(int(n) for n in fields["written"])
-            batch.clear()
-            pending = 0
-
-        for offset, data in extents:
-            if len(data) > self.VECTOR_CHUNK:
-                drain()
-                out.append(self.write_at(int(offset), data))
-                continue
-            if pending + len(data) > self.VECTOR_CHUNK:
-                drain()
-            batch.append((int(offset), data))
-            pending += len(data)
-        drain()
-        return out
-
-    # -- fan-out plane -------------------------------------------------------------
-
-    def publish(self, offset: int, data: bytes,
-                meta: "dict[str, Any] | None" = None) -> tuple[int, int]:
-        """Write *data* and fan it out to every peer open/subscriber.
-
-        Returns ``(written, seq)``.  Not idempotent (a replayed publish
-        would double-deliver to subscriber queues), so it is deliberately
-        outside the supervised-retry command set.
-        """
-        fields, _ = self._op({"cmd": "publish", "offset": int(offset),
-                              "meta": meta or {}}, bytes(data))
-        return int(fields["written"]), int(fields["seq"])
-
-    def subscribe(self, max_pending: int | None = None) -> int:
-        """Open a bounded update queue on the coherence domain."""
-        args: dict[str, Any] = {}
-        if max_pending is not None:
-            args["max_pending"] = int(max_pending)
-        fields, _ = self._op({"cmd": "subscribe", "args": args})
-        return int(fields["sub"])
-
-    def poll(self, sub: int, max_items: int = 64) -> list[dict[str, Any]]:
-        """Drain pending update records (oldest first) for *sub*."""
-        fields, _ = self._op({"cmd": "poll",
-                              "args": {"sub": int(sub),
-                                       "max_items": int(max_items)}})
-        return list(fields.get("updates") or [])
-
-    def unsubscribe(self, sub: int) -> None:
-        self._op({"cmd": "unsubscribe", "args": {"sub": int(sub)}})
-
     def close(self) -> None:
         """Close the session without silently losing writes.
 
@@ -566,23 +643,22 @@ def make_data_part(container: Container) -> DataPart:
 
 
 def make_context(container: Container, network, strategy: str,
-                 with_shared: bool = True) -> SentinelContext:
-    """Build a per-open sentinel context for an in-process strategy.
+                 shared: bool = True) -> SentinelContext:
+    """Build a per-open sentinel context.
 
-    In-process opens of one container share both the legacy
-    ``SharedState`` dict and the container's process-wide
-    :class:`~repro.core.fanout.CoherenceDomain` — the same fabric a
-    pooled host child gives its channel sessions.
+    Every open joins the container's process-wide
+    :class:`~repro.core.fanout.CoherenceDomain`.  In-process opens
+    (*shared*) also share the legacy ``SharedState`` dict; a pooled
+    host child passes ``shared=False`` and keeps cross-open
+    coordination on ``FileLock``.
     """
-    shared = shared_state_for(container.path) if with_shared else None
-    coherence = domain_for(container.path) if with_shared else None
     return SentinelContext(
         path=str(container.path),
         params=dict(container.spec.params),
         data=make_data_part(container),
         network=network,
-        shared=shared,
-        coherence=coherence,
+        shared=shared_state_for(container.path) if shared else None,
+        coherence=domain_for(container.path),
         meta=dict(container.meta),
         strategy=strategy,
     )

@@ -17,18 +17,18 @@ interpreter and can keep multiple operations in flight concurrently.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.container import Container
 from repro.core.runner import HOST_POOL
-from repro.core.strategies.common import ChannelSession
+from repro.core.strategies.common import ChannelSession, CommandSession
 from repro.core.telemetry import TELEMETRY
 
 __all__ = ["ProcessControlSession", "open_session"]
 
 
-class ProcessControlSession(ChannelSession):
-    """Full-API session to a sentinel host over the multiplexed channel."""
+class ProcessControlSession(ChannelSession, CommandSession):
+    """Full-API session to a sentinel host over the multiplexed channel:
+    the :class:`CommandSession` vocabulary on the supervised
+    :class:`ChannelSession` transport."""
 
     strategy = "process-control"
 
@@ -36,29 +36,6 @@ class ProcessControlSession(ChannelSession):
     #: All four are absolute-offset and idempotent, so a rejected slot
     #: exchange retries inline without observable difference.
     SHM_CMDS = frozenset({"read", "write", "readv", "writev"})
-
-    #: Transfers larger than this are split into several commands:
-    #: payloads travel one frame each, and the frame codec caps bodies
-    #: at 16 MiB.
-    READ_CHUNK = 4 * 1024 * 1024
-    WRITE_CHUNK = 4 * 1024 * 1024
-
-    # -- data plane ---------------------------------------------------------------
-
-    def read_at(self, offset: int, size: int) -> bytes:
-        pieces: list[bytes] = []
-        remaining = size
-        position = offset
-        while remaining > 0:
-            step = min(remaining, self.READ_CHUNK)
-            _, payload = self._op({"cmd": "read", "offset": position,
-                                   "size": step})
-            pieces.append(payload)
-            position += len(payload)
-            remaining -= step
-            if len(payload) < step:
-                break  # sentinel reported EOF
-        return b"".join(pieces)
 
     def read_at_into(self, offset: int, buffer) -> int:
         """Read straight into *buffer*: with the shm plane armed the
@@ -76,40 +53,6 @@ class ProcessControlSession(ChannelSession):
             if count < step:
                 break  # sentinel reported EOF
         return filled
-
-    def write_at(self, offset: int, data: bytes) -> int:
-        if len(data) <= self.WRITE_CHUNK:
-            fields, _ = self._op({"cmd": "write", "offset": offset}, data)
-            return int(fields["written"])
-        view = memoryview(data)
-        total = 0
-        while total < len(data):
-            chunk = view[total:total + self.WRITE_CHUNK]
-            fields, _ = self._op({"cmd": "write", "offset": offset + total},
-                                 chunk)
-            written = int(fields["written"])
-            total += written
-            if written < len(chunk):
-                break  # sentinel accepted a partial write
-        return total
-
-    def size(self) -> int:
-        fields, _ = self._op({"cmd": "size"})
-        return int(fields["size"])
-
-    def truncate(self, size: int) -> None:
-        self._op({"cmd": "truncate", "size": size})
-
-    def flush(self) -> None:
-        self._op({"cmd": "flush"})
-
-    def control(self, op: str, args: dict[str, Any] | None = None,
-                payload: bytes = b"") -> tuple[dict[str, Any], bytes]:
-        fields, out_payload = self._op(
-            {"cmd": "control", "op": op, "args": args or {}}, payload
-        )
-        fields.pop("ok", None)
-        return fields, out_payload
 
 
 def open_session(container: Container,

@@ -29,8 +29,7 @@ from repro.core.container import Container
 from repro.core.control import raise_for_response
 from repro.core.dispatch import SentinelDispatcher
 from repro.core.policy import Deadline
-from repro.core.strategies.base import Session
-from repro.core.strategies.common import make_context
+from repro.core.strategies.common import CommandSession, make_context
 from repro.core.telemetry import TELEMETRY
 from repro.errors import ChannelClosedError, SentinelCrashError, SessionCloseError
 from repro.util.naming import monotonic_name
@@ -41,8 +40,9 @@ __all__ = ["ThreadSession", "open_session", "SESSION_CHAN"]
 SESSION_CHAN = FIRST_SESSION_CHAN
 
 
-class ThreadSession(Session):
-    """Application-side session talking to the injected sentinel thread."""
+class ThreadSession(CommandSession):
+    """Application-side session talking to the injected sentinel thread:
+    the :class:`CommandSession` vocabulary over an in-memory channel."""
 
     strategy = "thread"
 
@@ -61,13 +61,14 @@ class ThreadSession(Session):
         """Transport counters — same instrumentation as the wire strategies."""
         return self._app_end.counters
 
-    def _roundtrip(self, fields: dict[str, Any], payload: Any = b"",
-                   timeout: "float | Deadline | None" = None
-                   ) -> tuple[dict[str, Any], bytes]:
-        deadline = Deadline.coerce(timeout, policy.DEFAULT_OP_TIMEOUT)
+    def _op(self, fields: dict[str, Any], payload: Any = b""
+            ) -> tuple[dict[str, Any], bytes]:
+        """One command round trip; a dead or wedged sentinel thread
+        surfaces as :class:`SentinelCrashError`."""
         try:
             out_fields, out_payload = self._app_end.request(
-                SESSION_CHAN, fields, payload, timeout=deadline)
+                SESSION_CHAN, fields, payload,
+                timeout=Deadline.after(policy.DEFAULT_OP_TIMEOUT))
         except ChannelClosedError as exc:
             raise SentinelCrashError(
                 f"sentinel thread terminated: {exc}") from exc
@@ -76,86 +77,6 @@ class ThreadSession(Session):
                 f"sentinel thread unresponsive: {exc}") from exc
         raise_for_response(out_fields)
         return out_fields, out_payload
-
-    # -- data plane ---------------------------------------------------------------
-
-    def read_at(self, offset: int, size: int) -> bytes:
-        _, payload = self._roundtrip({"cmd": "read", "offset": offset,
-                                      "size": size})
-        return payload
-
-    def write_at(self, offset: int, data: bytes) -> int:
-        fields, _ = self._roundtrip({"cmd": "write", "offset": offset}, data)
-        return int(fields["written"])
-
-    def read_multi(self, extents: list[tuple[int, int]]) -> list[bytes]:
-        """One ``readv`` round trip for the whole batch."""
-        if not extents:
-            return []
-        fields, payload = self._roundtrip(
-            {"cmd": "readv",
-             "extents": [[int(o), int(s)] for o, s in extents]})
-        sizes = fields["sizes"]
-        if len(sizes) == 1:
-            return [payload]
-        view = memoryview(payload)
-        out: list[bytes] = []
-        cursor = 0
-        for n in sizes:
-            out.append(bytes(view[cursor:cursor + int(n)]))
-            cursor += int(n)
-        return out
-
-    def write_extents(self, extents: list[tuple[int, bytes]]) -> list[int]:
-        """One ``writev`` round trip for the whole batch."""
-        if not extents:
-            return []
-        fields, _ = self._roundtrip(
-            {"cmd": "writev",
-             "extents": [[int(o), len(d)] for o, d in extents]},
-            tuple(data for _, data in extents))
-        return [int(n) for n in fields["written"]]
-
-    def size(self) -> int:
-        fields, _ = self._roundtrip({"cmd": "size"})
-        return int(fields["size"])
-
-    def truncate(self, size: int) -> None:
-        self._roundtrip({"cmd": "truncate", "size": size})
-
-    def flush(self) -> None:
-        self._roundtrip({"cmd": "flush"})
-
-    def control(self, op: str, args: dict[str, Any] | None = None,
-                payload: bytes = b"") -> tuple[dict[str, Any], bytes]:
-        fields, out_payload = self._roundtrip(
-            {"cmd": "control", "op": op, "args": args or {}}, payload)
-        fields.pop("ok", None)
-        return fields, out_payload
-
-    # -- fan-out plane -------------------------------------------------------------
-
-    def publish(self, offset: int, data: bytes,
-                meta: "dict[str, Any] | None" = None) -> tuple[int, int]:
-        fields, _ = self._roundtrip({"cmd": "publish", "offset": int(offset),
-                                     "meta": meta or {}}, bytes(data))
-        return int(fields["written"]), int(fields["seq"])
-
-    def subscribe(self, max_pending: int | None = None) -> int:
-        args: dict[str, Any] = {}
-        if max_pending is not None:
-            args["max_pending"] = int(max_pending)
-        fields, _ = self._roundtrip({"cmd": "subscribe", "args": args})
-        return int(fields["sub"])
-
-    def poll(self, sub: int, max_items: int = 64) -> list[dict[str, Any]]:
-        fields, _ = self._roundtrip(
-            {"cmd": "poll", "args": {"sub": int(sub),
-                                     "max_items": int(max_items)}})
-        return list(fields.get("updates") or [])
-
-    def unsubscribe(self, sub: int) -> None:
-        self._roundtrip({"cmd": "unsubscribe", "args": {"sub": int(sub)}})
 
     # -- lifecycle ----------------------------------------------------------------
 

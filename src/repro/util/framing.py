@@ -4,20 +4,20 @@ The two process-based strategies talk to the sentinel child over OS
 pipes.  Pipes are byte streams, so commands and payloads are delimited
 with a 4-byte big-endian length prefix.  A maximum frame size guards the
 receiver against a corrupt or adversarial peer allocating unbounded
-memory.
+memory.  Frames are read back by
+:func:`repro.core.control.read_wire_message`, which parses the length
+prefix together with the message header.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-import threading
 from typing import BinaryIO
 
 from repro.errors import ChannelClosedError, FrameError
 
-__all__ = ["read_exact", "readinto_exact", "write_frame", "read_frame",
-           "MAX_FRAME"]
+__all__ = ["read_exact", "write_frame", "MAX_FRAME"]
 
 _LEN = struct.Struct(">I")
 
@@ -86,63 +86,3 @@ def write_frame(stream: BinaryIO, payload: bytes | memoryview,
     # a second no-op method call per frame.
     if isinstance(stream, io.BufferedIOBase):
         stream.flush()
-
-
-def readinto_exact(stream: BinaryIO, view: memoryview) -> None:
-    """Fill *view* completely from *stream* or raise.
-
-    The ``readinto`` sibling of :func:`read_exact`: bytes land directly
-    in the caller's buffer, so a frame body costs no chunk list and no
-    join copy.
-    """
-    total = len(view)
-    filled = 0
-    readinto = getattr(stream, "readinto", None)
-    if readinto is None:
-        view[:] = read_exact(stream, total)
-        return
-    while filled < total:
-        got = readinto(view[filled:])
-        if not got:
-            raise ChannelClosedError(
-                f"stream closed with {total - filled} of {total} "
-                f"bytes outstanding")
-        filled += got
-
-
-#: A small pool of reusable frame-body buffers.  Steady-state framed
-#: traffic reads every body into a recycled ``bytearray`` instead of
-#: allocating a fresh one per frame.
-_POOL_LOCK = threading.Lock()
-_BUFFER_POOL: list[bytearray] = []
-_POOL_DEPTH = 4
-
-
-def read_frame(stream: BinaryIO) -> bytes:
-    """Read one length-prefixed frame.
-
-    Raises :class:`ChannelClosedError` on clean EOF at a frame boundary as
-    well — callers that want to treat clean EOF differently should catch
-    it and inspect the message.
-    """
-    header = stream.read(_LEN.size)
-    if not header:
-        raise ChannelClosedError("stream closed at frame boundary")
-    if len(header) < _LEN.size:
-        header += read_exact(stream, _LEN.size - len(header))
-    (size,) = _LEN.unpack(header)
-    if size > MAX_FRAME:
-        raise FrameError(f"incoming frame of {size} bytes exceeds MAX_FRAME")
-    with _POOL_LOCK:
-        buffer = _BUFFER_POOL.pop() if _BUFFER_POOL else bytearray()
-    if len(buffer) < size:
-        buffer.extend(bytes(size - len(buffer)))
-    view = memoryview(buffer)
-    try:
-        readinto_exact(stream, view[:size])
-        return bytes(view[:size])
-    finally:
-        view.release()
-        with _POOL_LOCK:
-            if len(_BUFFER_POOL) < _POOL_DEPTH:
-                _BUFFER_POOL.append(buffer)

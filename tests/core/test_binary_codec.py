@@ -30,6 +30,14 @@ def roundtrip(fields):
     return control.decode_binary_head(wire[4:])
 
 
+def wire_message(head, payload=b""):
+    """Frame *head* + *payload* and read it back with the wire reader."""
+    buf = io.BytesIO()
+    framing.write_frame(buf, head, payload)
+    buf.seek(0)
+    return control.read_wire_message(buf)
+
+
 HOT_HEADERS = [
     {"cmd": "read", "offset": 0, "size": 4096, "rid": 1, "chan": 2},
     {"cmd": "read", "offset": 2**40, "size": 2**63, "rid": 2**64 - 1,
@@ -72,13 +80,7 @@ class TestRoundTrip:
         fields = {"cmd": "read", "offset": 10, "size": 20,
                   "rid": 3, "chan": 9}
         head = control.encode_head_wire(fields)
-        payload = b"xyz"
-        buf = io.BytesIO()
-        framing.write_frame(buf, head, payload)
-        buf.seek(0)
-        got_fields, got_payload = control.read_wire_message(buf)
-        assert got_fields == fields
-        assert got_payload == payload
+        assert wire_message(head, b"xyz") == (fields, b"xyz")
 
     @settings(max_examples=60, deadline=None)
     @given(size=U64, rid=U64, chan=U32,
@@ -104,10 +106,10 @@ class TestRoundTrip:
 
     def test_decode_message_handles_both_encodings(self):
         fields = {"ok": True, "written": 5, "re": True, "rid": 1, "chan": 2}
-        binary = control.encode_head_wire(fields) + b"pp"
-        json_blob = control.encode_message(fields, b"pp")
-        assert control.decode_message(binary) == (fields, b"pp")
-        assert control.decode_message(json_blob) == (fields, b"pp")
+        binary = control.encode_head_wire(fields)
+        assert binary is not None
+        for head in (binary, control.encode_head(fields)):
+            assert wire_message(head, b"pp") == (fields, b"pp")
 
     @settings(max_examples=100, deadline=None)
     @given(offset=U64, size=U64, rid=U64, chan=U32,
@@ -155,8 +157,7 @@ class TestFallback:
     def test_cold_headers_fall_back(self, fields):
         assert control.encode_head_wire(fields) is None
         # ...and the JSON path still carries them verbatim.
-        blob = control.encode_message(fields, b"")
-        assert control.decode_message(blob) == (fields, b"")
+        assert wire_message(control.encode_head(fields)) == (fields, b"")
 
     def test_encode_never_mutates_its_input(self):
         fields = {"cmd": "read", "offset": 1, "size": 2, "rid": 1, "chan": 1,

@@ -1,10 +1,11 @@
 """Tests for the multiplexed Channel transport.
 
-Covers the extended codec (the ``rid``/``chan`` envelope) with
-hypothesis property tests, and the demultiplexer's routing of
+Covers the envelope (``rid``/``chan``) as a StreamChannel writes it
+and reads it back, with hypothesis property tests, and the demultiplexer's routing of
 interleaved responses under concurrent requests.
 """
 
+import io
 import os
 import sys
 import threading
@@ -39,13 +40,23 @@ _fields = st.dictionaries(
     _scalars, max_size=6)
 
 
+def sent_frame(send):
+    """Capture what a StreamChannel writes in *send* and decode it with
+    the reader every channel runs."""
+    buf = io.BytesIO()
+    send(StreamChannel(io.BytesIO(), buf))
+    buf.seek(0)
+    return control.read_wire_message(buf)
+
+
 class TestEnvelopeCodec:
     @given(st.integers(min_value=0, max_value=2**31),
            st.integers(min_value=0, max_value=2**16),
            _fields, st.binary(max_size=256))
     def test_request_envelope_roundtrip(self, rid, chan, fields, payload):
-        blob = control.request_envelope(rid, chan, fields, payload)
-        decoded_fields, decoded_payload = control.decode_message(blob)
+        decoded_fields, decoded_payload = sent_frame(
+            lambda ch: ch._send({**fields, "rid": rid, "chan": chan},
+                                (payload,)))
         out_rid, out_chan, is_reply, rest = control.split_envelope(
             decoded_fields)
         assert (out_rid, out_chan, is_reply) == (rid, chan, False)
@@ -56,8 +67,8 @@ class TestEnvelopeCodec:
            st.integers(min_value=0, max_value=2**16),
            _fields, st.binary(max_size=256))
     def test_reply_envelope_roundtrip(self, rid, chan, fields, payload):
-        blob = control.reply_envelope(rid, chan, fields, payload)
-        decoded_fields, decoded_payload = control.decode_message(blob)
+        decoded_fields, decoded_payload = sent_frame(
+            lambda ch: ch._send_reply(rid, chan, fields, payload))
         out_rid, out_chan, is_reply, rest = control.split_envelope(
             decoded_fields)
         assert (out_rid, out_chan, is_reply) == (rid, chan, True)

@@ -1,10 +1,13 @@
 """Tests for the control protocol codec and the dispatcher."""
 
+import io
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import control
-from repro.core.dispatch import SentinelDispatcher
+from repro.core.dispatch import SentinelDispatcher, StreamDispatcher
 from repro.core.sentinel import Sentinel, SentinelContext
 from repro.errors import (
     FrameError,
@@ -12,74 +15,76 @@ from repro.errors import (
     SentinelError,
     UnsupportedOperationError,
 )
+from repro.util.framing import write_frame
+
+
+def wire(fields, payload=b""):
+    """Send *fields* + *payload* the way a channel does, read them back."""
+    head = control.encode_head_wire(fields) or control.encode_head(fields)
+    stream = io.BytesIO()
+    write_frame(stream, head, payload)
+    stream.seek(0)
+    return control.read_wire_message(stream)
+
+
+def frame(body):
+    """*body* as one length-prefixed frame, followed by a second frame
+    so the reader's prefix read never runs dry."""
+    stream = io.BytesIO()
+    write_frame(stream, body)
+    write_frame(stream, control.encode_head({}))
+    return io.BytesIO(stream.getvalue())
 
 
 class TestCodec:
     def test_roundtrip(self):
-        blob = control.encode_message({"cmd": "read", "n": 5}, b"payload")
-        fields, payload = control.decode_message(blob)
+        fields, payload = wire({"cmd": "read", "n": 5}, b"payload")
         assert fields == {"cmd": "read", "n": 5}
         assert payload == b"payload"
 
     def test_empty_payload(self):
-        fields, payload = control.decode_message(control.encode_message({"a": 1}))
-        assert (fields, payload) == ({"a": 1}, b"")
+        assert wire({"a": 1}) == ({"a": 1}, b"")
 
     def test_unencodable_fields(self):
         with pytest.raises(FrameError):
-            control.encode_message({"bad": object()})
+            control.encode_head({"bad": object()})
 
     def test_decode_too_short(self):
         with pytest.raises(FrameError):
-            control.decode_message(b"\x00")
+            control.read_wire_message(frame(b"\x00"))
 
     def test_decode_header_overruns(self):
         with pytest.raises(FrameError):
-            control.decode_message(b"\x00\x00\x00\xff{}")
+            control.read_wire_message(frame(b"\x00\x00\x00\xff{}"))
 
     def test_decode_header_not_json(self):
-        blob = (7).to_bytes(4, "big") + b"nopenop"
         with pytest.raises(FrameError):
-            control.decode_message(blob)
+            control.read_wire_message(
+                frame((7).to_bytes(4, "big") + b"nopenop"))
 
     def test_decode_header_not_object(self):
-        import json
-
         body = json.dumps([1, 2]).encode()
-        blob = len(body).to_bytes(4, "big") + body
         with pytest.raises(FrameError):
-            control.decode_message(blob)
-
-    def test_command_validates_name(self):
-        with pytest.raises(ProtocolError):
-            control.command("explode")
-
-    def test_known_commands_encode(self):
-        for cmd in control.COMMANDS:
-            fields, _ = control.decode_message(control.command(cmd))
-            assert fields["cmd"] == cmd
+            control.read_wire_message(
+                frame(len(body).to_bytes(4, "big") + body))
 
     @given(st.dictionaries(st.text(min_size=1, max_size=8),
                            st.integers() | st.text(max_size=16), max_size=6),
            st.binary(max_size=256))
     def test_property_roundtrip(self, fields, payload):
-        out_fields, out_payload = control.decode_message(
-            control.encode_message(fields, payload)
-        )
+        out_fields, out_payload = wire(fields, payload)
         assert out_fields == fields
         assert out_payload == payload
 
 
 class TestResponses:
     def test_ok_response(self):
-        fields, payload = control.decode_message(control.ok_response(b"d", x=1))
-        assert fields == {"ok": True, "x": 1}
+        fields, payload = wire({"ok": True, "x": 1}, b"d")
+        assert (fields, payload) == ({"ok": True, "x": 1}, b"d")
         control.raise_for_response(fields)  # no raise
 
     def test_error_response_roundtrips_type(self):
-        fields, _ = control.decode_message(
-            control.error_response(UnsupportedOperationError("nope"))
-        )
+        fields, _ = wire(control.error_fields(UnsupportedOperationError("nope")))
         with pytest.raises(UnsupportedOperationError, match="nope"):
             control.raise_for_response(fields)
 
@@ -98,9 +103,9 @@ class TestResponses:
         assert "StrategyError" in registry
         assert "FrameError" in registry
         for name, exc_class in registry.items():
-            fields, _ = control.decode_message(
-                control.error_response(exc_class(f"boom via {name}"))
-            )
+            fields, _ = wire({**control.error_fields(
+                exc_class(f"boom via {name}")), "re": True, "rid": 1,
+                "chan": 2})
             with pytest.raises(exc_class, match=f"boom via {name}"):
                 control.raise_for_response(fields)
 
@@ -180,7 +185,64 @@ class TestDispatcher:
         dispatcher.close()
         assert dispatcher.sentinel.closes == 1
 
-    def test_handle_encodes(self, dispatcher):
-        blob = dispatcher.handle({"cmd": "size"}, b"")
-        fields, _ = control.decode_message(blob)
-        assert fields["size"] == 10
+
+class TestStreamDispatcher:
+    """The stream plane shares the failure reply and close lifecycle."""
+
+    class Recorder(Sentinel):
+        def __init__(self, events):
+            super().__init__()
+            self.events = events
+
+        def generate(self, ctx):
+            try:
+                yield b"abc"
+                yield b"def"
+            finally:
+                self.events.append("generator")
+
+        def on_close(self, ctx):
+            self.events.append("on_close")
+
+        def _fanout_release(self, ctx):
+            self.events.append("fanout_release")
+
+    @pytest.fixture
+    def events(self):
+        return []
+
+    @pytest.fixture
+    def dispatcher(self, events):
+        ctx = SentinelContext()
+        close_data = ctx.data.close
+
+        def data_close():
+            events.append("data_close")
+            close_data()
+
+        ctx.data.close = data_close
+        dispatcher = StreamDispatcher(self.Recorder(events), ctx)
+        dispatcher.open()
+        return dispatcher
+
+    def test_stream_commands(self, dispatcher):
+        assert dispatcher.execute({"cmd": "rstream", "size": 4}, b"") \
+            == ({"ok": True, "eof": False}, b"abcd")
+        assert dispatcher.execute({"cmd": "rstream", "size": 9}, b"") \
+            == ({"ok": True, "eof": True}, b"ef")
+        fields, _ = dispatcher.execute({"cmd": "wstream"}, b"xy")
+        assert fields == {"ok": True, "written": 2}
+
+    def test_failure_reply_is_error_fields(self, dispatcher):
+        fields, payload = dispatcher.execute({"cmd": "read", "offset": 0,
+                                              "size": 1}, b"")
+        assert fields == control.error_fields(
+            ProtocolError("unknown stream command 'read'"))
+        assert payload == b""
+
+    def test_close_lifecycle_runs_once_in_order(self, dispatcher, events):
+        dispatcher.execute({"cmd": "rstream", "size": 1}, b"")
+        assert dispatcher.execute({"cmd": "close"}, b"") == ({"ok": True}, b"")
+        dispatcher.close()
+        assert events == ["generator", "on_close", "fanout_release",
+                          "data_close"]

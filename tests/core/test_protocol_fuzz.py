@@ -4,12 +4,15 @@ The dispatch loop must never die, whatever garbage arrives — one bad
 operation cannot take the file down (and in the child-process runner, a
 dead loop would strand the application)."""
 
+import io
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.control import decode_message, encode_message
+from repro.core.control import encode_head, encode_head_wire, read_wire_message
 from repro.core.dispatch import SentinelDispatcher
 from repro.core.sentinel import Sentinel, SentinelContext
-from repro.errors import FrameError
+from repro.errors import ChannelClosedError, FrameError
+from repro.util.framing import write_frame
 
 # arbitrary JSON-able field dictionaries
 json_values = st.recursive(
@@ -55,37 +58,47 @@ class TestDispatcherNeverDies:
         assert ok_fields["ok"] is True
 
 
+def wire_frame(head, payload=b""):
+    """The bytes a channel writes for one message with header *head*."""
+    stream = io.BytesIO()
+    write_frame(stream, head, payload)
+    return stream.getvalue()
+
+
+def decode_or_fail_cleanly(blob):
+    """Run the live decoder over *blob*; only the sanctioned failures —
+    a malformed frame or EOF mid-frame — may escape."""
+    try:
+        fields, payload = read_wire_message(io.BytesIO(blob))
+    except (FrameError, ChannelClosedError):
+        return
+    assert isinstance(fields, dict)
+    assert isinstance(payload, bytes)
+
+
 class TestCodecFuzz:
+    """Fuzz :func:`read_wire_message`, the decoder every channel runs."""
+
     @settings(max_examples=300, deadline=None)
     @given(blob=st.binary(max_size=256))
     def test_decode_never_crashes_unexpectedly(self, blob):
-        try:
-            fields, payload = decode_message(blob)
-        except FrameError:
-            return  # the one sanctioned failure mode
-        assert isinstance(fields, dict)
-        assert isinstance(payload, bytes)
+        decode_or_fail_cleanly(blob)
 
     @settings(max_examples=200, deadline=None)
     @given(fields=field_dicts, payload=st.binary(max_size=128))
     def test_encode_decode_roundtrip_arbitrary_json(self, fields, payload):
-        out_fields, out_payload = decode_message(
-            encode_message(fields, payload))
+        out_fields, out_payload = read_wire_message(
+            io.BytesIO(wire_frame(encode_head(fields), payload)))
         assert out_fields == fields
         assert out_payload == payload
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(blob=st.binary(min_size=1, max_size=128),
-           flip=st.integers(0, 127))
-    def test_bitflipped_valid_frames_fail_cleanly(self, blob, flip):
-        valid = encode_message({"cmd": "read", "offset": 0, "size": 4},
-                               blob)
-        corrupted = bytearray(valid)
+           flip=st.integers(0, 2**16), binary=st.booleans())
+    def test_bitflipped_valid_frames_fail_cleanly(self, blob, flip, binary):
+        fields = {"cmd": "read", "offset": 0, "size": 4, "rid": 7,
+                  "chan": 2}
+        head = encode_head_wire(fields) if binary else encode_head(fields)
+        corrupted = bytearray(wire_frame(head, blob))
         corrupted[flip % len(corrupted)] ^= 0xFF
-        try:
-            fields, payload = decode_message(bytes(corrupted))
-        except FrameError:
-            return
-        # if it still parsed, it must be structurally sound
-        assert isinstance(fields, dict)
-        assert isinstance(payload, bytes)
+        decode_or_fail_cleanly(bytes(corrupted))

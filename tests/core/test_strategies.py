@@ -138,6 +138,21 @@ class TestProcessStrategyLimits:
             with pytest.raises(UnsupportedOperationError):
                 stream.control("anything")
 
+    @pytest.mark.parametrize("call", [
+        lambda session: session.publish(0, b"x"),
+        lambda session: session.subscribe(),
+        lambda session: session.poll(1),
+        lambda session: session.unsubscribe(1),
+    ], ids=["publish", "subscribe", "poll", "unsubscribe"])
+    def test_fanout_rejected_without_a_round_trip(self, make_active, call):
+        path = make_active(NULL, data=b"abc")
+        with open_active(path, "rb", strategy="process") as stream:
+            counters = stream.session.counters
+            sent = counters.requests_sent
+            with pytest.raises(UnsupportedOperationError):
+                call(stream.session)
+            assert counters.requests_sent == sent
+
     def test_w_mode_rejected(self, make_active):
         path = make_active(NULL, data=b"abc")
         with pytest.raises(StrategyError):

@@ -7,9 +7,11 @@ control channel, so the wire paths (thread, process-control) and the
 inline path (inproc) stay interchangeable.
 """
 
+import random
+
 import pytest
 
-from repro.core import open_active
+from repro.core import Container, open_active
 from repro.errors import UnsupportedOperationError
 from tests.conftest import CONTROL_STRATEGIES
 
@@ -53,6 +55,45 @@ class TestScatterGather:
         with open_active(path, "rb", strategy=strategy) as stream:
             parts = stream.read_scatter([4096] * 4)
             assert b"".join(parts) == body
+
+        # Every channel session splits exchanges at 4 MiB (READ_CHUNK,
+        # WRITE_CHUNK, VECTOR_CHUNK); the split must be invisible.
+        mib = 1024 * 1024
+        # Aperiodic bytes: a chunk landing at the wrong offset shows.
+        body = random.Random(9).randbytes(9 * mib)
+        path = make_active(NULL, data=body)
+        with open_active(path, "r+b", strategy=strategy) as stream:
+            # A scatter batch of 5 MiB spread over many extents.
+            sizes = [mib + 1] * 5
+            assert stream.read_scatter(sizes) == [
+                body[i * (mib + 1):(i + 1) * (mib + 1)] for i in range(5)]
+            # One extent larger than a whole batch, between small ones.
+            stream.seek(5)
+            assert stream.read_scatter([4096, 4 * mib + 7, 100]) == [
+                body[5:4101], body[4101:4101 + 4 * mib + 7],
+                body[4101 + 4 * mib + 7:4201 + 4 * mib + 7]]
+            # A plain read over 4 MiB.
+            stream.seek(3)
+            assert stream.read(4 * mib + 4096) == body[3:3 + 4 * mib + 4096]
+
+            new = bytes(reversed(body))
+            expected = bytearray(body)
+            # A gather batch of 5 MiB, then one extent over 4 MiB.
+            stream.seek(0)
+            parts = [new[i * (mib + 1):(i + 1) * (mib + 1)] for i in range(5)]
+            assert stream.write_gather(parts) == 5 * (mib + 1)
+            expected[:5 * (mib + 1)] = new[:5 * (mib + 1)]
+            stream.seek(mib)
+            assert stream.write_gather([new[:4 * mib + 9], b"tail"]) \
+                == 4 * mib + 13
+            expected[mib:5 * mib + 13] = new[:4 * mib + 9] + b"tail"
+            # A plain write over 4 MiB.
+            stream.seek(2)
+            assert stream.write(new[7:7 + 4 * mib + 3]) == 4 * mib + 3
+            expected[2:4 * mib + 5] = new[7:7 + 4 * mib + 3]
+            stream.seek(0)
+            assert stream.read() == bytes(expected)
+        assert Container.load(path).data == bytes(expected)
 
     def test_vectored_stats_count_per_buffer(self, make_active, strategy):
         path = make_active(NULL, data=b"x" * 12)

@@ -5,8 +5,9 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.control import encode_head, read_wire_message
 from repro.errors import ChannelClosedError, FrameError
-from repro.util.framing import MAX_FRAME, read_exact, read_frame, write_frame
+from repro.util.framing import MAX_FRAME, read_exact, write_frame
 
 
 class TestReadExact:
@@ -39,49 +40,67 @@ class TestReadExact:
         assert read_exact(Dribble(b"hello"), 5) == b"hello"
 
 
+def frame_bodies(stream, count):
+    """Read *count* frame bodies back with the length word + read_exact."""
+    bodies = []
+    for _ in range(count):
+        size = int.from_bytes(read_exact(stream, 4), "big")
+        bodies.append(read_exact(stream, size))
+    return bodies
+
+
+def message_frame(fields, payload=b""):
+    """One control message (JSON header + payload) as write_frame writes it."""
+    stream = io.BytesIO()
+    write_frame(stream, encode_head(fields), payload)
+    return stream.getvalue()
+
+
 class TestFrames:
     def test_roundtrip(self):
         stream = io.BytesIO()
         write_frame(stream, b"payload")
         stream.seek(0)
-        assert read_frame(stream) == b"payload"
+        assert frame_bodies(stream, 1) == [b"payload"]
+        stream = io.BytesIO(message_frame({"cmd": "read"}, b"payload"))
+        assert read_wire_message(stream) == ({"cmd": "read"}, b"payload")
 
     def test_empty_frame(self):
         stream = io.BytesIO()
         write_frame(stream, b"")
         stream.seek(0)
-        assert read_frame(stream) == b""
+        assert frame_bodies(stream, 1) == [b""]
+        assert stream.read() == b""
 
     def test_multiple_frames_in_order(self):
         stream = io.BytesIO()
         for body in (b"one", b"two", b"three"):
-            write_frame(stream, body)
+            write_frame(stream, encode_head({}), body)
         stream.seek(0)
-        assert [read_frame(stream) for _ in range(3)] == [b"one", b"two", b"three"]
+        assert [read_wire_message(stream)[1] for _ in range(3)] \
+            == [b"one", b"two", b"three"]
 
     def test_eof_at_boundary_raises_channel_closed(self):
         with pytest.raises(ChannelClosedError):
-            read_frame(io.BytesIO(b""))
+            read_wire_message(io.BytesIO(b""))
 
     def test_truncated_header_raises(self):
         with pytest.raises(ChannelClosedError):
-            read_frame(io.BytesIO(b"\x00\x00"))
+            read_wire_message(io.BytesIO(b"\x00\x00"))
 
     def test_truncated_body_raises(self):
-        stream = io.BytesIO()
-        write_frame(stream, b"abcdef")
-        truncated = io.BytesIO(stream.getvalue()[:-3])
+        blob = message_frame({"cmd": "write"}, b"abcdef")
         with pytest.raises(ChannelClosedError):
-            read_frame(truncated)
+            read_wire_message(io.BytesIO(blob[:-3]))
 
     def test_oversize_outgoing_rejected(self):
         with pytest.raises(FrameError):
             write_frame(io.BytesIO(), b"x" * (MAX_FRAME + 1))
 
     def test_oversize_incoming_rejected(self):
-        header = (MAX_FRAME + 1).to_bytes(4, "big")
+        header = (MAX_FRAME + 1).to_bytes(4, "big") + bytes(4)
         with pytest.raises(FrameError):
-            read_frame(io.BytesIO(header))
+            read_wire_message(io.BytesIO(header))
 
     @given(st.lists(st.binary(max_size=512), min_size=1, max_size=20))
     def test_property_roundtrip_sequences(self, bodies):
@@ -89,4 +108,8 @@ class TestFrames:
         for body in bodies:
             write_frame(stream, body)
         stream.seek(0)
-        assert [read_frame(stream) for _ in bodies] == bodies
+        assert frame_bodies(stream, len(bodies)) == bodies
+        stream = io.BytesIO(b"".join(message_frame({"n": i}, body)
+                                     for i, body in enumerate(bodies)))
+        assert [read_wire_message(stream) for _ in bodies] \
+            == [({"n": i}, body) for i, body in enumerate(bodies)]
