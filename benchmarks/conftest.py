@@ -22,7 +22,7 @@ BENCH_CACHE_RESULT_KEYS = {
                                  "p50_us", "p95_us"),
     "read_pipelined": ("elapsed_s", "ops", "ops_per_s", "p50_us", "p95_us",
                        "readahead", "prefetch_issued", "prefetch_used",
-                       "speedup"),
+                       "origin_requests", "speedup"),
     "write_through": ("elapsed_s", "ops", "ops_per_s", "p50_us", "p95_us"),
     "write_behind": ("elapsed_s", "ops", "ops_per_s", "p50_us", "p95_us",
                      "writeback_bytes", "coalesced_flushes"),

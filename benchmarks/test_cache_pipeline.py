@@ -9,7 +9,8 @@ multiplexed-channel stack, bridge included.
 
 * read-ahead: a sequential 1 MiB scan in 4 KiB reads with a 32-block
   prefetch window must beat the same scan with one synchronous origin
-  exchange per block by >= 3x.
+  exchange per block by >= 3x, and must fetch a full window per origin
+  exchange (at most ``NBLOCKS // READAHEAD + 6`` exchanges).
 * write-behind: writing 1 MiB in 4 KiB chunks with coalesced flushing
   must beat write-through (one origin exchange per write) by >= 2x.
 
@@ -79,12 +80,14 @@ def _make_remote(tmp_path, name, **params):
 
 
 def _timed_scan(path, network):
-    """Sequential 1 MiB read in 4 KiB steps; returns (elapsed, per-op)."""
+    """Sequential 1 MiB read in 4 KiB steps; returns (elapsed, per-op,
+    cache stats, origin exchanges during the timed scan)."""
     per_op = []
     with open_active(path, "rb", strategy="process-control",
                      network=network) as stream:
         stream.read(BLOCK)  # warm-up: open + first fault outside timing
         stream.seek(0)
+        requests_before = network.stats.requests
         started = time.perf_counter()
         for _ in range(NBLOCKS):
             op_started = time.perf_counter()
@@ -92,8 +95,9 @@ def _timed_scan(path, network):
             per_op.append(time.perf_counter() - op_started)
             assert len(chunk) == BLOCK
         elapsed = time.perf_counter() - started
+        origin_requests = network.stats.requests - requests_before
         stats = stream.cache_stats()
-    return elapsed, per_op, stats
+    return elapsed, per_op, stats, origin_requests
 
 
 def _timed_write(path, network, payload):
@@ -120,16 +124,23 @@ def test_readahead_speedup(tmp_path, wan):
     pipelined_path = _make_remote(tmp_path, "pipelined",
                                   readahead=READAHEAD)
 
-    sync_elapsed, sync_ops, _ = _timed_scan(sync_path, network)
-    pipe_elapsed, pipe_ops, stats = _timed_scan(pipelined_path, network)
+    sync_elapsed, sync_ops, _, _ = _timed_scan(sync_path, network)
+    pipe_elapsed, pipe_ops, stats, origin_requests = _timed_scan(
+        pipelined_path, network)
 
     _record("read_sync_miss_per_block", sync_elapsed, sync_ops)
     _record("read_pipelined", pipe_elapsed, pipe_ops,
             readahead=READAHEAD,
             prefetch_issued=stats["prefetch_issued"],
-            prefetch_used=stats["prefetch_used"])
+            prefetch_used=stats["prefetch_used"],
+            origin_requests=origin_requests)
 
     assert stats["prefetch_issued"] > 0
+    # One origin exchange per full window: half-window refills would
+    # need about twice as many.
+    assert origin_requests <= NBLOCKS // READAHEAD + 6, (
+        f"{origin_requests} origin exchanges for {NBLOCKS} blocks "
+        f"at a {READAHEAD}-block window")
     speedup = sync_elapsed / pipe_elapsed
     _results["read_pipelined"]["speedup"] = round(speedup, 2)
     assert speedup >= 3.0, (

@@ -26,11 +26,13 @@ that exploit a multiplexed transport (:mod:`repro.core.channel`):
   cache issues prefetch *windows* (contiguous multi-block spans) as
   in-flight fetches via ``fetch_window``; the window doubles on
   confirmed sequentiality up to ``readahead`` blocks and collapses on a
-  seek.  Every in-flight span is registered per block (single-flight),
-  so concurrent readers never fetch the same block twice, and each
-  fetch is stamped with the cache generation so an
-  :meth:`invalidate` racing a pending fetch can never reinstall stale
-  bytes.
+  seek.  Each origin exchange carries at least one full window, and up
+  to two windows stay in flight ahead of the reader, so the next window
+  is already on the wire while the current one is consumed.  Every
+  in-flight span is registered per block (single-flight), so
+  concurrent readers never fetch the same block twice, and each fetch
+  is stamped with the cache generation so an :meth:`invalidate` racing
+  a pending fetch can never reinstall stale bytes.
 * **write-behind with coalescing** — with ``writeback=True``, writes
   land in the store and accumulate as merged dirty byte extents; the
   buffer flushes as batched contiguous extents (via ``push_extents``
@@ -121,8 +123,9 @@ class BlockCache:
     * ``push_extents(extents) -> None`` — write a batch of
       ``(offset, bytes)`` extents in one origin exchange.
 
-    ``readahead`` is the maximum prefetch window in blocks (0 disables
-    read-ahead); ``writeback=True`` buffers writes and flushes them as
+    ``readahead`` is the maximum prefetch window in blocks, the span of
+    one read-ahead origin exchange (0 disables read-ahead);
+    ``writeback=True`` buffers writes and flushes them as
     coalesced extents (write-through otherwise).
     """
 
@@ -344,7 +347,7 @@ class BlockCache:
                 return  # caller re-examines and demand-fetches afresh
             raise
         if used:
-            self.prefetch_used += 1
+            self.prefetch_used += fetched.nblocks
         self._install(fetched, data)
 
     def _issue(self, start_block: int, nblocks: int) -> _WindowFetch:
@@ -400,20 +403,22 @@ class BlockCache:
         return sequential
 
     def _issue_readahead(self, last_block: int) -> None:
-        """Prefetch the next window past *last_block* (lock held).
+        """Prefetch up to two windows past *last_block* (lock held).
 
-        A fresh window is issued once the reader is within half a window
-        of the last prefetch horizon, so a steady sequential scan keeps
-        one window in flight ahead of the demand point instead of
-        re-issuing per read.
+        The horizon sits two windows past the demand point; once no
+        more than one window of prefetched blocks remains ahead of the
+        reader, the missing blocks up to the horizon — at least one full
+        window — go out as one origin exchange per contiguous run.  A
+        steady sequential scan thus fetches a whole window per exchange
+        while the next window is already in flight.
         """
         window = self._window
         if window <= 0 or self.readahead <= 0:
             return
-        target = last_block + 1 + window
+        target = last_block + 1 + 2 * window
         start = max(self._prefetch_end, last_block + 1)
-        if start > last_block + 1 and target - start < max(1, window // 2):
-            return  # enough already in flight
+        if start > last_block + 1 and target - start < window:
+            return  # more than a window already in flight
         known = self._known_end
         for run_start, run_len in self._missing_runs(start, target - 1):
             if known is not None and run_start * self.block_size >= known:

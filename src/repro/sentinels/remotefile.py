@@ -210,7 +210,9 @@ class RemoteFileSentinel(Sentinel):
     path), ``protocol`` ("fileserver" | "http" | "ftp", default
     "fileserver"), ``cache`` ("none" | "disk" | "memory", default
     "none"), ``block_size`` (default 4096), ``max_blocks`` (optional
-    LRU bound), ``readahead`` (max prefetch window in blocks, 0 = off),
+    LRU bound), ``readahead`` (max prefetch window in blocks, 0 = off;
+    each read-ahead origin exchange fetches one window, and up to two
+    windows run ahead of the reader),
     ``writeback`` (buffer writes and push coalesced extents; default
     False, i.e. paper-faithful write-through), ``writeback_bytes``
     (dirty-byte auto-flush threshold), ``validate`` (bool: revalidate

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import BlockCache
 from repro.core.datapart import MemoryDataPart
+from repro.doctor.engine import Evidence, run_doctor
 from repro.errors import CacheError
 from repro.util.bytesbuf import ByteBuffer
 
@@ -253,6 +254,62 @@ class TestReadahead:
         assert cache.read(16, 8) == body[16:24]
 
 
+class TestReadaheadWindowPolicy:
+    """One origin exchange per full window, at most two windows ahead."""
+
+    BLOCK = 8
+
+    def scan(self, nblocks, step, readahead):
+        """A 1-block read at 0, then a sequential scan in *step*-block
+        reads; returns (cache, [(blocks, window-at-issue)], misses after
+        each scan read, peak in-flight blocks)."""
+        bs = self.BLOCK
+        body = bytes(i % 251 for i in range(nblocks * bs))
+        origin = Origin(body)
+        exchanges = []
+
+        def counting_window(offset, size):
+            exchanges.append((size // bs, cache.stats()["window"]))
+            return origin.read_window(offset, size)
+
+        cache = BlockCache(fetch=origin.fetch, push=origin.push,
+                           store=MemoryDataPart(), block_size=bs,
+                           readahead=readahead,
+                           fetch_window=counting_window)
+        assert cache.read(0, bs) == body[:bs]
+        misses, peak = [], 0
+        for offset in range(0, nblocks * bs, step * bs):
+            assert cache.read(offset, step * bs) == \
+                body[offset:offset + step * bs]
+            misses.append(cache.misses)
+            peak = max(peak, cache.stats()["inflight_blocks"])
+        return cache, exchanges, misses, peak
+
+    @pytest.mark.parametrize("nblocks, step, readahead, expected", [
+        (64, 4, 16, 9),
+        (256, 1, 32, 13),
+    ])
+    def test_full_window_per_exchange(self, nblocks, step, readahead,
+                                      expected):
+        cache, exchanges, misses, peak = self.scan(nblocks, step, readahead)
+        ramped = [blocks for blocks, window in exchanges
+                  if window == readahead]
+        assert ramped
+        assert all(blocks >= readahead for blocks in ramped)
+        assert peak <= 2 * readahead
+        # only the first two reads miss; read-ahead covers the rest
+        assert misses[0] == misses[-1]
+        assert len(exchanges) == expected
+
+    def test_sequential_scan_uses_its_prefetch(self):
+        cache, _, _, _ = self.scan(256, 1, 16)
+        stats = cache.stats()
+        assert stats["prefetch_used"] / stats["prefetch_issued"] >= 0.85
+        report = run_doctor(Evidence({"cache": {"scan": stats}}))
+        assert "readahead-ineffective" not in {
+            finding["check"] for finding in report["findings"]}
+
+
 class TestWriteback:
     def test_writes_buffered_until_flush(self):
         cache, origin = make_cache(b"0" * 16, writeback=True, batched=True)
@@ -412,7 +469,7 @@ class TestProperties:
 
     @settings(max_examples=80, deadline=None)
     @given(block_size=st.sampled_from([2, 4, 8]),
-           readahead=st.sampled_from([0, 2, 4]),
+           readahead=st.sampled_from([0, 2, 4, 16]),
            writeback_bytes=st.sampled_from([8, 1 << 20]),
            ops=st.lists(
                st.one_of(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import Container
+from repro.core.telemetry import TELEMETRY
 
 from tests.doctor.conftest import make_evidence, make_snapshot
 
@@ -19,6 +20,9 @@ def workdir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def demo(workdir):
+    # Process-global counters (e.g. cache.flush_failures) outlive the
+    # tests that bumped them; judge only the demo's own traffic.
+    TELEMETRY.reset()
     main(["create", "demo.af", "repro.sentinels.null:NullFilterSentinel"])
     Container.load("demo.af").write_data(b"payload " * 4096)
     return "demo.af"
