@@ -18,12 +18,13 @@ pair per concern.  This module is the single transport they now share:
   of a container) execute concurrently while each channel stays
   strictly ordered — and a thousand channels cost O(1) threads, not a
   thousand;
-* the thread that reads a frame is the thread that acts on it: on a
-  connection that serves requests, a pool thread holding the read role
-  runs an idle channel's request itself and keeps the role through a
-  short op (leader/follower, with a lazy hand-off); on one that serves
-  none, the caller blocked in :meth:`PendingReply.wait` reads the
-  replies itself (see :class:`StreamChannel`);
+* the thread that waits on a reply is the thread that reads it: on an
+  application's connection the caller blocked in
+  :meth:`PendingReply.wait` reads the replies itself, bridged or not;
+  on a sentinel host's, a pool thread holding the read role runs an
+  idle channel's request itself, keeps the role through a short op
+  (leader/follower, with a lazy hand-off), and reads its own reply
+  when that op waits on one (see :class:`StreamChannel`);
 * the transport keeps per-operation latency/throughput counters
   (:class:`ChannelCounters`), so every strategy gets instrumentation
   for free.
@@ -311,8 +312,8 @@ class Channel:
         #: defaults to the process-shared loop.
         self.loop = None
         #: The loop actually serving this channel (set by the first
-        #: :meth:`register`, or by a serving connection's start; None
-        #: while it serves none).
+        #: :meth:`register`, or by ``start(serve=True)``; None while it
+        #: serves none).
         self.serve_loop = None
 
     # -- requester side ----------------------------------------------------------
@@ -347,7 +348,15 @@ class Channel:
                 pending.span = TELEMETRY.begin(f"frame.{op}", parent=parent,
                                                attrs={"chan": int(chan)})
         try:
-            self._send_op(chan, pending, fields, parts, deadline)
+            envelope = {**fields, "rid": rid, "chan": int(chan)}
+            # The ``dl`` budget is stamped here, at send time, so it is
+            # the sender's remaining budget when the frame leaves.
+            budget_ms = deadline.to_ms()
+            if budget_ms is not None:
+                envelope["dl"] = budget_ms
+            if pending.span is not None:
+                envelope["tc"] = (pending.span.trace, pending.span.sid)
+            self._send(envelope, parts)
         except BaseException:
             if self._withdraw(rid) is pending:
                 self.counters.request_withdrawn(op)
@@ -358,22 +367,6 @@ class Channel:
             # lost the race against kill(): nobody will resolve us
             pending.fail(self._death_error())
         return pending
-
-    def _send_op(self, chan: int, pending: PendingReply,
-                 fields: dict[str, Any], parts: tuple,
-                 deadline: Deadline) -> None:
-        """Wire one registered request as its own frame.
-
-        The ``dl`` budget is stamped *here*, at send time, so it is the
-        sender's remaining budget when the frame leaves.
-        """
-        envelope = {**fields, "rid": pending.rid, "chan": int(chan)}
-        budget_ms = deadline.to_ms()
-        if budget_ms is not None:
-            envelope["dl"] = budget_ms
-        if pending.span is not None:
-            envelope["tc"] = (pending.span.trace, pending.span.sid)
-        self._send(envelope, parts)
 
     def request(self, chan: int, fields: dict[str, Any],
                 payload: Any = b"",
@@ -528,26 +521,30 @@ class Channel:
 class StreamChannel(Channel):
     """A channel over a byte-stream pair, framed and demultiplexed.
 
-    Reading is a *role* one thread holds at a time; who holds it
-    depends on one property of the connection, fixed at :meth:`start`
-    — does it serve requests?
+    Reading is a *role* one thread holds at a time.  Whichever thread
+    waits on a reply reads it; who holds the role in between depends
+    on how the connection was started:
 
-    * **Serving** (a handler is registered before :meth:`start`, as on
-      a sentinel host or an application bridging its network): the
-      serving loop's pool carries the role.  A pool thread reads
-      frames, resolves replies, and runs an idle channel's request
-      itself, keeping the role unless the op outlives a grace period
-      or must wait on a reply only a reader can deliver (see
-      :mod:`repro.core.hostloop`).
-    * **Not serving** (no handler at :meth:`start`: a process-control
-      connection with no network bridge): no thread reads on its own.
-      A caller blocked in :meth:`PendingReply.wait` takes the role,
-      polls the connection within its
-      :class:`~repro.core.policy.Deadline`, dispatches every frame it
-      reads — so other callers' replies resolve their futures — and
-      gives the role up when its own reply lands.  Callers without the
-      role sleep until their reply lands or the role is free.  A
-      depth-1 round trip thus wakes only the caller.
+    * **Callers read** (:meth:`start`: every application connection,
+      with or without a network bridge): a caller blocked in
+      :meth:`PendingReply.wait` takes the role, polls the connection
+      within its :class:`~repro.core.policy.Deadline`, dispatches every
+      frame it reads — so other callers' replies resolve their futures,
+      and requests (bridge calls) go to the serving loop's pool, never
+      inline — and gives the role up when its own reply lands.  Callers
+      without the role sleep until their reply lands or the role is
+      free.  A depth-1 round trip thus wakes only the caller.  If a
+      handler is registered by :meth:`start`, the loop sweeps up
+      frames nobody waits for every
+      :data:`~repro.core.policy.READ_POLL_S`, taking the role only when
+      it is free.
+    * **The loop reads** (``start(serve=True)``: a sentinel host
+      child's connection): the serving loop's pool carries the role.  A
+      pool thread reads frames, resolves replies, and runs an idle
+      channel's request itself, keeping the role unless the op
+      outlives a grace period (see :mod:`repro.core.hostloop`).  When
+      that op waits on a reply over this connection, the same thread
+      reads frames until the reply lands.
 
     Writes from any thread are serialized by a lock.
     """
@@ -563,8 +560,14 @@ class StreamChannel(Channel):
         self._role = threading.Condition()
         self._reading = False   # some thread holds the read role
         self._sleepers = 0      # callers asleep on _role
-        #: Set when callers read (a started, non-serving connection).
+        #: Set by :meth:`start`; polled by whichever thread reads in
+        #: place (a caller, the sweep, or an op holding the loop's role).
         self._poller: "select.poll | None" = None
+        #: True once started with ``serve=True``: the loop reads.
+        self._serving = False
+        #: The armed idle sweep of a caller-read connection with a
+        #: handler (see :meth:`_sweep`).
+        self._sweep_timer: "hostloop.TimerHandle | None" = None
         #: Optional :class:`~repro.core.faults.FaultPlane` consulted on
         #: every send/receive (the framing-layer injection points).
         self.faults = None
@@ -572,19 +575,21 @@ class StreamChannel(Channel):
         #: wires this to hard-killing its child process).
         self.fault_kill: "Callable[[], None] | None" = None
 
-    def start(self) -> "StreamChannel":
+    def start(self, *, serve: bool = False) -> "StreamChannel":
         """Start reading; the channel is unusable before this.
 
-        A connection serves requests exactly when a handler is
-        registered by now; without one, its callers read their own
-        replies (and :meth:`register` is refused from here on).
+        With *serve* the loop's pool reads every frame (a sentinel host
+        child's connection).  Otherwise callers read their own replies,
+        the loop sweeps up requests if a handler is registered by now,
+        and :meth:`register` is refused from here on.
         """
-        with self._handlers_lock:
-            serves = bool(self._handlers)
-        if not serves:
-            self._poller = select.poll()
-            self._poller.register(self._rfile.fileno(), select.POLLIN)
+        self._poller = select.poll()
+        self._poller.register(self._rfile.fileno(), select.POLLIN)
+        if not serve:
+            if self.serve_loop is not None:
+                self._arm_sweep()
             return self
+        self._serving = True
         self._reading = True  # the loop holds the role from here on
         if self.serve_loop is None:
             self.serve_loop = self.loop if self.loop is not None \
@@ -594,10 +599,10 @@ class StreamChannel(Channel):
 
     def register(self, chan: int, handler: Handler, *,
                  name: str | None = None) -> None:
-        if self._poller is not None:
+        if self._poller is not None and not self._serving:
             raise RuntimeError(
-                f"{self.name}: started without a handler, so no thread "
-                f"reads requests; register before start()")
+                f"{self.name}: its callers read it, and the loop sweeps "
+                f"it only for handlers registered before start()")
         super().register(chan, handler, name=name)
 
     # -- reading -----------------------------------------------------------------
@@ -649,9 +654,11 @@ class StreamChannel(Channel):
         return True
 
     def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
-        if self._poller is None:  # the loop reads (or nothing started)
+        if self._poller is None:  # nothing started
             return super()._await(pending, deadline)
         event = pending._event
+        if self._serving:
+            return self._await_served(event, deadline)
         while not event.is_set():
             with self._role:
                 if event.is_set():
@@ -675,42 +682,88 @@ class StreamChannel(Channel):
                 return False
         return True
 
+    def _await_served(self, event: threading.Event,
+                      deadline: Deadline) -> bool:
+        """Wait on a reply over a connection the loop reads.
+
+        An op holding the read role reads until its reply lands.  Any
+        other waiter hands the role on if it is held through an op —
+        only its holder could read the reply — and sleeps.
+        """
+        if event.is_set():
+            return True
+        loop = self.serve_loop
+        if not loop.claim_lead(self._lead):
+            loop.release_lead(self._lead)
+            return event.wait(deadline.timeout())
+        try:
+            self._read_until(event, deadline)
+        finally:
+            loop.rearm_lead(self._lead)
+        return event.is_set()
+
     def _read_until(self, event: threading.Event,
                     deadline: Deadline) -> None:
-        """Read and dispatch frames as a caller, until *event* is set,
+        """Read and dispatch frames in place, until *event* is set,
         *deadline* expires or the connection ends."""
         while not event.is_set() and not self.dead:
             remaining = deadline.timeout()
             if remaining is not None and remaining <= 0:
                 return
-            wait_s = READ_POLL_S if remaining is None \
-                else min(remaining, READ_POLL_S)
-            if not self._poller.poll(wait_s * 1000.0):
-                continue
-            try:
-                message = self._read_one()
-                if message is not None:
-                    self._dispatch(*message)
-            except (ChannelClosedError, FrameError, OSError,
-                    ValueError) as exc:
-                self.kill(f"transport closed: {exc}")
-                return
-            # A reply for a sleeper may have landed.  Check under the
-            # lock: a caller that found its event unset and is about to
-            # sleep holds it until wait() releases it.
-            with self._role:
-                if self._sleepers:
-                    self._role.notify_all()
+            self._read_ready(READ_POLL_S if remaining is None
+                             else min(remaining, READ_POLL_S))
 
-    def _send_op(self, chan: int, pending: PendingReply,
-                 fields: dict[str, Any], parts: tuple,
-                 deadline: Deadline) -> None:
-        loop = self.serve_loop
-        if loop is not None:
-            # Only the read role's holder can read this request's reply;
-            # if it is busy running an op, hand the role on first.
-            loop.release_lead(self._lead)
-        super()._send_op(chan, pending, fields, parts, deadline)
+    def _read_ready(self, wait_s: float) -> bool:
+        """Read and dispatch one frame if one arrives within *wait_s*;
+        False if none did or the connection ended."""
+        if not self._poller.poll(wait_s * 1000.0):
+            return False
+        try:
+            message = self._read_one()
+            if message is not None:
+                self._dispatch(*message)
+        except (ChannelClosedError, FrameError, OSError,
+                ValueError) as exc:
+            self.kill(f"transport closed: {exc}")
+            return False
+        # A reply for a sleeper may have landed.  Check under the lock:
+        # a caller that found its event unset and is about to sleep
+        # holds it until wait() releases it.
+        with self._role:
+            if self._sleepers:
+                self._role.notify_all()
+        return True
+
+    def _arm_sweep(self) -> None:
+        # Under the role lock, as _teardown cancels: once the channel is
+        # dead no sweep stays armed.
+        with self._role:
+            if not self.dead:
+                self._sweep_timer = self.serve_loop.call_later(
+                    READ_POLL_S, self._sweep)
+
+    def _sweep(self) -> None:
+        """Read the frames no caller waits for, if the role is free.
+
+        A peer calls back while a caller here waits on it, so that
+        caller reads the request; this catches the rest (a request
+        whose caller timed out meanwhile, a background flush) within
+        READ_POLL_S.  Re-arms itself until the channel dies.
+        """
+        if self.dead:
+            return
+        with self._role:
+            idle = not self._reading
+            if idle:
+                self._reading = True
+        if idle:
+            try:
+                while not self.dead and self._read_ready(0.0):
+                    pass
+            finally:
+                self._drop_role()
+        if not self.dead:
+            self._arm_sweep()
 
     def _send(self, fields: dict[str, Any], parts: tuple) -> None:
         self._check_alive()
@@ -795,6 +848,8 @@ class StreamChannel(Channel):
         # drops the role.  Sleeping callers wake: kill() has settled
         # their futures.
         with self._role:
+            if self._sweep_timer is not None:
+                self._sweep_timer.cancel()
             if not self._reading:
                 _close_quietly(self._rfile)
             self._role.notify_all()

@@ -21,21 +21,24 @@ one pool thread holds at a time (the leader).  When a request arrives
 for an idle channel and the loop has nothing else admitted, the leader
 runs the op itself and *keeps the role*: after the reply it goes
 straight back to reading, so a depth-1 op costs the host one wake-up
-(the leader's blocking read) and no in-process hand-off.  The role
-moves to another pool thread (the follower), which keeps intake,
-channel-0 ``ping``/``open`` and bridge replies flowing, only when the
-leader could stall them:
+(the leader's blocking read) and no in-process hand-off.  An op that
+waits on a reply over the same connection (a bridge call, a read-ahead
+window already in flight) does not give the role up either: the
+leader reads frames itself until its reply lands, queueing any
+requests it reads to the pool (:meth:`EventLoopServer.claim_lead`).
+The role moves to another pool thread (the follower), which keeps
+intake, channel-0 ``ping``/``open`` and bridge replies flowing, only
+when the leader could stall them:
 
 * **grace hand-off** — the op outlives
-  :data:`~repro.core.policy.LEAD_GRACE_S`; the timer thread, acting as
-  sentry, moves the role then;
-* **eager hand-off** — before the op runs, when its channel is
-  ungoverned (channel-0 handlers block on the network) or the
-  connection already owes replies (the op may wait on one that only
-  this reader can deliver); and whenever a request goes out on the
-  connection while the role is held through an op
-  (:meth:`EventLoopServer.release_lead`), so a handler's bridge call
-  never waits out the grace period for its reply.
+  :data:`~repro.core.policy.LEAD_GRACE_S` while not reading; the timer
+  thread, acting as sentry, moves the role then;
+* **channel-0 hand-off** — before the op runs, when its channel is
+  ungoverned (channel-0 handlers block on the network);
+* **waiter hand-off** — when a thread other than the leader waits on a
+  reply over the connection while the leader runs an op
+  (:meth:`EventLoopServer.release_lead`), so that waiter never waits
+  out the grace period for its reply.
 
 Otherwise (the channel is busy, or other requests are admitted) the
 leader grants the channel straight to the pool's ready queue, where
@@ -112,6 +115,10 @@ _SERVICE = TELEMETRY.metrics.histogram("host.service_s")
 #: How long the sentry keeps polling after the last read role was held
 #: through an op, so the next arm of a busy stream needs no notify.
 _SENTRY_WARM_S = 0.05
+
+#: ``.lead``: the read role this thread holds through the inline op it
+#: is running (see :meth:`EventLoopServer.claim_lead`).
+_HOLDER = threading.local()
 
 
 def serve_one(channel, chan: int, handler, rid: int,
@@ -466,14 +473,35 @@ class EventLoopServer:
         """Hand read role *lead* to the pool now if it is held through
         an op.
 
-        Called before a request goes out on the role's connection: only
-        the role's holder can read the reply, so a handler about to
-        wait on it must not wait out the grace period first.
+        Called by a thread about to wait on a reply over the role's
+        connection while another thread holds the role: only the holder
+        can read the reply, so the waiter must not wait out the grace
+        period first.
         """
         if lead in self._armed:  # lock-free peek; re-checked below
             with self._lock:
                 if self._armed.pop(lead, None) is not None:
                     self._hand_off_locked(lead)
+
+    def claim_lead(self, lead: Callable[[], bool]) -> bool:
+        """Take read role *lead* back from the sentry; True iff this
+        thread holds it through the op it is running.
+
+        The op may then read the role's connection itself — requests it
+        reads go to the pool — until it calls :meth:`rearm_lead`.  The
+        sentry cannot hand the role on meanwhile, and need not: intake
+        keeps flowing while the holder reads.
+        """
+        if getattr(_HOLDER, "lead", None) != lead:
+            return False
+        with self._lock:
+            return self._armed.pop(lead, None) is not None
+
+    def rearm_lead(self, lead: Callable[[], bool]) -> None:
+        """Hold *lead* through the rest of the op again, with a fresh
+        grace period (undoes :meth:`claim_lead`)."""
+        with self._lock:
+            self._arm_locked(lead, time.monotonic())
 
     # -- introspection -------------------------------------------------------
 
@@ -523,6 +551,14 @@ class EventLoopServer:
                 target=self._worker,
                 name=f"{self.name}-{next(self._thread_seq)}",
                 daemon=True).start()
+
+    def _arm_locked(self, lead: Callable[[], bool], now: float) -> None:
+        """Record read role *lead* as held through an op since *now*."""
+        self._armed[lead] = now
+        self._last_arm = now
+        if not self._sentry_hot:
+            self._sentry_hot = True
+            self._tick.notify()  # first arm of a burst
 
     def _hand_off_locked(self, lead: Callable[[], bool]) -> None:
         """Put read role *lead* first in line for a pool thread."""
@@ -636,11 +672,11 @@ class EventLoopServer:
         read it, which keeps the role through the op: the role is
         *armed* (recorded with the op's start time) and the sentry
         (:meth:`_timer_loop`) hands it to the pool if the op outlives
-        LEAD_GRACE_S.  It goes to the pool at once instead when the
-        channel is ungoverned (channel-0 handlers block on the network)
-        or the connection already owes replies (the op may wait on one
-        that only this reader can deliver).  Returns True iff the role
-        is still held, so the caller goes straight back to reading.
+        LEAD_GRACE_S.  An op that waits on a reply over the connection
+        reads it itself (:meth:`claim_lead`).  The role goes to the pool
+        at once instead when the channel is ungoverned (channel-0
+        handlers block on the network).  Returns True iff the role is
+        still held, so the caller goes straight back to reading.
 
         Every grant passes the fault plane's ``sched`` point (delay
         stalls the grant, kill crashes the armed process).  Queue wait
@@ -649,20 +685,18 @@ class EventLoopServer:
         Popping a single item per grant (and re-appending the state to
         the ready *tail*) is the round-robin fairness property: a
         channel with a deep backlog re-competes after every op.  A
-        requeued state needs no extra wake-up: the calling thread goes
-        back to the pool afterwards, unless it kept a read role — and
-        then it requeues nothing, since only it could have read more
-        requests for the channel meanwhile.
+        requeued state needs a wake-up only when the calling thread
+        kept a read role (it read more requests for the channel while
+        waiting on a reply); otherwise that thread goes back to the
+        pool and picks the state up itself.
         """
         started = time.monotonic()
+        armed = False
         if lead is not None:
             with self._lock:
-                if state.governed and not state.channel.counters.in_flight:
-                    self._armed[lead] = started
-                    self._last_arm = started
-                    if not self._sentry_hot:
-                        self._sentry_hot = True
-                        self._tick.notify()  # first arm of a burst
+                if state.governed:
+                    self._arm_locked(lead, started)
+                    armed = True
                 else:
                     self._hand_off_locked(lead)
         self._sched_faults(state)
@@ -676,6 +710,8 @@ class EventLoopServer:
                 self._drained.notify_all()  # release a throttled reader
         rid, fields, payload, deadline, tc, submitted = item
         _QWAIT.observe(started - submitted)
+        if armed:
+            _HOLDER.lead = lead
         try:
             serve_one(state.channel, state.chan, state.handler,
                       rid, fields, payload, deadline, tc)
@@ -683,6 +719,8 @@ class EventLoopServer:
             self.release_lead(lead)  # never strand the read role
             raise
         finally:
+            if armed:
+                _HOLDER.lead = None
             _SERVICE.observe(time.monotonic() - started)
             with self._lock:
                 # The op counts as in flight, and the role stays armed,
@@ -690,11 +728,13 @@ class EventLoopServer:
                 # pipe must neither stall intake nor let another op run
                 # inline while this thread is tied up.
                 self._inflight -= 1
+                held = self._armed.pop(lead, None) is not None
                 if state.fifo and not state.detached:
                     self._ready.append(state)
+                    if held:
+                        self._wake_locked()
                 else:
                     state.scheduled = False
-                held = self._armed.pop(lead, None) is not None
         return held
 
 

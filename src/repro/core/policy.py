@@ -108,7 +108,9 @@ SCHED_TICK_S = 0.005
 
 #: Longest one poll of a caller holding a connection's read role; the
 #: caller then re-checks whether its reply was settled some other way
-#: (the channel was killed from another thread).
+#: (the channel was killed from another thread).  Also the period of
+#: the loop's idle sweep of a caller-read connection that serves
+#: requests, so a frame nobody waits for is read within this bound.
 READ_POLL_S = 0.05
 
 #: How long a pool thread that read a request may run it while still

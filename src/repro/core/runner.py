@@ -290,7 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     TELEMETRY.tracing = True
     agent = HostAgent(channel, args.container, args.net)
     channel.register(CONTROL_CHAN, agent.handle, name="af-host-control")
-    channel.start()
+    # The one connection the loop reads: requests arrive unbidden here.
+    channel.start(serve=True)
     channel.wait_closed()  # parent closed the connection or died
     agent.close_all()
     return 0
@@ -355,9 +356,11 @@ class SentinelHost:
         self.stderr_tail: deque = deque(maxlen=50)
         threading.Thread(target=self._drain_stderr, name="af-stderr-drain",
                          daemon=True).start()
-        # Without a network bridge the child never calls back, so no
-        # thread needs to read this connection: callers read their own
-        # replies (two cross-process wake-ups per depth-1 op).
+        # Callers read their own replies (two cross-process wake-ups
+        # per depth-1 op).  The child calls the bridge mostly while one
+        # of them waits on it, so that caller reads the request too and
+        # queues it to the loop's pool; the loop's sweep reads a frame
+        # that arrives with no caller waiting (a write-behind flush).
         self.channel.start()
         threading.Thread(target=self._watch_proc, name="af-host-watch",
                          daemon=True).start()

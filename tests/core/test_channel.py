@@ -22,6 +22,8 @@ from repro.core.channel import (
     StreamChannel,
 )
 from repro.core.container import Container
+from repro.core.hostloop import EventLoopServer
+from repro.core.policy import READ_POLL_S
 from repro.core.spec import SentinelSpec
 from repro.core.strategies import process_control
 from repro.errors import (
@@ -102,7 +104,7 @@ class TestDemux:
         b.register(CONTROL_CHAN, lambda f, p: ({"ok": True, "echo": f["x"]},
                                                p.upper()))
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             fields, payload = a.request(CONTROL_CHAN, {"x": 42}, b"abc")
             assert fields == {"ok": True, "echo": 42}
@@ -125,7 +127,7 @@ class TestDemux:
         b.register(FIRST_SESSION_CHAN, handler)
         b.register(FIRST_SESSION_CHAN + 1, handler)
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             slow = a.request_async(FIRST_SESSION_CHAN, {"x": 0})
             fast = a.request_async(FIRST_SESSION_CHAN + 1, {"x": 1})
@@ -141,7 +143,7 @@ class TestDemux:
         b.register(CONTROL_CHAN, lambda f, p: ({"ok": True, "echo": f["x"]},
                                                p))
         a.start()
-        b.start()
+        b.start(serve=True)
         errors = []
 
         def caller(x):
@@ -170,7 +172,7 @@ class TestDemux:
         b.register(CONTROL_CHAN,
                    lambda f, p: (seen.append(f["n"]), ({"ok": True}, b""))[1])
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             pendings = [a.request_async(CONTROL_CHAN, {"n": n})
                         for n in range(50)]
@@ -188,7 +190,7 @@ class TestDemux:
 
         b.register(CONTROL_CHAN, handler)
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             fields, _ = a.request(CONTROL_CHAN, {"cmd": "ping"})
             assert fields["ok"] is False
@@ -201,7 +203,7 @@ class TestDemux:
         # b serves (it has a handler), just not on channel 99.
         b.register(CONTROL_CHAN, lambda f, p: ({"ok": True}, b""))
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             fields, _ = a.request(99, {"cmd": "ping"}, timeout=5.0)
             assert fields["ok"] is False
@@ -215,7 +217,7 @@ class TestDemux:
         b.register(CONTROL_CHAN, lambda f, p: (hold.wait(5.0),
                                                ({"ok": True}, b""))[1])
         a.start()
-        b.start()
+        b.start(serve=True)
         pending = a.request_async(CONTROL_CHAN, {"cmd": "ping"})
         b.kill("simulated peer crash")
         with pytest.raises(ChannelClosedError):
@@ -238,7 +240,7 @@ class TestDemux:
         b.register(CONTROL_CHAN, lambda f, p: (gate.wait(5.0),
                                                ({"ok": True}, b""))[1])
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             first = a.request_async(CONTROL_CHAN, {"cmd": "ping"})
             second = a.request_async(CONTROL_CHAN, {"cmd": "ping"})
@@ -283,8 +285,8 @@ class TestLocalChannel:
 
 
 class TestCallerRead:
-    """A connection that serves no requests is read by its own callers:
-    the thread blocked in ``PendingReply.wait`` takes the read role and
+    """An application's connection is read by its own callers: the
+    thread blocked in ``PendingReply.wait`` takes the read role and
     dispatches every frame it reads."""
 
     @staticmethod
@@ -294,7 +296,7 @@ class TestCallerRead:
             for offset in range(chans):
                 b.register(FIRST_SESSION_CHAN + offset, handler)
         a.start()
-        b.start()
+        b.start(serve=True)
         return a, b
 
     def test_no_thread_reads_between_requests(self):
@@ -429,6 +431,42 @@ class TestCallerRead:
         finally:
             sys.setswitchinterval(interval)
             a.close()
+
+
+class TestIdleSweep:
+    """Frames nobody waits for on a caller-read connection that serves
+    requests: the loop's sweep reads them, and stops with the channel."""
+
+    def test_requests_nobody_waits_for_are_served_and_the_sweep_ends(self):
+        loop = EventLoopServer("sweep-loop")
+        a, b = make_stream_pair()
+        a.loop = loop
+        a.register(CONTROL_CHAN,
+                   lambda f, p: ({"ok": True, "n": f["n"]}, b""))
+        a.start()  # callers read, and no caller here ever waits
+        b.start()
+        try:
+            for n in range(20):
+                started = time.monotonic()
+                fields, _ = b.request(CONTROL_CHAN, {"cmd": "echo", "n": n},
+                                      timeout=5.0)
+                elapsed = time.monotonic() - started
+                assert fields["n"] == n
+                assert elapsed < 4 * READ_POLL_S, \
+                    f"request {n} served after {elapsed * 1e3:.0f} ms"
+            armed = 0
+            deadline = time.monotonic() + 1.0
+            while armed != 1 and time.monotonic() < deadline:
+                armed = loop.stats()["host.timers"]  # 0 while it runs
+            assert armed == 1  # the sweep, re-armed after every pass
+            a.close()
+            assert loop.stats()["host.timers"] == 0
+            time.sleep(3 * READ_POLL_S)  # a live sweep would re-arm
+            assert loop.stats()["host.timers"] == 0
+        finally:
+            a.close()
+            b.close()
+            loop.shutdown()
 
 
 class TestSessionPipelining:

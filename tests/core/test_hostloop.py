@@ -32,6 +32,7 @@ from repro.core.policy import LEAD_GRACE_S
 from repro.core.runner import SentinelHost
 from repro.core.telemetry import TELEMETRY
 from repro.errors import HostOverloadedError, wire_error_registry
+from repro.net import Address, FileServer, LinkProfile, Network, WallClock
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
 
@@ -231,7 +232,7 @@ class TestBackpressure:
         b.register(FIRST_SESSION_CHAN,
                    lambda f, p: (gate.wait(10.0), ({"ok": True}, b""))[1])
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             pendings = [a.request_async(FIRST_SESSION_CHAN, {"n": i})
                         for i in range(40)]
@@ -327,8 +328,8 @@ class TestLeaderFollower:
 
 
 class TestLazyHandOff:
-    """The reader hands its role on only when an op needs that; each
-    test pins one trigger."""
+    """The reader keeps its role through an op unless another thread
+    needs a reader; each test pins one case."""
 
     @staticmethod
     def _serve(a: StreamChannel, b: StreamChannel) -> "list[EventLoopServer]":
@@ -345,8 +346,10 @@ class TestLazyHandOff:
 
     def test_request_sent_by_a_handler_hands_the_role_on(self):
         """A handler that calls back over its own connection gets its
-        reply at once: sending the request hands the role on, so no op
-        waits for the sentry's grace hand-off."""
+        reply at once: the thread running it holds the read role and
+        reads the reply itself, so no op waits for the sentry's grace
+        hand-off.  The caller-read peer reads the call-back request
+        while it waits on the op and runs it on its loop's pool."""
         a, b = _stream_pair("callback")
         loops = self._serve(a, b)
         a.register(CONTROL_CHAN,
@@ -360,7 +363,7 @@ class TestLazyHandOff:
 
         b.register(FIRST_SESSION_CHAN, handler)
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             a.request(FIRST_SESSION_CHAN, {"cmd": "op", "n": -1},
                       timeout=5.0)
@@ -378,8 +381,9 @@ class TestLazyHandOff:
     def test_op_on_a_connection_owing_replies_hands_the_role_on(self):
         """An op that blocks on the reply to a request already
         outstanding on the connection (sent by another thread) does not
-        wait out the grace period: the role is handed on before it
-        runs."""
+        wait out the grace period: the thread that read the op runs it
+        and reads that reply itself.  The caller-read peer's idle sweep
+        reads the request, which no caller there waits on."""
         a, b = _stream_pair("owing")
         loops = self._serve(a, b)
         arrived = threading.Event()
@@ -400,7 +404,7 @@ class TestLazyHandOff:
         a.register(CONTROL_CHAN, bridge)
         b.register(FIRST_SESSION_CHAN, handler)
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             elapsed = []
             for _ in range(20):
@@ -429,7 +433,7 @@ class TestLazyHandOff:
         b.register(FIRST_SESSION_CHAN,
                    lambda f, p: ({"ok": True}, b"r" * (256 * 1024)))
         a.start()  # no handler: a caller reads its own replies
-        b.start()
+        b.start(serve=True)
         replies: list[int] = []
 
         def flood() -> None:
@@ -476,6 +480,75 @@ class TestLazyHandOff:
             host.shutdown()
 
 
+class TestOneReadMode:
+    """The thread that waits on a reply reads it, on both ends of a
+    bridged connection: adding a network bridge to an open adds no
+    thread hop on either side."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="per-thread switch counts need /proc")
+    def test_bridged_open_costs_about_one_app_switch(self, tmp_path):
+        """A caller on a bridged open reads its own reply, as on an
+        unbridged one: about one app switch per depth-1 read, not a
+        loop reader's wake-up on top of the caller's."""
+        path = tmp_path / "bridged.af"
+        create_active(path, NULL, data=b"b" * 65536,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path), network=Network())
+        try:
+            chan = host.open("process-control")
+            read = {"cmd": "read", "offset": 0, "size": 4096}
+            for _ in range(500):  # warm up
+                host.channel.request(chan, dict(read), timeout=5.0)
+            before = _voluntary_switches(os.getpid())
+            ops = 3000
+            for _ in range(ops):
+                host.channel.request(chan, dict(read), timeout=5.0)
+            per_op = (_voluntary_switches(os.getpid()) - before) / ops
+            assert per_op <= 1.5, f"{per_op:.2f} app switches per op"
+        finally:
+            host.shutdown()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="per-thread switch counts need /proc")
+    def test_remote_cached_op_keeps_the_host_read_role(self, tmp_path):
+        """Sequential reads through a read-ahead cache over a wall-clock
+        WAN keep a window fetch in flight on most ops.  The host's
+        reader runs each op and reads the window reply itself, instead
+        of handing its role on whenever a reply is owed."""
+        network = Network(profile=LinkProfile(latency_us=200.0,
+                                              bandwidth_mbps=1000.0),
+                          clock=WallClock())
+        size = 8 << 20
+        network.bind(Address("origin", 7000),
+                     FileServer({"f": b"o" * size}))
+        path = tmp_path / "remote.af"
+        create_active(path, "repro.sentinels.remotefile:RemoteFileSentinel",
+                      params={"address": "origin:7000", "path": "f",
+                              "cache": "memory", "block_size": 4096,
+                              "max_blocks": 512, "readahead": 16},
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path), network=network)
+        try:
+            chan = host.open("process-control")
+
+            def scan(first: int, ops: int) -> None:
+                for n in range(first, first + ops):
+                    fields, _ = host.channel.request(
+                        chan, {"cmd": "read", "offset": n * 16384 % size,
+                               "size": 16384}, timeout=10.0)
+                    raise_for_response(fields)
+
+            scan(0, 100)  # warm up
+            before = _voluntary_switches(host.proc.pid)
+            ops = 1500
+            scan(100, ops)
+            per_op = (_voluntary_switches(host.proc.pid) - before) / ops
+            assert per_op <= 2.5, f"{per_op:.2f} host switches per op"
+        finally:
+            host.shutdown()
+
+
 class TestSchedFaultPoint:
     def test_every_grant_passes_the_sched_point(self):
         """Requests the reading thread runs itself (depth 1) and
@@ -488,7 +561,7 @@ class TestSchedFaultPoint:
         plane.arm_channel(b)
         b.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""))
         a.start()
-        b.start()
+        b.start(serve=True)
         try:
             for _ in range(5):
                 a.request(FIRST_SESSION_CHAN, {"cmd": "tick"}, timeout=5.0)
