@@ -45,6 +45,7 @@ that exploit a multiplexed transport (:mod:`repro.core.channel`):
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -221,7 +222,11 @@ class BlockCache:
     def _block_dirty(self, block: int) -> bool:
         start = block * self.block_size
         end = start + self.block_size
-        return any(s < end and e > start for s, e in self._dirty)
+        # _dirty is sorted and disjoint, so its ends rise with its
+        # starts: the last interval starting before *end* is the only
+        # one that can reach past *start*.
+        index = bisect_left(self._dirty, [end])
+        return index > 0 and self._dirty[index - 1][1] > start
 
     def _note_end(self, offset: int, requested: int, received: int) -> None:
         """A short fetch bounds the origin size from above; keep the

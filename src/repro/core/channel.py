@@ -111,10 +111,14 @@ class ChannelCounters:
     ``max_in_flight`` is the high-water mark of concurrently outstanding
     requests — the direct measure of pipelining: it exceeds 1 only when
     a second operation was sent before the first one's reply arrived.
+
+    The owning :class:`Channel` guards its rid counter and pending map
+    with :attr:`lock` too, so a request and a reply each take it once;
+    the ``*_locked`` methods run under it.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self.requests_sent = 0
         self.replies_received = 0
         self.requests_served = 0
@@ -134,58 +138,61 @@ class ChannelCounters:
         #: path never takes the registry lock).
         self._latency: dict[str, Any] = {}
 
-    def request_started(self, op: str, nbytes: int) -> None:
-        with self._lock:
-            self.requests_sent += 1
-            self.bytes_sent += nbytes
-            self.in_flight += 1
-            self.last_activity = time.monotonic()
-            if self.in_flight > self.max_in_flight:
-                self.max_in_flight = self.in_flight
+    def started_locked(self, nbytes: int, now: float) -> None:
+        self.requests_sent += 1
+        self.bytes_sent += nbytes
+        self.in_flight += 1
+        self.last_activity = now
+        if self.in_flight > self.max_in_flight:
+            self.max_in_flight = self.in_flight
 
-    def request_settled(self, op: str, nbytes: int, elapsed: float,
-                        ok: bool = True) -> None:
-        with self._lock:
-            self.in_flight -= 1
-            self.last_activity = time.monotonic()
-            if ok:
-                self.replies_received += 1
-                self.bytes_received += nbytes
-            else:
-                self.requests_failed += 1
-            record = self._per_op.setdefault(op, [0, 0, 0, 0.0, 0.0])
-            record[0] += 1
-            record[2] += nbytes
-            record[3] += elapsed
-            if elapsed > record[4]:
-                record[4] = elapsed
+    def settled_locked(self, op: str, nbytes: int, elapsed: float,
+                       ok: bool, now: float) -> None:
+        self.in_flight -= 1
+        self.last_activity = now
+        if ok:
+            self.replies_received += 1
+            self.bytes_received += nbytes
+        else:
+            self.requests_failed += 1
+        record = self._per_op.get(op)
+        if record is None:
+            record = self._per_op[op] = [0, 0, 0, 0.0, 0.0]
+        record[0] += 1
+        record[2] += nbytes
+        record[3] += elapsed
+        if elapsed > record[4]:
+            record[4] = elapsed
+
+    def withdrawn_locked(self) -> None:
+        """A request was aborted before any reply (send error, timeout)."""
+        self.in_flight -= 1
+        self.requests_failed += 1
+
+    def observe(self, op: str, elapsed: float) -> None:
+        """Feed a settled request's latency to ``transport.latency.<op>``
+        (outside :attr:`lock`: the histogram has its own)."""
         hist = self._latency.get(op)
         if hist is None:
             hist = self._latency[op] = TELEMETRY.metrics.histogram(
                 f"transport.latency.{op}")
         hist.observe(elapsed)
 
-    def request_withdrawn(self, op: str) -> None:
-        """A request was aborted before any reply (send error, timeout)."""
-        with self._lock:
-            self.in_flight -= 1
-            self.requests_failed += 1
-
     def request_served(self, op: str) -> None:
         """An inbound request was handled locally (other side of the wire)."""
-        with self._lock:
+        with self.lock:
             self.requests_served += 1
             self.last_activity = time.monotonic()
 
     def record_close_error(self, reason: str) -> None:
         """A session teardown failed; keep it observable, not silent."""
-        with self._lock:
+        with self.lock:
             self.close_errors += 1
             self.last_close_error = reason
 
     def snapshot(self) -> dict[str, Any]:
         """A plain-data copy of every counter, for tests and monitoring."""
-        with self._lock:
+        with self.lock:
             per_op = {}
             for op, (count, out, in_, total, peak) in self._per_op.items():
                 count = int(count)
@@ -211,46 +218,87 @@ class ChannelCounters:
             }
 
 
+def _wake_up(wake: "threading.Lock | None") -> None:
+    """Release a parked waiter's wake-up lock (see :class:`PendingReply`).
+
+    Two wakers may race for one sleeper (its reply landing, and the
+    read role passing to it); the second release finds the lock open
+    and is dropped — the woken thread re-checks its state either way.
+    """
+    if wake is not None:
+        try:
+            wake.release()
+        except RuntimeError:
+            pass
+
+
 class PendingReply:
-    """A per-request future: one in-flight operation awaiting its reply."""
+    """A per-request future: one in-flight operation awaiting its reply.
 
-    __slots__ = ("channel", "rid", "op", "started", "span",
-                 "_event", "_fields", "_payload", "_error")
+    Its state is a plain slot: the reply (or error) and a :attr:`done`
+    flag, set by the one thread that took the request off its
+    channel's pending map.  A waiter that has to block creates its
+    wake-up — a lock it holds and blocks re-acquiring — only then
+    (:meth:`_arm`), and looks at :attr:`done` once more after arming,
+    so a settle racing it is never lost: the settler sets the flag
+    before it looks for a wake-up to release.  A depth-1 round trip
+    whose caller reads its own reply creates no synchronization object
+    at all.  One thread waits on a future.
+    """
 
-    def __init__(self, channel: "Channel", rid: int, op: str) -> None:
+    __slots__ = ("channel", "rid", "op", "started", "span", "done",
+                 "_wake", "_fields", "_payload", "_error")
+
+    def __init__(self, channel: "Channel", rid: int, op: str,
+                 started: float) -> None:
         self.channel = channel
         self.rid = rid
         self.op = op
-        self.started = time.monotonic()
+        self.started = started
         #: The frame span covering this request's wire round trip (only
         #: set while tracing; finished at settle/withdraw time).
         self.span = None
-        self._event = threading.Event()
+        self.done = False
+        self._wake: "threading.Lock | None" = None
         self._fields: dict[str, Any] | None = None
         self._payload = b""
         self._error: BaseException | None = None
 
     def resolve(self, fields: dict[str, Any], payload: bytes) -> None:
-        if self._event.is_set():
-            return
         self._fields = fields
         self._payload = payload
-        self.channel.counters.request_settled(
-            self.op, len(payload), time.monotonic() - self.started)
         if self.span is not None:
             TELEMETRY.finish(self.span)
-        self._event.set()
+        self.done = True
+        _wake_up(self._wake)
 
     def fail(self, error: BaseException) -> None:
-        if self._event.is_set():
-            return
         self._error = error
-        self.channel.counters.request_settled(
-            self.op, 0, time.monotonic() - self.started, ok=False)
         if self.span is not None:
             self.span.set(error=type(error).__name__)
             TELEMETRY.finish(self.span, status="error")
-        self._event.set()
+        self.done = True
+        _wake_up(self._wake)
+
+    def _arm(self) -> threading.Lock:
+        """This waiter's wake-up, created (held) on first need."""
+        wake = self._wake
+        if wake is None:
+            wake = threading.Lock()
+            wake.acquire()
+            self._wake = wake
+        return wake
+
+    def _sleep(self, deadline: Deadline) -> bool:
+        """Block until settled; False if *deadline* passes first."""
+        wake = self._arm()
+        while not self.done:
+            timeout = deadline.timeout()
+            if timeout is None:
+                wake.acquire()
+            elif not wake.acquire(True, timeout):
+                return self.done
+        return True
 
     def wait(self, timeout: "float | Deadline | None" = None
              ) -> tuple[dict[str, Any], bytes]:
@@ -260,16 +308,15 @@ class PendingReply:
         legacy seconds-from-now float.
         """
         deadline = Deadline.coerce(timeout)
-        if not self.channel._await(self, deadline):
-            withdrawn = self.channel._withdraw(self.rid) is self
-            if withdrawn:
-                self.channel.counters.request_withdrawn(self.op)
+        if not self.done and not self.channel._await(self, deadline):
+            if self.channel._withdraw(self.rid) is self:
                 if self.span is not None:
                     TELEMETRY.finish(self.span, status="timeout")
                 raise DeadlineExceededError(
                     f"no reply to {self.op!r} (rid {self.rid}) "
                     f"within its deadline")
-            self._event.wait()  # resolution was racing; it is imminent
+            # Resolution was racing; it is imminent.
+            self._sleep(Deadline.never())
         if self._error is not None:
             raise self._error
         return self._fields or {}, self._payload
@@ -299,10 +346,11 @@ class Channel:
         #: (the sentinel host installs a crash-error factory here).
         self.crash_error_factory: "Callable[[str], BaseException] | None" = None
         self._closed_event = threading.Event()
+        #: One lock for the rid counter, the pending map and the
+        #: counters: a request and a reply each take it once.
+        self._lock = self.counters.lock
         self._pending: dict[int, PendingReply] = {}
-        self._pending_lock = threading.Lock()
         self._next_rid = 0
-        self._rid_lock = threading.Lock()
         #: chan -> serving state on the loop
         #: (:class:`~repro.core.hostloop._ChanState`).
         self._handlers: dict[int, Any] = {}
@@ -331,41 +379,34 @@ class Channel:
         millisecond budget (the ``dl`` envelope field), so the peer's
         worker and any nested exchanges inherit it.
         """
-        self._check_alive()
         deadline = Deadline.coerce(deadline)
-        with self._rid_lock:
-            self._next_rid += 1
-            rid = self._next_rid
         op = str(fields.get("cmd") or fields.get("op") or "?")
-        pending = PendingReply(self, rid, op)
-        with self._pending_lock:
-            self._pending[rid] = pending
         parts = _payload_parts(payload)
-        self.counters.request_started(op, sum(len(p) for p in parts))
+        now = time.monotonic()
+        with self._lock:
+            # Checked under the lock kill() takes: a request registered
+            # here is one kill() fails, never one it misses.
+            self._check_alive()
+            self._next_rid = rid = self._next_rid + 1
+            pending = PendingReply(self, rid, op, now)
+            self._pending[rid] = pending
+            self.counters.started_locked(sum(map(len, parts)), now)
+        tc = None
         if TELEMETRY.tracing:  # one branch per frame when disabled
             parent = TELEMETRY.current()
             if parent is not None:
                 pending.span = TELEMETRY.begin(f"frame.{op}", parent=parent,
                                                attrs={"chan": int(chan)})
+                tc = (pending.span.trace, pending.span.sid)
         try:
-            envelope = {**fields, "rid": rid, "chan": int(chan)}
             # The ``dl`` budget is stamped here, at send time, so it is
             # the sender's remaining budget when the frame leaves.
-            budget_ms = deadline.to_ms()
-            if budget_ms is not None:
-                envelope["dl"] = budget_ms
-            if pending.span is not None:
-                envelope["tc"] = (pending.span.trace, pending.span.sid)
-            self._send(envelope, parts)
+            self._send(rid, int(chan), fields, parts,
+                       dl=deadline.to_ms(), tc=tc)
         except BaseException:
-            if self._withdraw(rid) is pending:
-                self.counters.request_withdrawn(op)
-                if pending.span is not None:
-                    TELEMETRY.finish(pending.span, status="error")
+            if self._withdraw(rid) is pending and pending.span is not None:
+                TELEMETRY.finish(pending.span, status="error")
             raise
-        if self.dead:
-            # lost the race against kill(): nobody will resolve us
-            pending.fail(self._death_error())
         return pending
 
     def request(self, chan: int, fields: dict[str, Any],
@@ -422,14 +463,14 @@ class Channel:
         """
         rid, chan, is_reply, rest = control.split_envelope(fields)
         if is_reply:
-            pending = self._withdraw(rid)
+            pending = self._settle(rid, len(payload))
             if pending is not None:
                 if "tsp" in rest:  # spans the peer produced serving us
                     TELEMETRY.ingest(rest.pop("tsp"), anchor=pending.span)
                 pending.resolve(rest, payload)
             return None
-        with self._handlers_lock:
-            state = self._handlers.get(chan)
+        # A lock-free read: register/unregister replace entries whole.
+        state = self._handlers.get(chan)
         if state is None:
             try:
                 self._send_reply(rid, chan, control.error_fields(
@@ -441,16 +482,34 @@ class Channel:
 
     def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
         """Block until *pending* settles; False if *deadline* expires."""
-        return pending._event.wait(deadline.timeout())
+        return pending._sleep(deadline)
+
+    def _settle(self, rid: int, nbytes: int) -> PendingReply | None:
+        """Take *rid*'s future off the pending map and count its reply of
+        *nbytes*, in one lock round; None if nobody waits for it."""
+        with self._lock:
+            pending = self._pending.pop(rid, None)
+            if pending is None:
+                return None
+            now = time.monotonic()
+            elapsed = now - pending.started
+            self.counters.settled_locked(pending.op, nbytes, elapsed, True,
+                                         now)
+        self.counters.observe(pending.op, elapsed)
+        return pending
 
     def _withdraw(self, rid: int) -> PendingReply | None:
-        with self._pending_lock:
-            return self._pending.pop(rid, None)
+        """Take *rid*'s future off the pending map unanswered (a send
+        error or an expired deadline), counted as failed."""
+        with self._lock:
+            pending = self._pending.pop(rid, None)
+            if pending is not None:
+                self.counters.withdrawn_locked()
+        return pending
 
     def _send_reply(self, rid: int, chan: int, fields: dict[str, Any],
                     payload: Any) -> None:
-        self._send({**fields, "rid": rid, "chan": chan, "re": True},
-                   _payload_parts(payload))
+        self._send(rid, chan, fields, _payload_parts(payload), reply=True)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -458,14 +517,6 @@ class Channel:
         if self.dead:
             raise ChannelClosedError(
                 f"{self.name}: channel closed ({self.death_reason})")
-
-    def _death_error(self) -> BaseException:
-        """The error describing this (dead) channel's demise."""
-        error = self.death_error
-        if error is None:
-            error = ChannelClosedError(
-                f"{self.name}: channel closed ({self.death_reason})")
-        return error
 
     def kill(self, reason: str, error: BaseException | None = None) -> None:
         """Mark the channel dead and fail every outstanding request.
@@ -475,13 +526,17 @@ class Channel:
         surfaces as ``SentinelCrashedError`` rather than a bare closed
         channel.
         """
-        with self._pending_lock:
+        with self._lock:
             if self.dead:
                 return
             self.dead = True
             self.death_reason = reason
             pending = list(self._pending.values())
             self._pending.clear()
+            now = time.monotonic()
+            for future in pending:
+                self.counters.settled_locked(future.op, 0,
+                                             now - future.started, False, now)
         if error is None and self.crash_error_factory is not None:
             try:
                 error = self.crash_error_factory(reason)
@@ -491,6 +546,7 @@ class Channel:
             error = ChannelClosedError(f"{self.name}: {reason}")
         self.death_error = error
         for future in pending:
+            self.counters.observe(future.op, now - future.started)
             future.fail(error)
         with self._handlers_lock:
             states = list(self._handlers.values())
@@ -512,8 +568,13 @@ class Channel:
     def _teardown(self) -> None:
         """Subclass hook: release transport resources (idempotent)."""
 
-    def _send(self, fields: dict[str, Any], parts: tuple) -> None:
-        """Deliver one enveloped message; *parts* is a tuple of buffers
+    def _send(self, rid: int, chan: int, fields: dict[str, Any],
+              parts: tuple, *, reply: bool = False,
+              dl: "int | None" = None, tc: "tuple | None" = None) -> None:
+        """Deliver one message: *fields* under its envelope (*rid*,
+        *chan*, the *reply* flag, a request's ``dl`` budget and ``tc``
+        trace context), which travels beside *fields* so that no
+        enveloped copy of them is built; *parts* is a tuple of buffers
         forming the payload back-to-back."""
         raise NotImplementedError
 
@@ -532,8 +593,9 @@ class StreamChannel(Channel):
       frame it reads — so other callers' replies resolve their futures,
       and requests (bridge calls) go to the serving loop's pool, never
       inline — and gives the role up when its own reply lands.  Callers
-      without the role sleep until their reply lands or the role is
-      free.  A depth-1 round trip thus wakes only the caller.  If a
+      without the role park by rid; a reply wakes only its own caller,
+      and a holder giving the role up wakes one parked caller to take
+      it on.  A depth-1 round trip thus wakes no one.  If a
       handler is registered by :meth:`start`, the loop sweeps up
       frames nobody waits for every
       :data:`~repro.core.policy.READ_POLL_S`, taking the role only when
@@ -555,11 +617,13 @@ class StreamChannel(Channel):
         self._rfile = rfile
         self._wfile = wfile
         self._write_lock = threading.Lock()
-        #: Guards the read role.  Callers without it sleep here until
-        #: their reply lands or the role is given up.
-        self._role = threading.Condition()
+        #: Guards the read role and :attr:`_sleepers`.
+        self._role = threading.Lock()
         self._reading = False   # some thread holds the read role
-        self._sleepers = 0      # callers asleep on _role
+        #: Callers parked without the role, rid -> future.  Each sleeps
+        #: on its own wake-up until its reply lands (the settle wakes
+        #: it) or a holder giving the role up picks it to read next.
+        self._sleepers: dict[int, PendingReply] = {}
         #: Set by :meth:`start`; polled by whichever thread reads in
         #: place (a caller, the sweep, or an op holding the loop's role).
         self._poller: "select.poll | None" = None
@@ -624,7 +688,18 @@ class StreamChannel(Channel):
             if self.dead:
                 _close_quietly(self._rfile)
             if self._sleepers:
-                self._role.notify_all()
+                self._pass_role_locked()
+
+    def _pass_role_locked(self) -> None:
+        """Wake the longest-parked caller still owed a reply, to take up
+        the free read role.  Callers whose replies landed were woken by
+        their settle; their entries go as they are met."""
+        sleepers = self._sleepers
+        while sleepers:
+            pending = sleepers.pop(next(iter(sleepers)))
+            if not pending.done:
+                _wake_up(pending._wake)
+                return
 
     def _lead(self) -> bool:
         """Hold the read role on a serving-loop thread.
@@ -656,33 +731,47 @@ class StreamChannel(Channel):
     def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
         if self._poller is None:  # nothing started
             return super()._await(pending, deadline)
-        event = pending._event
         if self._serving:
-            return self._await_served(event, deadline)
-        while not event.is_set():
+            return self._await_served(pending, deadline)
+        rid = pending.rid
+        while True:
             with self._role:
-                if event.is_set():
-                    break
+                self._sleepers.pop(rid, None)  # back from a wake-up
                 if self._reading or self.dead:
-                    # kill() settles every future, then wakes sleepers.
-                    self._sleepers += 1
-                    try:
-                        woke = self._role.wait(deadline.timeout())
-                    finally:
-                        self._sleepers -= 1
-                    if not woke:
-                        return event.is_set()
-                    continue
-                self._reading = True
-            try:
-                self._read_until(event, deadline)
-            finally:
-                self._drop_role()
-            if not event.is_set() and deadline.expired():
-                return False
-        return True
+                    # Arm before the last look at the flag: a reply
+                    # landing after it finds the wake-up to release.
+                    # kill() settles every future, so a dead channel
+                    # returns here.
+                    wake = pending._arm()
+                    if pending.done:
+                        return True
+                    self._sleepers[rid] = pending
+                else:
+                    if pending.done:
+                        return True
+                    self._reading = True
+                    wake = None
+            if wake is None:
+                try:
+                    self._read_until(pending, deadline)
+                finally:
+                    self._drop_role()
+                if not pending.done and deadline.expired():
+                    return False
+                continue
+            timeout = deadline.timeout()
+            if timeout is None:
+                wake.acquire()
+            elif not wake.acquire(True, timeout):
+                with self._role:
+                    if self._sleepers.pop(rid, None) is None \
+                            and not self._reading and not pending.done:
+                        # Picked to read next as the deadline passed:
+                        # hand the role on rather than strand it.
+                        self._pass_role_locked()
+                return pending.done
 
-    def _await_served(self, event: threading.Event,
+    def _await_served(self, pending: PendingReply,
                       deadline: Deadline) -> bool:
         """Wait on a reply over a connection the loop reads.
 
@@ -690,23 +779,21 @@ class StreamChannel(Channel):
         other waiter hands the role on if it is held through an op —
         only its holder could read the reply — and sleeps.
         """
-        if event.is_set():
-            return True
         loop = self.serve_loop
         if not loop.claim_lead(self._lead):
             loop.release_lead(self._lead)
-            return event.wait(deadline.timeout())
+            return pending._sleep(deadline)
         try:
-            self._read_until(event, deadline)
+            self._read_until(pending, deadline)
         finally:
             loop.rearm_lead(self._lead)
-        return event.is_set()
+        return pending.done
 
-    def _read_until(self, event: threading.Event,
+    def _read_until(self, pending: PendingReply,
                     deadline: Deadline) -> None:
-        """Read and dispatch frames in place, until *event* is set,
+        """Read and dispatch frames in place, until *pending* settles,
         *deadline* expires or the connection ends."""
-        while not event.is_set() and not self.dead:
+        while not pending.done and not self.dead:
             remaining = deadline.timeout()
             if remaining is not None and remaining <= 0:
                 return
@@ -715,7 +802,8 @@ class StreamChannel(Channel):
 
     def _read_ready(self, wait_s: float) -> bool:
         """Read and dispatch one frame if one arrives within *wait_s*;
-        False if none did or the connection ended."""
+        False if none did or the connection ended.  A reply the frame
+        carries wakes its own caller, if that caller sleeps."""
         if not self._poller.poll(wait_s * 1000.0):
             return False
         try:
@@ -726,12 +814,6 @@ class StreamChannel(Channel):
                 ValueError) as exc:
             self.kill(f"transport closed: {exc}")
             return False
-        # A reply for a sleeper may have landed.  Check under the lock:
-        # a caller that found its event unset and is about to sleep
-        # holds it until wait() releases it.
-        with self._role:
-            if self._sleepers:
-                self._role.notify_all()
         return True
 
     def _arm_sweep(self) -> None:
@@ -765,7 +847,9 @@ class StreamChannel(Channel):
         if not self.dead:
             self._arm_sweep()
 
-    def _send(self, fields: dict[str, Any], parts: tuple) -> None:
+    def _send(self, rid: int, chan: int, fields: dict[str, Any],
+              parts: tuple, *, reply: bool = False,
+              dl: "int | None" = None, tc: "tuple | None" = None) -> None:
         self._check_alive()
         plane = self.faults
         if plane is not None:
@@ -773,10 +857,13 @@ class StreamChannel(Channel):
             if rule is not None and self._inject_send_fault(rule):
                 return  # the frame never reached the wire
         # Hot-op headers pack to a tagged struct; everything else (and
-        # anything the binary codec does not recognize) stays JSON.
-        head = control.encode_head_wire(fields)
+        # anything the binary codec does not recognize, a trace context
+        # included) stays JSON.
+        head = None if tc is not None else control.encode_head_wire(
+            fields, rid, chan, reply=reply, dl=dl)
         if head is None:
-            head = control.encode_head(fields)
+            head = control.encode_head(
+                control.envelope(fields, rid, chan, reply, dl, tc))
             _HDR_JSON.inc()
         else:
             _HDR_BINARY.inc()
@@ -845,14 +932,17 @@ class StreamChannel(Channel):
         # read(2).  Closing our write end above gives the peer EOF; the
         # peer's teardown closes its write end, the holder unblocks on
         # EOF (or its poll notices the death) and closes _rfile as it
-        # drops the role.  Sleeping callers wake: kill() has settled
+        # drops the role.  Parked callers wake: kill() has settled
         # their futures.
         with self._role:
             if self._sweep_timer is not None:
                 self._sweep_timer.cancel()
             if not self._reading:
                 _close_quietly(self._rfile)
-            self._role.notify_all()
+            sleepers = list(self._sleepers.values())
+            self._sleepers.clear()
+        for pending in sleepers:
+            _wake_up(pending._wake)
 
 
 class LocalChannel(Channel):
@@ -876,7 +966,9 @@ class LocalChannel(Channel):
         b._peer = a
         return a, b
 
-    def _send(self, fields: dict[str, Any], parts: tuple) -> None:
+    def _send(self, rid: int, chan: int, fields: dict[str, Any],
+              parts: tuple, *, reply: bool = False,
+              dl: "int | None" = None, tc: "tuple | None" = None) -> None:
         self._check_alive()
         peer = self._peer
         if peer is None or peer.dead:
@@ -887,7 +979,10 @@ class LocalChannel(Channel):
             # Handlers receive immutable bytes; materialize views and
             # gathered extents so the sender may reuse its buffers.
             payload = b"".join(parts)
-        peer._dispatch(fields, payload)
+        # The peer splits and consumes the header it receives: give it
+        # its own dict, as a wire decoder would.
+        peer._dispatch(control.envelope(fields, rid, chan, reply, dl, tc),
+                       payload)
 
     def kill(self, reason: str, error: BaseException | None = None) -> None:
         super().kill(reason, error=error)

@@ -44,6 +44,7 @@ __all__ = [
     "read_wire_message",
     "error_fields",
     "raise_for_response",
+    "envelope",
     "split_envelope",
     "ENVELOPE_KEYS",
 ]
@@ -59,6 +60,9 @@ _SMALL_BODY = 16 * 1024
 
 #: Header fields reserved for the multiplexing envelope.
 ENVELOPE_KEYS = ("rid", "chan", "re")
+
+#: The envelope as a header carries it, ``dl`` budget included.
+_INNER_ENVELOPE = ENVELOPE_KEYS + ("dl",)
 
 #: Exception classes a sentinel failure may round-trip as.  Built from
 #: :mod:`repro.errors` so every library exception survives the wire;
@@ -182,16 +186,24 @@ def _pack_u64s(values) -> bytes:
         _B_U64.pack(v) for v in values)
 
 
-def encode_head_wire(fields: dict[str, Any]) -> bytes | None:
+def encode_head_wire(fields: dict[str, Any], rid: int | None = None,
+                     chan: int | None = None, *, reply: bool = False,
+                     dl: Any = None) -> bytes | None:
     """Binary-encode a hot-op header, length word included.
 
-    Returns ``None`` whenever *fields* is not exactly one of the known
+    The envelope either rides inside *fields* (a header as
+    :func:`read_wire_message` returns it) or, when *rid* is given,
+    beside it — *rid*, *chan*, the *reply* flag and a request's ``dl``
+    budget — which is how a channel sends, so it never builds an
+    enveloped copy of the fields.  Neither form is copied here.
+
+    Returns ``None`` whenever the header is not exactly one of the known
     hot shapes — unknown keys, trace contexts, errors — telling the
     caller to fall back to :func:`encode_head`.  The fallback is what
     keeps this codec simple: it never needs to express the general case.
     """
     try:
-        head = _encode_binary(fields)
+        head = _encode_binary(fields, rid, chan, reply, dl)
     except (struct.error, TypeError, ValueError, OverflowError):
         return None
     if head is None:
@@ -199,71 +211,87 @@ def encode_head_wire(fields: dict[str, Any]) -> bytes | None:
     return _JSON_LEN.pack(len(head) | _BINARY_TAG) + head
 
 
-def _encode_binary(fields: dict[str, Any]) -> bytes | None:
-    rest = dict(fields)
-    rid = rest.pop("rid", None)
-    chan = rest.pop("chan", None)
+def _encode_binary(fields: dict[str, Any], rid: Any, chan: Any,
+                   reply: bool, dl: Any) -> bytes | None:
+    # Keys of *fields* left to make up the hot shape itself.
+    body = len(fields)
+    if rid is None:  # the envelope rides inside *fields*
+        rid = fields.get("rid")
+        chan = fields.get("chan")
+        reply = bool(fields.get("re", False))
+        dl = fields.get("dl")
+        body -= sum(1 for key in _INNER_ENVELOPE if key in fields)
     if not isinstance(rid, int) or not isinstance(chan, int) \
             or rid < 0 or chan < 0:
         return None
-    is_reply = bool(rest.pop("re", False))
     flags = 0
     opt: list[bytes] = []
-    dl = rest.pop("dl", None)
     if dl is not None:
         if not isinstance(dl, (int, float)):
             return None
         flags |= _F_DL
         opt.append(_B_F64.pack(float(dl)))
-    shm = rest.pop("shm", None)
+    get = fields.get
+    shm = get("shm")
     if shm is not None:
         if not _is_uints(shm, 4):
             return None
         flags |= _F_SHM
         opt.append(_B_SHM.pack(*shm))
-    shm_r = rest.pop("shm_r", None)
+        body -= 1
+    shm_r = get("shm_r")
     if shm_r is not None:
         if not _is_uints(shm_r, 3):
             return None
         flags |= _F_SHMR
         opt.append(_B_SHMR.pack(*shm_r))
-    sl = rest.pop("sl", None)
+        body -= 1
+    sl = get("sl")
     if sl is not None:
         if not isinstance(sl, int) or sl < 0:
             return None
         flags |= _F_SL
         opt.append(_B_U32.pack(sl))
-    if is_reply:
-        if rest.pop("ok", None) is not True:
+        body -= 1
+    if reply:
+        if get("ok") is not True:
             return None  # failure replies carry error text: JSON
-        if not rest:
+        body -= 1
+        if body == 0:
             kind, tail = _K_OK, b""
-        elif set(rest) == {"written"}:
-            written = rest["written"]
+        elif body != 1:
+            return None
+        elif "written" in fields:
+            written = fields["written"]
             if isinstance(written, int) and written >= 0:
                 kind, tail = _K_WRITTEN, _B_U64.pack(written)
             elif _is_uints(written):
                 kind, tail = _K_WRITTENV, _pack_u64s(written)
             else:
                 return None
-        elif set(rest) == {"sizes"} and _is_uints(rest["sizes"]):
-            kind, tail = _K_SIZES, _pack_u64s(rest["sizes"])
-        elif set(rest) == {"size"} and isinstance(rest["size"], int) \
-                and rest["size"] >= 0:
-            kind, tail = _K_SIZED, _B_U64.pack(rest["size"])
+        elif "sizes" in fields and _is_uints(fields["sizes"]):
+            kind, tail = _K_SIZES, _pack_u64s(fields["sizes"])
+        elif "size" in fields and isinstance(fields["size"], int) \
+                and fields["size"] >= 0:
+            kind, tail = _K_SIZED, _B_U64.pack(fields["size"])
         else:
             return None
     else:
-        cmd = rest.pop("cmd", None)
-        if cmd == "read" and set(rest) == {"offset", "size"}:
-            kind, tail = _K_READ, _B_U64x2.pack(rest["offset"], rest["size"])
-        elif cmd == "write" and set(rest) == {"offset"}:
-            kind, tail = _K_WRITE, _B_U64.pack(rest["offset"])
-        elif cmd == "size" and not rest:
+        cmd = get("cmd")
+        body -= 1
+        if cmd == "read" and body == 2 and "offset" in fields \
+                and "size" in fields:
+            kind, tail = _K_READ, _B_U64x2.pack(fields["offset"],
+                                                fields["size"])
+        elif cmd == "write" and body == 1 and "offset" in fields:
+            kind, tail = _K_WRITE, _B_U64.pack(fields["offset"])
+        elif cmd == "size" and body == 0:
             kind, tail = _K_SIZE, b""
-        elif cmd in ("readv", "writev") and set(rest) == {"extents"}:
-            parts = [_B_U32.pack(len(rest["extents"]))]
-            for extent in rest["extents"]:
+        elif cmd in ("readv", "writev") and body == 1 \
+                and "extents" in fields:
+            extents = fields["extents"]
+            parts = [_B_U32.pack(len(extents))]
+            for extent in extents:
                 if not _is_uints(extent, 2):
                     return None
                 parts.append(_B_U64x2.pack(extent[0], extent[1]))
@@ -378,17 +406,37 @@ def raise_for_response(fields: dict[str, Any]) -> None:
 # Multiplexing envelope
 # ---------------------------------------------------------------------------
 
+def envelope(fields: dict[str, Any], rid: int, chan: int,
+             reply: bool = False, dl: Any = None,
+             tc: Any = None) -> dict[str, Any]:
+    """*fields* under their envelope, as one new header dict.
+
+    The general (JSON) form of what :func:`encode_head_wire` encodes
+    from the parts; ``dl`` and ``tc`` are set only when given.
+    """
+    head = {**fields, "rid": rid, "chan": chan}
+    if reply:
+        head["re"] = True
+    if dl is not None:
+        head["dl"] = dl
+    if tc is not None:
+        head["tc"] = tc
+    return head
+
+
 def split_envelope(fields: dict[str, Any]) -> tuple[int, int, bool,
                                                     dict[str, Any]]:
-    """Pop the multiplexing envelope off a decoded header.
+    """Pop the multiplexing envelope off a decoded header, in place.
 
-    Returns ``(rid, chan, is_reply, rest)``; raises :class:`FrameError`
-    if the header carries no valid envelope.
+    Returns ``(rid, chan, is_reply, rest)``, where *rest* is *fields*
+    itself minus the envelope — a decoded header belongs to its reader,
+    so nothing is copied.  Raises :class:`FrameError`, leaving *fields*
+    as it was, if the header carries no valid envelope.
     """
-    rest = dict(fields)
     try:
-        rid = int(rest.pop("rid"))
-        chan = int(rest.pop("chan"))
+        rid = int(fields["rid"])
+        chan = int(fields["chan"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameError(f"message lacks a valid rid/chan envelope: {exc}") from exc
-    return rid, chan, bool(rest.pop("re", False)), rest
+    del fields["rid"], fields["chan"]
+    return rid, chan, bool(fields.pop("re", False)), fields

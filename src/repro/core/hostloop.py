@@ -645,16 +645,10 @@ class EventLoopServer:
                 pass  # a timer callback must not kill the pool
         return False
 
-    def _sched_faults(self, state: _ChanState) -> None:
-        plane = getattr(state.channel, "faults", None)
-        if plane is None:
-            return
-        with self._lock:
-            head = state.fifo[0] if state.fifo else None
-        op = ""
-        if head is not None:
-            op = str(head[1].get("cmd") or head[1].get("op") or "")
-        rule = plane.on_sched({"cmd": op})
+    @staticmethod
+    def _sched_faults(state: _ChanState, plane, fields: dict[str, Any]
+                      ) -> None:
+        rule = plane.on_sched(fields)
         if rule is None:
             return
         if rule.action == "delay":
@@ -679,8 +673,10 @@ class EventLoopServer:
         still held, so the caller goes straight back to reading.
 
         Every grant passes the fault plane's ``sched`` point (delay
-        stalls the grant, kill crashes the armed process).  Queue wait
-        ends, and service starts, when a thread takes up the grant.
+        stalls the grant, kill crashes the armed process) once the role
+        is armed and the request popped, which share one lock section.
+        Queue wait ends, and service starts, when a thread takes up the
+        grant.
 
         Popping a single item per grant (and re-appending the state to
         the ready *tail*) is the round-robin fairness property: a
@@ -692,15 +688,13 @@ class EventLoopServer:
         """
         started = time.monotonic()
         armed = False
-        if lead is not None:
-            with self._lock:
+        with self._lock:
+            if lead is not None:
                 if state.governed:
                     self._arm_locked(lead, started)
                     armed = True
                 else:
                     self._hand_off_locked(lead)
-        self._sched_faults(state)
-        with self._lock:
             if not state.fifo or state.detached:
                 state.scheduled = False
                 return self._armed.pop(lead, None) is not None
@@ -709,6 +703,9 @@ class EventLoopServer:
             if self._throttled and self._queued <= self.intake_low:
                 self._drained.notify_all()  # release a throttled reader
         rid, fields, payload, deadline, tc, submitted = item
+        plane = getattr(state.channel, "faults", None)
+        if plane is not None:
+            self._sched_faults(state, plane, fields)
         _QWAIT.observe(started - submitted)
         if armed:
             _HOLDER.lead = lead

@@ -18,6 +18,12 @@ class ByteBuffer:
     keep their own positions.  This keeps one buffer safely shareable
     between several openers, which is how the paper's sentinels share the
     data part.
+
+    Bytes move in one copy: in-bounds reads and writes go through a
+    ``memoryview`` of the store (a ``bytearray`` slice would copy once
+    more, and slice-assigning a ``bytes`` or ``memoryview`` source copies
+    it into a temporary first); only a write that grows the store takes
+    the resize path.
     """
 
     def __init__(self, initial: bytes = b"") -> None:
@@ -51,7 +57,7 @@ class ByteBuffer:
             raise ValueError(f"negative offset: {offset}")
         if size < 0:
             raise ValueError(f"negative size: {size}")
-        return bytes(self._data[offset:offset + size])
+        return bytes(memoryview(self._data)[offset:offset + size])
 
     def read_at_into(self, offset: int, buffer: memoryview) -> int:
         """Copy up to ``len(buffer)`` bytes at *offset* into *buffer*.
@@ -72,11 +78,20 @@ class ByteBuffer:
         """Write *data* at *offset*, zero-filling any gap; return count."""
         if offset < 0:
             raise ValueError(f"negative offset: {offset}")
-        end = offset + len(data)
-        if offset > len(self._data):
-            self._data.extend(b"\x00" * (offset - len(self._data)))
-        self._data[offset:end] = data
-        return len(data)
+        count = len(data)
+        end = offset + count
+        store = self._data
+        if end <= len(store):
+            memoryview(store)[offset:end] = data
+            return count
+        # Growing: drop the tail the write covers (or zero-fill the gap
+        # up to it), then append the whole of *data* in one copy.
+        if offset < len(store):
+            del store[offset:]
+        elif offset > len(store):
+            store.extend(bytes(offset - len(store)))
+        store += data
+        return count
 
     def append(self, data: bytes) -> int:
         """Append *data* at the current end; return the offset it landed at."""
@@ -99,4 +114,4 @@ class ByteBuffer:
 
     def setvalue(self, data: bytes) -> None:
         """Replace the whole buffer contents."""
-        self._data[:] = data
+        self._data = bytearray(data)

@@ -7,6 +7,7 @@ interleaved responses under concurrent requests.
 
 import io
 import os
+import resource
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from repro.core.channel import (
     CONTROL_CHAN,
     FIRST_SESSION_CHAN,
     LocalChannel,
+    PendingReply,
     StreamChannel,
 )
 from repro.core.container import Container
@@ -57,8 +59,7 @@ class TestEnvelopeCodec:
            _fields, st.binary(max_size=256))
     def test_request_envelope_roundtrip(self, rid, chan, fields, payload):
         decoded_fields, decoded_payload = sent_frame(
-            lambda ch: ch._send({**fields, "rid": rid, "chan": chan},
-                                (payload,)))
+            lambda ch: ch._send(rid, chan, fields, (payload,)))
         out_rid, out_chan, is_reply, rest = control.split_envelope(
             decoded_fields)
         assert (out_rid, out_chan, is_reply) == (rid, chan, False)
@@ -85,6 +86,21 @@ class TestEnvelopeCodec:
     def test_invalid_envelope_values_rejected(self):
         with pytest.raises(FrameError):
             control.split_envelope({"rid": "not-a-number", "chan": 0})
+
+
+class SlowRead:
+    """Importable sentinel whose reads take *delay* seconds, so the
+    callers of a busy connection park while the host works."""
+
+    def __new__(cls, params):
+        from repro.core.sentinel import Sentinel
+
+        class Impl(Sentinel):
+            def on_read(self, ctx, offset, size):
+                time.sleep(float(self.params.get("delay", 0.001)))
+                return ctx.data.read_at(offset, size)
+
+        return Impl(params)
 
 
 def make_stream_pair():
@@ -309,6 +325,83 @@ class TestCallerRead:
         finally:
             a.close()
 
+    def test_depth_one_request_builds_no_event(self, monkeypatch):
+        """A caller that reads its own reply waits on a plain flag: a
+        depth-1 request constructs no ``threading.Event``."""
+        a, b = self.caller_read_pair(lambda f, p: ({"ok": True}, p))
+        caller = threading.current_thread()
+        made = []
+
+        class CountingEvent(threading.Event):
+            def __init__(self):
+                if threading.current_thread() is caller:
+                    made.append(1)
+                super().__init__()
+
+        try:
+            a.request(FIRST_SESSION_CHAN, {"n": 0}, b"x")  # warm up
+            monkeypatch.setattr(threading, "Event", CountingEvent)
+            for n in range(50):
+                fields, payload = a.request(FIRST_SESSION_CHAN, {"n": n},
+                                            b"x", timeout=5.0)
+                assert fields["ok"] is True and payload == b"x"
+            assert made == []
+        finally:
+            a.close()
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                        reason="per-thread switch counts need RUSAGE_THREAD")
+    def test_each_reply_wakes_only_its_caller(self, tmp_path):
+        """16 callers at depth 1 on one caller-read connection, to a
+        host whose reads take a millisecond, so most callers are parked
+        at any moment.  A reply wakes its own caller, and a holder
+        giving the role up wakes one successor: a few voluntary
+        switches per op across the callers, not one per parked caller
+        per frame (a wake-all costs about 18 per op here)."""
+        from repro.core import create_active
+        from repro.core.runner import SentinelHost
+
+        threads, ops = 16, 60
+        path = tmp_path / "wide.af"
+        create_active(path, f"{__name__}:SlowRead",
+                      params={"delay": 0.001}, data=b"w" * 4096,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            chans = [host.open("process-control") for _ in range(threads)]
+            read = {"cmd": "read", "offset": 0, "size": 512}
+            for chan in chans:  # warm up
+                host.channel.request(chan, dict(read), timeout=10.0)
+            start = threading.Barrier(threads)
+            switches: list = []
+            errors: list = []
+
+            def caller(chan):
+                try:
+                    start.wait(10.0)
+                    before = resource.getrusage(resource.RUSAGE_THREAD)
+                    for _ in range(ops):
+                        fields, payload = host.channel.request(
+                            chan, dict(read), timeout=10.0)
+                        assert fields["ok"] is True and len(payload) == 512
+                    after = resource.getrusage(resource.RUSAGE_THREAD)
+                    switches.append(after.ru_nvcsw - before.ru_nvcsw)
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=caller, args=(chan,))
+                       for chan in chans]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+            assert not errors, errors
+            assert len(switches) == threads
+            per_op = sum(switches) / (threads * ops)
+            assert per_op <= 5.0, f"{per_op:.2f} caller switches per op"
+        finally:
+            host.shutdown()
+
     def test_register_after_start_is_refused(self):
         """Serving is decided at start: a handler registered later
         would never be read, so it is refused."""
@@ -356,23 +449,28 @@ class TestCallerRead:
             while not a._reading:
                 time.sleep(0.001)
             pending = a.request_async(FIRST_SESSION_CHAN + 1, {"d": 0.05})
-            event = pending._event
-            real_is_set = event.is_set
+            flag = PendingReply.done  # the completion flag's slot
+            waiter = threading.current_thread()
             stalled = []
 
-            def is_set_late():
+            def done_late(future):
                 # Read the flag, then stall before sleeping on the role
                 # (holding its lock): the reply lands in between.
-                value = real_is_set()
-                if not stalled and a._role._is_owned():
+                value = flag.__get__(future)
+                if (future is pending and not stalled
+                        and threading.current_thread() is waiter
+                        and a._role.locked()):
                     stalled.append(value)
                     time.sleep(0.3)
                 return value
 
-            event.is_set = is_set_late
-            started = time.monotonic()
-            fields, _ = pending.wait(10.0)
-            elapsed = time.monotonic() - started
+            PendingReply.done = property(done_late, flag.__set__)
+            try:
+                started = time.monotonic()
+                fields, _ = pending.wait(10.0)
+                elapsed = time.monotonic() - started
+            finally:
+                PendingReply.done = flag
             assert fields["ok"] is True
             assert stalled == [False]  # the window was really hit
             assert elapsed < 1.0, f"sibling woke after {elapsed:.2f}s"
@@ -427,6 +525,118 @@ class TestCallerRead:
             assert not any(thread.is_alive() for thread in threads)
             assert not errors, errors
             assert sorted(done) == list(range(len(plan)))
+            assert a.counters.snapshot()["in_flight"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            a.close()
+
+
+    def test_caller_picked_as_its_deadline_passes_hands_the_role_on(
+            self, monkeypatch):
+        """A parked caller whose deadline passes just as the departing
+        holder picks it to read next must hand the role on: another
+        parked caller's reply lands after the holder left, and only a
+        reader can deliver it."""
+        def handler(fields, payload):
+            time.sleep(fields["d"])
+            return {"ok": True}, b""
+
+        class TimesOutAsPicked:
+            """A wake-up whose owner's deadline wins the race against
+            the pick that releases it."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.lock.acquire()
+
+            def acquire(self, blocking=True, timeout=-1):
+                woken = self.lock.acquire(blocking, timeout)
+                return woken and timeout < 0
+
+            def release(self):
+                self.lock.release()
+
+        a, b = self.caller_read_pair(handler, chans=3)
+        late = a.request_async(FIRST_SESSION_CHAN + 1, {"d": 5.0})
+        real_arm = PendingReply._arm
+
+        def arm(future):
+            if future is late and future._wake is None:
+                future._wake = TimesOutAsPicked()
+            return real_arm(future)
+
+        monkeypatch.setattr(PendingReply, "_arm", arm)
+        holder = threading.Thread(target=a.request, args=(
+            FIRST_SESSION_CHAN, {"d": 0.1}), kwargs={"timeout": 10.0})
+        outcome: list = []
+        try:
+            holder.start()
+            while not a._reading:
+                time.sleep(0.001)
+            picked = threading.Thread(
+                target=lambda: outcome.append(
+                    pytest.raises(DeadlineExceededError, late.wait, 10.0)))
+            picked.start()
+            while late.rid not in a._sleepers:
+                time.sleep(0.001)
+            started = time.monotonic()
+            fields, _ = a.request(FIRST_SESSION_CHAN + 2, {"d": 0.3},
+                                  timeout=10.0)
+            elapsed = time.monotonic() - started
+            assert fields["ok"] is True
+            assert elapsed < 2.0, f"stranded for {elapsed:.2f}s"
+            picked.join(10.0)
+            holder.join(10.0)
+            assert not picked.is_alive() and not holder.is_alive()
+            assert len(outcome) == 1
+        finally:
+            a.close()
+
+    def test_parked_callers_timing_out_leave_the_connection_idle(self):
+        """Callers with budgets shorter than the handler park and give
+        up while others wait with ample budgets.  No ample-budget
+        request times out, every reply reaches its own caller, and the
+        connection ends idle."""
+        def handler(fields, payload):
+            time.sleep(0.001 * fields["d"])
+            return {"ok": True, "t": fields["t"], "i": fields["i"]}, b""
+
+        a, b = self.caller_read_pair(handler, chans=4)
+        errors: list = []
+
+        def caller(t):
+            try:
+                for i in range(30):
+                    budget = (0.002, 0.004, 5.0)[(t + i) % 3]
+                    try:
+                        fields, _ = a.request(
+                            FIRST_SESSION_CHAN + t % 4,
+                            {"t": t, "i": i, "d": (t * i) % 4},
+                            timeout=budget)
+                    except DeadlineExceededError:
+                        if budget > 1.0:
+                            raise
+                        continue
+                    if not fields["ok"]:  # expired before the host ran it
+                        assert budget < 1.0, fields
+                        assert fields["error_type"] == "DeadlineExceededError"
+                        continue
+                    assert (fields["t"], fields["i"]) == (t, i)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(t,))
+                   for t in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings around the role
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert not a._reading and not a._sleepers
             assert a.counters.snapshot()["in_flight"] == 0
         finally:
             sys.setswitchinterval(interval)

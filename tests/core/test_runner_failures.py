@@ -262,7 +262,7 @@ class TestCallerReadCrash:
                 thread.start()
             channel = host.channel
             deadline = time.monotonic() + 10.0
-            while not (channel._reading and channel._sleepers == 2
+            while not (channel._reading and len(channel._sleepers) == 2
                        and channel.counters.in_flight == 3):
                 assert time.monotonic() < deadline, "callers never parked"
                 time.sleep(0.01)

@@ -97,6 +97,48 @@ class TestProperties:
         buf.write_at(offset, data)
         assert buf.read_at(offset, len(data)) == data
 
+    @given(st.binary(max_size=256), st.integers(0, 300),
+           st.binary(max_size=64), st.booleans())
+    def test_write_matches_a_plain_bytearray(self, initial, offset, data,
+                                             as_view):
+        """In-bounds, straddling and past-the-end writes, from bytes or
+        a memoryview, land exactly as on a zero-filled bytearray."""
+        buf = ByteBuffer(initial)
+        model = bytearray(initial)
+        if offset > len(model):
+            model.extend(bytes(offset - len(model)))
+        model[offset:offset + len(data)] = data
+        source = memoryview(bytearray(data)) if as_view else data
+        assert buf.write_at(offset, source) == len(data)
+        assert buf.getvalue() == bytes(model)
+        assert buf.read_at(0, len(model) + 8) == bytes(model)
+
+    @given(st.binary(min_size=1, max_size=256), st.data())
+    def test_write_straddling_the_end(self, initial, data):
+        """A write that starts inside the buffer and runs past its end
+        overwrites the tail and grows the buffer to its own end."""
+        offset = data.draw(st.integers(0, len(initial) - 1))
+        payload = data.draw(st.binary(
+            min_size=len(initial) - offset + 1, max_size=300))
+        buf = ByteBuffer(initial)
+        buf.write_at(offset, memoryview(payload))
+        assert buf.getvalue() == initial[:offset] + payload
+        assert buf.size == offset + len(payload)
+
+    @given(st.binary(max_size=256), st.integers(0, 300), st.integers(0, 300))
+    def test_read_at_matches_slicing(self, initial, offset, size):
+        value = ByteBuffer(initial).read_at(offset, size)
+        assert type(value) is bytes
+        assert value == initial[offset:offset + size]
+
+    @given(st.binary(max_size=128), st.binary(max_size=128))
+    def test_setvalue_from_a_memoryview(self, initial, data):
+        buf = ByteBuffer(initial)
+        buf.setvalue(memoryview(data))
+        assert buf.getvalue() == data
+        buf.write_at(len(data), b"!")
+        assert buf.getvalue() == data + b"!"
+
     @given(st.binary(max_size=128), st.integers(0, 200), st.binary(max_size=64))
     def test_size_after_write(self, initial, offset, data):
         buf = ByteBuffer(initial)
