@@ -53,10 +53,20 @@ from repro.core.datapart import DataPart
 from repro.core.telemetry import TELEMETRY
 from repro.errors import CacheError
 
-__all__ = ["BlockCache", "CACHE_PATHS"]
+__all__ = ["BlockCache", "CACHE_PATHS", "CACHE_STAT_KEYS"]
 
 #: The paper's cache-path names, as accepted by the remote-file sentinel.
 CACHE_PATHS = ("none", "disk", "memory")
+
+#: The keys of :meth:`BlockCache.stats` (a snapshot's ``cache`` section).
+CACHE_STAT_KEYS = ("hits", "misses", "prefetch_issued", "prefetch_used",
+                   "coalesced_flushes", "dirty_high_water", "dirty_bytes",
+                   "blocks", "inflight_blocks", "window", "writeback")
+
+#: Failed write-behind flushes, process-wide.  A registry counter, not
+#: a :meth:`BlockCache.stats` key: it outlives the cache, so evidence
+#: bundles exported after close still carry the failure.
+_FLUSH_FAILURES = TELEMETRY.metrics.counter("cache.flush_failures")
 
 #: First window issued once sequentiality is confirmed (blocks).
 MIN_WINDOW = 2
@@ -615,11 +625,9 @@ class BlockCache:
                     self._push(extent_offset, extent_data)
         except BaseException:
             # The origin may hold a prefix; keep everything buffered so
-            # a later flush (or close) retries — no silent loss.  The
-            # registry counter outlives this cache object, so evidence
-            # bundles exported after close still carry the failure.
+            # a later flush (or close) retries — no silent loss.
             self.flush_failures += 1
-            TELEMETRY.metrics.counter("cache.flush_failures").inc()
+            _FLUSH_FAILURES.inc()
             for s, e in staged:
                 self._mark_dirty(s, e)
             raise
@@ -704,20 +712,11 @@ class BlockCache:
     def stats(self) -> dict[str, Any]:
         """A plain-data snapshot of every cache counter."""
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "prefetch_issued": self.prefetch_issued,
-                "prefetch_used": self.prefetch_used,
-                "coalesced_flushes": self.coalesced_flushes,
-                "dirty_high_water": self.dirty_high_water,
-                "flush_failures": self.flush_failures,
-                "dirty_bytes": self.dirty_bytes,
-                "blocks": len(self._valid),
-                "inflight_blocks": len(self._inflight),
-                "window": self._window,
-                "writeback": self.writeback,
-            }
+            return dict(zip(CACHE_STAT_KEYS, (
+                self.hits, self.misses, self.prefetch_issued,
+                self.prefetch_used, self.coalesced_flushes,
+                self.dirty_high_water, self.dirty_bytes, len(self._valid),
+                len(self._inflight), self._window, self.writeback)))
 
     @property
     def cached_blocks(self) -> int:

@@ -44,9 +44,16 @@ __all__ = ["CoherenceDomain", "domain_for", "DEFAULT_MAX_PENDING"]
 #: Default bound of a subscriber's pending-update queue.
 DEFAULT_MAX_PENDING = 64
 
-
-def _metric(name: str):
-    return TELEMETRY.metrics.counter(name)
+#: Fan-out and lease counters, process-wide (every domain feeds them).
+_PUBLISHED = TELEMETRY.metrics.counter("fanout.published")
+_DELIVERED = TELEMETRY.metrics.counter("fanout.delivered")
+_DROPPED = TELEMETRY.metrics.counter("fanout.dropped")
+_EVICTED = TELEMETRY.metrics.counter("fanout.evicted")
+_SUBSCRIBERS = TELEMETRY.metrics.gauge("fanout.subscribers")
+_GRANTED = TELEMETRY.metrics.counter("lease.granted")
+_INVALIDATED = TELEMETRY.metrics.counter("lease.invalidated")
+_FILL_COALESCED = TELEMETRY.metrics.counter("lease.fill_coalesced")
+_WRITE_WAITS = TELEMETRY.metrics.counter("lease.write_waits")
 
 
 class _Member:
@@ -229,7 +236,7 @@ class CoherenceDomain:
                 return
             self._leases[member] = True
             self.lease_granted += 1
-        _metric("lease.granted").inc()
+        _GRANTED.inc()
 
     # -- write serialization -------------------------------------------------------
 
@@ -251,7 +258,7 @@ class CoherenceDomain:
                 self._fence_freed.wait(timeout=5.0)
             if waited:
                 self.write_waits += 1
-                _metric("lease.write_waits").inc()
+                _WRITE_WAITS.inc()
             self._fences.append(token)
             self._bump_epoch_locked()
         try:
@@ -292,7 +299,7 @@ class CoherenceDomain:
                      if mid != member]
             subs = list(self._subs.items())
             self.published += 1
-        _metric("fanout.published").inc()
+        _PUBLISHED.inc()
         revoked: list[int] = []
         for mid, peer in peers:
             if peer.install is not None:
@@ -340,7 +347,7 @@ class CoherenceDomain:
                     revoked += 1
             self.lease_invalidated += revoked
         if revoked:
-            _metric("lease.invalidated").inc(revoked)
+            _INVALIDATED.inc(revoked)
 
     def _enqueue(self, record: dict[str, Any], *, skip_member: int) -> None:
         delivered = dropped = newly_evicted = 0
@@ -364,11 +371,11 @@ class CoherenceDomain:
             if newly_evicted:
                 self._sub_gauge()
         if delivered:
-            _metric("fanout.delivered").inc(delivered)
+            _DELIVERED.inc(delivered)
         if dropped:
-            _metric("fanout.dropped").inc(dropped)
+            _DROPPED.inc(dropped)
         if newly_evicted:
-            _metric("fanout.evicted").inc(newly_evicted)
+            _EVICTED.inc(newly_evicted)
 
     # -- single-flight fills -------------------------------------------------------
 
@@ -396,7 +403,7 @@ class CoherenceDomain:
                 self._fills[key] = entry
                 join = False
         if join:
-            _metric("lease.fill_coalesced").inc()
+            _FILL_COALESCED.inc()
             return lambda: self._run_fill(key, entry)
         try:
             resolver = start()
@@ -474,8 +481,7 @@ class CoherenceDomain:
 
     def _sub_gauge(self) -> None:
         """Live subscriber count for this domain (lock held)."""
-        TELEMETRY.metrics.gauge("fanout.subscribers").set(
-            float(len(self._subs)))
+        _SUBSCRIBERS.set(float(len(self._subs)))
 
     # -- observability --------------------------------------------------------------
 

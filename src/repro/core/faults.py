@@ -137,31 +137,10 @@ class FaultPlane:
         """Outbound frames matching *op* silently vanish."""
         return self.rule("send", "drop", op=op, p=p, after=after, times=times)
 
-    def delay_frame(self, seconds: float, *, op: str | None = None,
-                    p: float = 1.0, after: int = 0,
-                    times: int | None = None) -> "FaultPlane":
-        return self.rule("send", "delay", op=op, p=p, after=after,
-                         times=times, seconds=seconds)
-
-    def corrupt_frame(self, *, op: str | None = None, after: int = 0,
-                      times: int | None = 1) -> "FaultPlane":
-        """The peer receives an undecodable frame (its channel dies)."""
-        return self.rule("send", "corrupt", op=op, after=after, times=times)
-
-    def eof_mid_frame(self, *, op: str | None = None, after: int = 0,
-                      times: int | None = 1) -> "FaultPlane":
-        """The connection breaks in the middle of a frame."""
-        return self.rule("send", "eof", op=op, after=after, times=times)
-
     def kill_host(self, *, after: int = 0,
                   times: int | None = 1) -> "FaultPlane":
         """Hard-kill the armed host process after *after* requests."""
         return self.rule("send", "kill", after=after, times=times)
-
-    def drop_reply(self, *, p: float = 1.0, after: int = 0,
-                   times: int | None = None) -> "FaultPlane":
-        """Inbound messages are discarded after decoding."""
-        return self.rule("recv", "drop", p=p, after=after, times=times)
 
     def fail_network(self, *, address: str | None = None,
                      op: str | None = None, p: float = 1.0, after: int = 0,
@@ -203,11 +182,6 @@ class FaultPlane:
         return self.rule("sched", "delay", op=op, p=p, after=after,
                          times=times, seconds=seconds)
 
-    def kill_at_sched(self, *, after: int = 0,
-                      times: int | None = 1) -> "FaultPlane":
-        """Hard-kill the armed host at a scheduling grant."""
-        return self.rule("sched", "kill", after=after, times=times)
-
     # -- arming -------------------------------------------------------------
 
     def arm_channel(self, channel) -> "FaultPlane":
@@ -218,11 +192,6 @@ class FaultPlane:
     def arm_host(self, host) -> "FaultPlane":
         """Arm a :class:`~repro.core.runner.SentinelHost` connection."""
         return self.arm_channel(host.channel)
-
-    def arm_pool(self, pool) -> "FaultPlane":
-        """Arm every host a :class:`SentinelHostPool` spawns from now on."""
-        pool.faults = self
-        return self
 
     def arm_network(self, network) -> "FaultPlane":
         """Consult this plane on every :meth:`Network.call`."""

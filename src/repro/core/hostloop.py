@@ -92,6 +92,7 @@ from repro.errors import (
 )
 
 __all__ = [
+    "HOST_STAT_KEYS",
     "EventLoopServer",
     "TimerHandle",
     "serve_one",
@@ -100,10 +101,12 @@ __all__ = [
     "serving_stats",
 ]
 
-#: Admission rejects, module-cached so the reject path (which must stay
-#: cheap — that is its whole point) never takes the registry lock.
-_REJECTS = TELEMETRY.metrics.counter("host.rejects.total")
-_STALLS = TELEMETRY.metrics.counter("host.backpressure.stalls")
+#: The keys of :meth:`EventLoopServer.stats`: the loop's ``host.*``
+#: gauges, in a snapshot's ``host`` section and in every ``ping`` reply.
+HOST_STAT_KEYS = ("host.channels.active", "host.queue.depth",
+                  "host.inflight", "host.rejects",
+                  "host.backpressure.stalls", "host.executors",
+                  "host.timers")
 
 #: End-to-end host latency, split at the scheduling grant: time an
 #: admitted request waited for a thread to take up its grant vs time
@@ -266,8 +269,7 @@ class EventLoopServer:
                  max_inflight: int | None = None,
                  queue_depth: int | None = None,
                  intake_high: int | None = None,
-                 intake_low: int | None = None,
-                 publish_gauges: bool = False) -> None:
+                 intake_low: int | None = None) -> None:
         self.name = name
         self.executors = executors if executors is not None \
             else policy.HOST_EXECUTOR_THREADS
@@ -279,10 +281,6 @@ class EventLoopServer:
             else min(policy.HOST_INTAKE_HIGH, self.max_inflight)
         self.intake_low = intake_low if intake_low is not None \
             else min(policy.HOST_INTAKE_LOW, max(0, self.intake_high - 1))
-        #: When True this server's gauges are published to the global
-        #: metrics registry at snapshot time (only the process's shared
-        #: loop does, so private test servers cannot clobber them).
-        self.publish_gauges = publish_gauges
         self._lock = threading.Lock()
         #: Idle pool threads park here; :meth:`_wake_locked` wakes one.
         self._work = threading.Condition(self._lock)
@@ -417,7 +415,6 @@ class EventLoopServer:
             # overloaded host sheds load without queueing it first.
             # The reply may overtake queued siblings on the wire; rid
             # matching makes that harmless.
-            _REJECTS.inc()
             try:
                 state.channel._send_reply(
                     rid, state.chan,
@@ -439,7 +436,6 @@ class EventLoopServer:
         if self._queued < self.intake_high or channel.dead:
             return
         self._stalls += 1
-        _STALLS.inc()
         with self._lock:
             self._throttled += 1
             try:
@@ -508,22 +504,11 @@ class EventLoopServer:
     def stats(self) -> dict[str, Any]:
         """The ``host.*`` gauge family (also the telemetry collector)."""
         with self._lock:
-            out = {
-                "host.channels.active": self._channels,
-                "host.queue.depth": self._queued,
-                "host.inflight": self._inflight,
-                "host.rejects": self._rejects,
-                "host.backpressure.stalls": self._stalls,
-                "host.executors": max(0, self._threads - self._readers),
-                "host.timers": sum(1 for _, _, h in self._timers
-                                   if not h.cancelled),
-            }
-        if self.publish_gauges:
-            metrics = TELEMETRY.metrics
-            for key in ("host.channels.active", "host.queue.depth",
-                        "host.inflight"):
-                metrics.gauge(key).set(out[key])
-        return out
+            return dict(zip(HOST_STAT_KEYS, (
+                self._channels, self._queued, self._inflight,
+                self._rejects, self._stalls,
+                max(0, self._threads - self._readers),
+                sum(1 for _, _, h in self._timers if not h.cancelled))))
 
     def shutdown(self) -> None:
         """Stop the loop's threads (used by tests owning a private loop)."""
@@ -749,7 +734,7 @@ def shared_loop() -> EventLoopServer:
     global _SHARED
     with _SHARED_LOCK:
         if _SHARED is None:
-            _SHARED = EventLoopServer(publish_gauges=True)
+            _SHARED = EventLoopServer()
         return _SHARED
 
 

@@ -75,6 +75,13 @@ __all__ = [
 #: (re-exported from :mod:`repro.core.policy`, where timeouts live).
 HOST_LINGER_S = policy.HOST_LINGER_S
 
+#: Host-pool accounting: hosts spawned, hosts pooled right now, and
+#: respawns of crashed hosts (also counted per container, in a scope
+#: named by the container path).
+_SPAWNED = TELEMETRY.metrics.counter("hosts.spawned")
+_POOLED = TELEMETRY.metrics.gauge("hosts.pooled")
+_RESPAWNS = TELEMETRY.metrics.counter("host.respawns")
+
 _DISPATCHERS = {
     "process-control": SentinelDispatcher,
     "process": StreamDispatcher,
@@ -552,7 +559,7 @@ class HostLease:
         # Durable respawn accounting: the global tally plus a
         # per-container scope, so `afctl doctor` can tell "one crash"
         # from "this container's host is in a respawn storm".
-        TELEMETRY.metrics.counter("host.respawns").inc()
+        _RESPAWNS.inc()
         TELEMETRY.metrics.counter("host.respawns",
                                   scope=host.container_path).inc()
 
@@ -626,10 +633,10 @@ class SentinelHostPool:
                                     faults=self.faults)
                 self._hosts[key] = host
                 self._refs[key] = 0
-                TELEMETRY.metrics.counter("hosts.spawned").inc()
+                _SPAWNED.inc()
             self._refs[key] += 1
             reaper = self._reapers.pop(key, None)
-            TELEMETRY.metrics.gauge("hosts.pooled").set(len(self._hosts))
+            _POOLED.set(len(self._hosts))
         return host, reaper
 
     def _respawn(self, key, dead_host: SentinelHost, container_path,
@@ -682,7 +689,7 @@ class SentinelHostPool:
         reaper = self._reapers.pop(key, None)
         if reaper is not None:
             reaper.cancel()
-        TELEMETRY.metrics.gauge("hosts.pooled").set(len(self._hosts))
+        _POOLED.set(len(self._hosts))
 
     def shutdown_all(self) -> None:
         with self._lock:

@@ -747,9 +747,15 @@ class ScenarioRunner:
                 plane.arm_host(host)
 
             t0 = time.monotonic()
+            # Resource faults "at 0" land before the first op, like the
+            # pre-armed rules: delivered from here, they cannot race a
+            # kill the workload's first ops trigger.
+            self._inject_timed([inj for inj in timed if inj.at == 0], t0,
+                               plane, workload, deliveries, last_delivery)
             injector = threading.Thread(
                 target=self._inject_timed,
-                args=(timed, t0, plane, workload, deliveries, last_delivery),
+                args=([inj for inj in timed if inj.at > 0], t0, plane,
+                      workload, deliveries, last_delivery),
                 name="af-chaos-injector", daemon=True)
             injector.start()
 

@@ -17,7 +17,7 @@ that walk mechanical for the grown-up runtime:
   when disabled.
 
 * **Metrics** — a registry of named counters, gauges and fixed
-  log-scale-bucket latency histograms with per-container and global
+  log-linear-bucket latency histograms with per-container and global
   scopes.  The pre-existing counter families (``ChannelCounters``,
   ``FileStats``, ``NetworkStats``, cache stats, fault summaries) stay
   where they are — their owners register weakly-referenced *collectors*
@@ -75,10 +75,16 @@ SPAN_BUFFER_LIMIT = 4096
 #: :meth:`Telemetry.export_bundle` and consumed by ``afctl doctor``.
 BUNDLE_SCHEMA = 1
 
-#: Fixed log-scale histogram bucket upper bounds, in seconds: powers of
-#: two from 1 µs to ~134 s, plus an implicit overflow bucket.  Fixed
-#: bounds keep snapshots comparable across runs and machines.
-HISTOGRAM_BOUNDS: tuple[float, ...] = tuple(1e-6 * (1 << i) for i in range(28))
+#: Fixed log-linear histogram bucket upper bounds, in seconds: each
+#: power of two from 1 µs to ~134 s split into 8 equal sub-buckets
+#: (224 bounds, the last ~252 s), plus an implicit overflow bucket.
+#: Reporting a bucket's upper bound so overstates a value by at most
+#: 12.5%; the powers of two are bounds too, so older snapshots' bucket
+#: keys still load.  Fixed bounds keep snapshots comparable across runs
+#: and machines.
+HISTOGRAM_BOUNDS: tuple[float, ...] = tuple(
+    1e-6 * (1 << octave) * (8 + step) / 8
+    for octave in range(28) for step in range(8))
 
 #: Every bucket's upper bound, the overflow bucket's included.
 _BUCKET_BOUNDS = HISTOGRAM_BOUNDS + (math.inf,)
@@ -268,7 +274,7 @@ class Gauge:
 
 
 class Histogram:
-    """A latency histogram over the fixed log-scale bucket bounds.
+    """A latency histogram over the fixed log-linear bucket bounds.
 
     ``observe`` is allocation-light (index arithmetic plus in-place
     increments), safe to call per frame.
@@ -321,7 +327,10 @@ def bucket_percentile(buckets: Iterable[tuple[float, int]],
     order, the overflow bucket's bound being ``inf``.  Resolution is one
     bucket: the result is the upper bound of the bucket holding the q-th
     observation (``HISTOGRAM_BOUNDS[-1]``, where the overflow bucket
-    starts, for an overflow observation), 0.0 when empty.
+    starts, for an overflow observation), 0.0 when empty.  Over
+    :data:`HISTOGRAM_BOUNDS` that is at most 12.5% above the exact
+    nearest-rank value of an observation between 1 µs and the last
+    bound.
     """
     buckets = list(buckets)
     count = sum(tally for _, tally in buckets)
@@ -768,8 +777,9 @@ class Telemetry:
           ``summary()`` dicts;
         * ``host`` — :class:`~repro.core.hostloop.EventLoopServer`
           ``stats()`` dicts (the ``host.*`` gauges);
-        * ``close_errors`` — ``{"count", "last"}`` folded from every
-          transport connection;
+        * ``close_errors`` — ``{"last"}``, the latest close-error text
+          of any transport connection (their count is the
+          ``close_errors`` transport total);
         * ``metrics`` — the :class:`MetricsRegistry` snapshot
           (``{"global": ..., "scopes": ...}``);
         * ``spans`` — ``{"tracing", "buffered", "dropped"}``.
@@ -798,15 +808,14 @@ class Telemetry:
                     self._families.get(family, {}).pop(key, None)
         connections = out["transport"]
         totals = dict.fromkeys(TRANSPORT_TOTAL_KEYS, 0)
-        close_count, last_close = 0, ""
+        last_close = ""
         for snap in connections.values():
             for key in TRANSPORT_TOTAL_KEYS:
                 totals[key] += snap.get(key, 0)
-            close_count += snap.get("close_errors", 0)
             if snap.get("last_close_error"):
                 last_close = snap["last_close_error"]
         out["transport"] = {"connections": connections, "totals": totals}
-        out["close_errors"] = {"count": close_count, "last": last_close}
+        out["close_errors"] = {"last": last_close}
         out["metrics"] = self.metrics.snapshot()
         with self._lock:
             out["spans"] = {"tracing": self.tracing,
@@ -909,10 +918,10 @@ def render_snapshot(snap: dict[str, Any]) -> str:
     _render_section("network", snap.get("network", {}), lines)
     _render_section("faults", snap.get("faults", {}), lines)
     _render_section("host", snap.get("host", {}), lines)
-    close = snap.get("close_errors", {})
-    lines.append(f"close errors: {close.get('count', 0)}"
-                 + (f" (last: {close.get('last')})" if close.get("last")
-                    else ""))
+    # The count is the close_errors transport total printed above.
+    last_close = snap.get("close_errors", {}).get("last")
+    _render_section("close errors", {"last": last_close} if last_close
+                    else {}, lines)
     metrics = snap.get("metrics", {})
     _render_section("metrics (global)", metrics.get("global", {}), lines)
     for scope, values in sorted(metrics.get("scopes", {}).items()):

@@ -1,11 +1,12 @@
 """Declarative metric checks: threshold / ratio / trend rules as data.
 
 Each ``doctor/checks/*.yaml`` file declares exactly one rule over the
-flattened snapshot keys (:data:`repro.doctor.engine.KNOWN_METRICS`),
-parsed with the same YAML subset the chaos engine's scenarios use.  A
-check is the cheapest possible regression guard: when a perf PR lands a
-counter, a ten-line file encodes "this ratio going bad means the
-feature regressed", and every future ``afctl doctor`` run enforces it.
+flattened snapshot keys (:func:`repro.doctor.engine.known_metric`,
+which answers from the names the runtime's emitters spell), parsed
+with the same YAML subset the chaos engine's scenarios use.  A check is
+the cheapest possible regression guard: once a counter lands, a
+ten-line file encodes "this ratio going bad means the feature
+regressed", and every future ``afctl doctor`` run enforces it.
 
 Three rule types:
 
@@ -149,8 +150,8 @@ def lint_check(doc: Any, where: str = "check") -> dict[str, Any]:
     for metric in metrics:
         if not known_metric(metric):
             raise DoctorError(
-                f"{where}: unknown metric {metric!r} — not in the "
-                "doctor's flattened-snapshot catalog (KNOWN_METRICS)")
+                f"{where}: unknown metric {metric!r} — no emitter "
+                "produces this flattened-snapshot key")
     return doc
 
 

@@ -21,19 +21,22 @@ Three layers, mirroring the chaos engine's declarative design:
   over the same bundle yields an identical fingerprint, so "did this
   change what doctor sees" is one dict comparison.
 
-The flattening contract (``KNOWN_METRICS`` below) is the seam every
-future perf PR extends: land a counter, add its key here, ship a
-declarative check that encodes the regression it guards against.
+Every flattened key has exactly one emitter: a registry metric, or a
+field of one snapshot section (a stats dict, a dataclass, a ``ping``
+reply).  The doctor keeps no list of its own: :func:`known_metric`
+answers from the names those emitters spell, so a metric landed in the
+runtime is a metric a check can name.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
 import os
 import pkgutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from repro.core.telemetry import (
@@ -48,8 +51,6 @@ from repro.errors import DoctorError
 __all__ = [
     "DOCTOR_SCHEMA",
     "SEVERITIES",
-    "KNOWN_METRICS",
-    "KNOWN_METRIC_PREFIXES",
     "known_metric",
     "Finding",
     "Evidence",
@@ -58,6 +59,7 @@ __all__ = [
     "build_analyzers",
     "run_doctor",
     "render_report",
+    "flatten_sections",
     "flatten_snapshot",
     "flatten_scopes",
 ]
@@ -69,71 +71,6 @@ DOCTOR_SCHEMA = 1
 #: Finding severities, most severe first (also the report sort order).
 SEVERITIES = ("critical", "warning", "info")
 _SEV_RANK = {sev: rank for rank, sev in enumerate(SEVERITIES)}
-
-# ---------------------------------------------------------------------------
-# The metric catalog: every dotted key the flattener can produce.  The
-# checks linter rejects references to anything else, so a typo'd check
-# fails lint instead of silently never firing.
-# ---------------------------------------------------------------------------
-
-#: Exact flattened keys (see :func:`flatten_snapshot` for provenance).
-KNOWN_METRICS = frozenset({
-    # metrics registry (global scope)
-    "host.backpressure.stalls", "host.rejects.total", "host.respawns",
-    "hosts.pooled", "hosts.spawned",
-    "shm.bytes", "shm.fallback_inline", "shm.slots_leased",
-    # coherence + fan-out plane
-    "fanout.published", "fanout.delivered", "fanout.dropped",
-    "fanout.evicted", "fanout.subscribers",
-    "lease.granted", "lease.invalidated", "lease.fill_coalesced",
-    "lease.write_waits",
-    "transport.header.binary", "transport.header.json",
-    # host.* latency-split histograms (flattened)
-    "host.queue_wait_s.count", "host.queue_wait_s.sum",
-    "host.queue_wait_s.p50", "host.queue_wait_s.p95",
-    "host.service_s.count", "host.service_s.sum",
-    "host.service_s.p50", "host.service_s.p95",
-    # transport totals
-    "transport.requests_sent", "transport.replies_received",
-    "transport.requests_served", "transport.requests_failed",
-    "transport.bytes_sent", "transport.bytes_received",
-    "transport.in_flight", "transport.max_in_flight",
-    "transport.close_errors",
-    # cache aggregate (summed across registered caches)
-    "cache.hits", "cache.misses", "cache.prefetch_issued",
-    "cache.prefetch_used", "cache.coalesced_flushes",
-    "cache.dirty_high_water", "cache.flush_failures", "cache.dirty_bytes",
-    "cache.blocks", "cache.inflight_blocks", "cache.window",
-    "cache.writeback",
-    # host serving loop (section and/or live ping)
-    "host.channels.active", "host.queue.depth", "host.inflight",
-    "host.rejects", "host.executors", "host.timers",
-    "host.sessions", "host.threads",
-    # network aggregate
-    "network.requests", "network.bytes_sent", "network.bytes_received",
-    "network.charged_us", "network.partitions", "network.heals",
-    "network.partition_drops",
-    # bookkeeping
-    "spans.buffered", "spans.dropped", "close_errors.count",
-    # per-container (scoped) file stats
-    "file.reads", "file.writes", "file.bytes_read", "file.bytes_written",
-    "file.seeks", "file.controls", "file.cache_hits", "file.cache_misses",
-    "file.prefetch_issued", "file.prefetch_used", "file.coalesced_flushes",
-    "file.dirty_high_water",
-})
-
-#: Open-ended key families (suffix varies per run: fault rules, op
-#: families, session strategies, live latency splits).
-KNOWN_METRIC_PREFIXES = (
-    "faults.injected.", "faults.fired.",
-    "sessions.opened.", "host.lat.", "transport.latency.",
-)
-
-
-def known_metric(name: str) -> bool:
-    """True when *name* is a key the flattener can produce."""
-    return name in KNOWN_METRICS or name.startswith(KNOWN_METRIC_PREFIXES)
-
 
 # ---------------------------------------------------------------------------
 # Findings
@@ -198,65 +135,85 @@ def _sum_into(out: dict[str, float], key: str, value: Any,
 #: cache fields where summing across caches would be wrong.
 _CACHE_MAX_FIELDS = frozenset({"window", "dirty_high_water"})
 
+#: Scalars of a ``ping`` reply flattened as ``host.<key>``.
+_PING_SCALARS = ("sessions", "threads")
 
-def flatten_snapshot(snap: dict[str, Any],
-                     ping: dict[str, Any] | None = None) -> dict[str, float]:
-    """Fold one :meth:`Telemetry.snapshot` into ``{dotted.key: number}``.
+#: Fields of a snapshot's ``spans`` section flattened as ``spans.<key>``.
+_SPAN_FIELDS = ("buffered", "dropped")
 
-    Aggregation rules, section by section (the contract checks rely
-    on — extend :data:`KNOWN_METRICS` when extending this):
 
-    * ``cache`` — fields summed across caches (``cache.hits`` ...),
-      except ``window``/``dirty_high_water`` which take the max;
-    * ``host`` — the serving loop's already-prefixed ``host.*`` gauges,
-      summed across loops; a live ``ping`` reply overrides them and
-      adds ``host.sessions``/``host.threads`` and ``host.lat.*``;
+def flatten_sections(snap: dict[str, Any],
+                     ping: dict[str, Any] | None = None
+                     ) -> dict[str, dict[str, float]]:
+    """Each emitter of one :meth:`Telemetry.snapshot`, flattened apart.
+
+    Returns ``{emitter: {dotted.key: number}}``; no two emitters spell
+    the same key, so :func:`flatten_snapshot` merges them as they are.
+
+    * ``cache`` — :class:`~repro.core.cache.BlockCache` stats summed
+      across caches (``cache.hits`` ...), except ``window`` and
+      ``dirty_high_water``, which take the max;
+    * ``host`` — the serving loops' ``host.*`` gauges, summed across
+      loops; a live ``ping`` reply's ``host`` gauges replace them (the
+      same emitter, read fresher, from the serving host itself);
+    * ``ping`` — the rest of the reply: ``host.sessions``,
+      ``host.threads`` and the latency split as ``host.lat.*``;
     * ``network`` — numeric fields summed (``network.requests`` ...);
-    * ``faults`` — armed-plane summaries as ``faults.fired.<rule>``;
-    * ``transport`` — the totals dict as ``transport.<key>``;
-    * ``spans`` / ``close_errors`` — bookkeeping scalars;
-    * ``metrics.global`` — overlaid **last** (authoritative where a
-      registry counter shadows a section aggregate), histograms
-      contributing ``.count``/``.sum``/``.p50``/``.p95``.
+    * ``faults`` — armed-plane summaries as ``faults.fired.<point>:<action>``;
+    * ``transport`` — the totals as ``transport.<key>``;
+    * ``spans`` — the span buffer's ``spans.buffered``/``spans.dropped``;
+    * ``metrics`` — the global registry scope, each histogram as
+      ``.count``/``.sum``/``.p50``/``.p95``.
     """
-    out: dict[str, float] = {}
+    out: dict[str, dict[str, float]] = {
+        name: {} for name in ("cache", "host", "ping", "network", "faults",
+                              "transport", "spans")}
     for entry in (snap.get("cache") or {}).values():
         if isinstance(entry, dict):
             for fld, value in entry.items():
-                _sum_into(out, f"cache.{fld}", value,
+                _sum_into(out["cache"], f"cache.{fld}", value,
                           "max" if fld in _CACHE_MAX_FIELDS else "sum")
     for entry in (snap.get("host") or {}).values():
         if isinstance(entry, dict):
             for key, value in entry.items():
-                _sum_into(out, key, value)
+                _sum_into(out["host"], key, value)
     for entry in (snap.get("network") or {}).values():
         if isinstance(entry, dict):
             for fld, value in entry.items():
-                _sum_into(out, f"network.{fld}", value)
+                _sum_into(out["network"], f"network.{fld}", value)
     for entry in (snap.get("faults") or {}).values():
         if isinstance(entry, dict):
             for rule, value in entry.items():
-                _sum_into(out, f"faults.fired.{rule}", value)
+                _sum_into(out["faults"], f"faults.fired.{rule}", value)
     for key, value in (snap.get("transport") or {}).get("totals",
                                                         {}).items():
-        _sum_into(out, f"transport.{key}", value)
+        _sum_into(out["transport"], f"transport.{key}", value)
     spans_info = snap.get("spans") or {}
-    _sum_into(out, "spans.buffered", spans_info.get("buffered", 0))
-    _sum_into(out, "spans.dropped", spans_info.get("dropped", 0))
-    _sum_into(out, "close_errors.count",
-              (snap.get("close_errors") or {}).get("count", 0))
+    for key in _SPAN_FIELDS:
+        _sum_into(out["spans"], f"spans.{key}", spans_info.get(key, 0))
     if ping:
         for key, value in (ping.get("host") or {}).items():
             if isinstance(value, (int, float)):
-                out[key] = value  # live beats the section aggregate
+                out["host"][key] = value
         for key, value in (ping.get("lat") or {}).items():
             if isinstance(value, (int, float)):
-                out[f"host.lat.{key}"] = value
-        for key in ("sessions", "threads"):
+                out["ping"][f"host.lat.{key}"] = value
+        for key in _PING_SCALARS:
             if isinstance(ping.get(key), (int, float)):
-                out[f"host.{key}"] = ping[key]
-    metrics = (snap.get("metrics") or {}).get("global") or {}
-    out.update(_flat_metrics(metrics))
+                out["ping"][f"host.{key}"] = ping[key]
+    out["metrics"] = _flat_metrics(
+        (snap.get("metrics") or {}).get("global") or {})
+    return out
+
+
+def flatten_snapshot(snap: dict[str, Any],
+                     ping: dict[str, Any] | None = None) -> dict[str, float]:
+    """Fold one :meth:`Telemetry.snapshot` (and a live host's ``ping``
+    reply) into ``{dotted.key: number}``: the union of
+    :func:`flatten_sections`."""
+    out: dict[str, float] = {}
+    for flat in flatten_sections(snap, ping).values():
+        out.update(flat)
     return out
 
 
@@ -276,6 +233,60 @@ def flatten_scopes(snap: dict[str, Any]) -> dict[str, dict[str, float]]:
         for fld, value in entry.items():
             _sum_into(flat, f"file.{fld}", value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The metric catalog, derived from the emitters.  The checks linter
+# rejects a name outside it, so a typo'd check fails lint instead of
+# silently never firing.
+# ---------------------------------------------------------------------------
+
+#: The one family whose suffix is open: a latency histogram per op name.
+_OPEN_PREFIX = "transport.latency."
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog() -> frozenset[str]:
+    """Every fixed-name key the flattener can produce, plus the exact
+    members of the families whose suffix varies by run."""
+    # The runner imports every module that creates registry metrics at
+    # import (channel, shm, hostloop, cache, fanout and itself); the
+    # global registry then spells every fixed registry name.
+    import repro.core.runner  # noqa: F401
+    from repro.core import faults, hostloop, resourcefaults
+    from repro.core.cache import CACHE_STAT_KEYS
+    from repro.core.fileobj import FileStats
+    from repro.core.strategies import STRATEGIES
+    from repro.core.telemetry import TRANSPORT_TOTAL_KEYS
+    from repro.net.network import NetworkStats
+
+    def numeric(stats: Any) -> list[str]:
+        return [key for key, value in asdict(stats).items()
+                if isinstance(value, (int, float))]
+
+    names = set(_flat_metrics(TELEMETRY.metrics.snapshot()["global"]))
+    names.update(f"transport.{key}" for key in TRANSPORT_TOTAL_KEYS)
+    names.update(f"cache.{key}" for key in CACHE_STAT_KEYS)
+    names.update(hostloop.HOST_STAT_KEYS)
+    names.update(f"host.lat.{key}" for key in hostloop.latency_split_stats())
+    names.update(f"host.{key}" for key in _PING_SCALARS)
+    names.update(f"network.{key}" for key in numeric(NetworkStats()))
+    names.update(f"file.{key}" for key in numeric(FileStats()))
+    names.update(f"spans.{key}" for key in _SPAN_FIELDS)
+    for point, actions in faults._POINTS.items():
+        for action in actions:
+            names.add(f"faults.injected.{point}.{action}")
+            names.add(f"faults.fired.{point}:{action}")
+    names.update(f"faults.injected.resource.{action}"
+                 for action in resourcefaults.RESOURCE_ACTIONS)
+    names.update(f"sessions.opened.{strategy}" for strategy in STRATEGIES)
+    return frozenset(name for name in names
+                     if not name.startswith(_OPEN_PREFIX))
+
+
+def known_metric(name: str) -> bool:
+    """True when *name* is a key the flattener can produce."""
+    return name in _catalog() or name.startswith(_OPEN_PREFIX)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ the smoke matrix is stable.
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import create_active, open_active
+from repro.core import create_active, open_active, policy
 from repro.core.faults import FaultPlane
+from repro.core.telemetry import TELEMETRY
 from repro.net import Address, FileServer, Network
 
 REMOTE = "repro.sentinels.remotefile:RemoteFileSentinel"
@@ -198,3 +200,43 @@ class TestAcceptanceScenario:
             assert summary.get("network:partition", 0) == 1  # the cut too
             assert network.stats.partition_drops >= 1
             assert network.stats.heals >= 1
+
+
+class TestEveryFaultAction:
+    """Each connection-breaking action a scenario may name fires once
+    during a supervised process-control read, and the read still
+    returns the origin's bytes."""
+
+    @pytest.mark.parametrize("point,action", [
+        ("send", "corrupt"), ("send", "eof"), ("recv", "drop"),
+        ("sched", "kill")])
+    def test_fires_once_and_the_read_survives(self, monkeypatch, point,
+                                              action):
+        # A dropped reply costs one attempt timeout before the retry.
+        monkeypatch.setattr(policy, "ATTEMPT_TIMEOUT", 0.5)
+        injected = TELEMETRY.metrics.counter(
+            f"faults.injected.{point}.{action}")
+        with tempfile.TemporaryDirectory() as dirname:
+            if point == "sched":
+                # The sched point runs where a request is served; on the
+                # application's end that is the network bridge, which an
+                # uncached remote read crosses on every call.
+                network, _, path = _rig(dirname, cache="none")
+            else:
+                # A local container: every inbound frame is a reply.
+                network = None
+                path = os.path.join(dirname, "local.af")
+                create_active(path, "repro.sentinels.null:NullFilterSentinel",
+                              data=CONTENT)
+            stream = open_active(path, "rb", strategy="process-control",
+                                 network=network)
+            try:
+                plane = FaultPlane(seed=1).rule(point, action, times=1)
+                plane.arm_host(stream.session.host)
+                before = injected.value
+                data = _read_all(stream)
+            finally:
+                stream.close()
+        assert data == CONTENT
+        assert injected.value - before == 1
+        assert plane.summary() == {f"{point}:{action}": 1}

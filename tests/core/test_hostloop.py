@@ -638,8 +638,6 @@ class TestTelemetry:
         for key in ("host.channels.active", "host.queue.depth",
                     "host.inflight", "host.rejects"):
             assert key in shared
-        # the shared loop publishes its gauges into the metrics registry
-        assert "host.inflight" in snap["metrics"]["global"]
         app.close()
 
 

@@ -6,10 +6,12 @@ here depends on wall time.
 
 import gc
 import json
+import math
+import random
 
 import pytest
 
-from repro.core.cache import BlockCache
+from repro.core.cache import CACHE_STAT_KEYS, BlockCache
 from repro.core.channel import LocalChannel
 from repro.core.datapart import MemoryDataPart
 from repro.core.faults import FaultPlane
@@ -18,6 +20,7 @@ from repro.core.telemetry import (
     NULL_SPAN,
     TELEMETRY,
     TRANSPORT_TOTAL_KEYS,
+    Histogram,
     MetricsRegistry,
     Telemetry,
     render_snapshot,
@@ -194,18 +197,54 @@ class TestMetrics:
         registry = MetricsRegistry()
         hist = registry.histogram("transport.latency.read")
         hist.observe(1e-6)     # exactly the first bound
-        hist.observe(3e-6)     # between 2 µs and 4 µs
+        hist.observe(3.1e-6)   # between 3 µs and 3.25 µs
+        hist.observe(4e-6)     # exactly a power of two
         hist.observe(1000.0)   # beyond the last bound: overflow bucket
         snap = hist.snap()
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(1000.000004)
-        assert snap["buckets"] == {"le_1e-06": 1, "le_4e-06": 1, "le_inf": 1}
+        assert snap["count"] == 4
+        assert snap["sum"] == pytest.approx(1000.0000081)
+        assert snap["buckets"] == {"le_1e-06": 1, "le_3.25e-06": 1,
+                                   "le_4e-06": 1, "le_inf": 1}
 
     def test_bounds_are_wall_clock_free_constants(self):
-        assert HISTOGRAM_BOUNDS[0] == 1e-6
-        assert len(HISTOGRAM_BOUNDS) == 28
-        assert all(b == 2 * a for a, b in zip(HISTOGRAM_BOUNDS,
-                                              HISTOGRAM_BOUNDS[1:]))
+        # 28 octaves from 1 µs, each split into 8 equal steps
+        assert len(HISTOGRAM_BOUNDS) == 28 * 8
+        for octave in range(28):
+            base = 1e-6 * 2 ** octave
+            steps = HISTOGRAM_BOUNDS[8 * octave:8 * octave + 8]
+            assert steps[0] == base
+            assert steps == pytest.approx(
+                [base * (8 + step) / 8 for step in range(8)], rel=1e-12)
+        assert HISTOGRAM_BOUNDS[-1] == pytest.approx(1e-6 * 2 ** 27 * 15 / 8)
+        assert all(b / a <= 1.125 + 1e-12 for a, b in
+                   zip(HISTOGRAM_BOUNDS, HISTOGRAM_BOUNDS[1:]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_percentile_overstates_by_at_most_one_eighth(self, seed):
+        rng = random.Random(seed)
+        samples = [10 ** rng.uniform(-6, 2) for _ in range(rng.randrange(1, 500))]
+        hist = Histogram("h")
+        for value in samples:
+            hist.observe(value)
+        ordered = sorted(samples)
+        for q in (0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0):
+            exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
+            assert 1.0 <= hist.percentile(q) / exact <= 1.125 + 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_component_p95_within_one_eighth_of_the_total(self, seed):
+        """A per-request component (queue wait) never exceeds its total,
+        so its histogram p95 stays within 12.5% of the exact total p95."""
+        rng = random.Random(seed)
+        component = Histogram("queue_wait")
+        totals = []
+        for _ in range(rng.randrange(20, 2000)):
+            total = 10 ** rng.uniform(-5, 0)
+            totals.append(total)
+            component.observe(total * rng.uniform(0.0, 1.0))
+        totals.sort()
+        exact_p95 = totals[math.ceil(0.95 * len(totals)) - 1]
+        assert component.percentile(0.95) <= 1.125 * exact_p95
 
 
 # -- collector registry / snapshot schema -----------------------------------
@@ -281,9 +320,12 @@ class TestSnapshotSchema:
             <= set(file_entry)
 
         cache_entry = next(iter(snap["cache"].values()))
+        assert set(cache_entry) == set(CACHE_STAT_KEYS)
         assert {"hits", "misses", "prefetch_issued", "prefetch_used",
-                "coalesced_flushes", "dirty_bytes", "flush_failures"} \
-            <= set(cache_entry)
+                "coalesced_flushes", "dirty_bytes"} <= set(cache_entry)
+        # flush failures outlive their cache: a registry counter, there
+        # from import on
+        assert "cache.flush_failures" in snap["metrics"]["global"]
 
         network_entry = next(iter(snap["network"].values()))
         assert {"requests", "bytes_sent", "bytes_received", "charged_us",
@@ -301,8 +343,9 @@ class TestSnapshotSchema:
         assert refreshed["metrics"]["global"].get(
             "faults.injected.send.drop", 0) >= 1
 
-        assert set(snap["close_errors"]) == {"count", "last"}
-        assert snap["close_errors"]["count"] >= 1
+        assert set(snap["close_errors"]) == {"last"}
+        assert snap["close_errors"]["last"] == "synthetic close failure"
+        assert transport["totals"]["close_errors"] >= 1
         assert set(snap["metrics"]) == {"global", "scopes"}
         assert set(snap["spans"]) == {"tracing", "buffered", "dropped"}
 

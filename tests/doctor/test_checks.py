@@ -99,9 +99,10 @@ class TestShippedChecksFireAndStaySilent:
         assert found and found[0].evidence["spans.dropped"] == 7
 
     def test_close_errors(self, shipped):
-        found = fires(shipped["close-errors"],
-                      make_evidence(close_errors={"count": 2}))
+        found = fires(shipped["close-errors"], make_evidence(
+            transport={"totals": {"close_errors": 2}}))
         assert found and found[0].subsystem == "session"
+        assert found[0].evidence["transport.close_errors"] == 2
 
     def test_transport_failures_ratio(self, shipped):
         check = shipped["transport-failures"]
@@ -128,8 +129,8 @@ class TestShippedChecksFireAndStaySilent:
         assert not fires(check, effective)
 
     def test_backpressure_stalls(self, shipped):
-        found = fires(shipped["backpressure-stalls"],
-                      make_evidence({"host.backpressure.stalls": 2}))
+        found = fires(shipped["backpressure-stalls"], make_evidence(
+            host={"af-loop#1": {"host.backpressure.stalls": 2}}))
         assert found and found[0].subsystem == "host"
 
     def test_fanout_slow_consumer(self, shipped):

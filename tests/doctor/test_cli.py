@@ -90,7 +90,8 @@ class TestDoctorExitCodes:
 
 class TestDoctorOutput:
     def test_json_report_schema(self, workdir, capsys):
-        make_evidence({"host.backpressure.stalls": 3}).export("bundle")
+        make_evidence(host={"af-loop#1": {"host.backpressure.stalls": 3}}
+                      ).export("bundle")
         assert main(["doctor", "--bundle", "bundle", "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == 1
@@ -111,8 +112,8 @@ class TestDoctorOutput:
             "name: custom-only\ntype: threshold\nmetric: shm.bytes\n"
             "above: 0\nseverity: info\nsubsystem: shm\n"
             "message: custom rule fired\n")
-        make_evidence({"shm.bytes": 100,
-                       "host.backpressure.stalls": 5}).export("bundle")
+        make_evidence({"shm.bytes": 100}, host={
+            "af-loop#1": {"host.backpressure.stalls": 5}}).export("bundle")
         assert main(["doctor", "--bundle", "bundle", "--json",
                      "--checks", "checks"]) == 1
         report = json.loads(capsys.readouterr().out)

@@ -1,12 +1,17 @@
 """Engine tests: flattening, bundle I/O, the report schema contract."""
 
+import itertools
 import json
 import os
 import random
+import signal
 
 import pytest
 
-from repro.core.telemetry import BUNDLE_SCHEMA, Histogram
+from repro.core import create_active, open_active
+from repro.core.faults import FaultPlane
+from repro.core.hostloop import shared_loop
+from repro.core.telemetry import BUNDLE_SCHEMA, TELEMETRY, Histogram
 from repro.doctor import engine
 from repro.doctor.engine import (
     DOCTOR_SCHEMA,
@@ -15,14 +20,19 @@ from repro.doctor.engine import (
     Finding,
     build_analyzers,
     flatten_scopes,
+    flatten_sections,
     flatten_snapshot,
     known_metric,
     render_report,
     run_doctor,
 )
 from repro.errors import DoctorError
+from repro.net import Address, FileServer, Network
 
 from tests.doctor.conftest import make_evidence, make_snapshot
+
+NULL = "repro.sentinels.null:NullFilterSentinel"
+REMOTE = "repro.sentinels.remotefile:RemoteFileSentinel"
 
 
 class TestFlatten:
@@ -44,15 +54,6 @@ class TestFlatten:
         assert flat["cache.misses"] == 1
         assert flat["cache.window"] == 8          # max, not sum
         assert flat["cache.dirty_high_water"] == 10
-
-    def test_metrics_global_overlays_section_aggregates(self):
-        # host.backpressure.stalls exists both as a section field and
-        # as a registry counter; the registry (authoritative) must win
-        # so the value is never double-counted.
-        snap = make_snapshot(
-            {"host.backpressure.stalls": 7},
-            host={"loop#1": {"host.backpressure.stalls": 7}})
-        assert flatten_snapshot(snap)["host.backpressure.stalls"] == 7
 
     def test_histograms_gain_percentiles(self):
         hist = {"count": 4, "sum": 1.0,
@@ -89,19 +90,38 @@ class TestFlatten:
         assert flat["host.lat.queue_wait_p95_us"] == 900.0
         assert flat["host.sessions"] == 3
 
+        # The input every app process has: its own serving loop and its
+        # own registry.  Neither may shadow the serving host's gauges.
+        shared_loop()
+        ping = {"host": {"host.backpressure.stalls": 5, "host.inflight": 40,
+                         "host.channels.active": 900}}
+        flat = flatten_snapshot(TELEMETRY.snapshot(), ping=ping)
+        assert (flat["host.backpressure.stalls"], flat["host.inflight"],
+                flat["host.channels.active"]) == (5, 40, 900)
+
+    def test_live_capture_keeps_the_host_gauges(self, tmp_path):
+        path = tmp_path / "live.af"
+        create_active(path, NULL, data=b"live " * 4096)
+        evidence = Evidence.capture_live(str(path))
+        assert evidence.ping is not None
+        for key, value in evidence.ping["host"].items():
+            assert evidence.flat[key] == value, key
+        assert evidence.flat["host.channels.active"] >= 1
+
     def test_faults_and_transport_and_bookkeeping(self):
         snap = make_snapshot(
-            faults={"plane#1": {"kill-host": 2}},
+            faults={"plane#1": {"send:kill": 2}},
             transport={"totals": {"requests_sent": 9,
-                                  "requests_failed": 1}},
+                                  "requests_failed": 1,
+                                  "close_errors": 2}},
             spans={"tracing": True, "buffered": 5, "dropped": 3},
-            close_errors={"count": 2, "recent": []},
+            close_errors={"last": "BrokenPipeError"},
         )
         flat = flatten_snapshot(snap)
-        assert flat["faults.fired.kill-host"] == 2
+        assert flat["faults.fired.send:kill"] == 2
         assert flat["transport.requests_sent"] == 9
         assert flat["spans.dropped"] == 3
-        assert flat["close_errors.count"] == 2
+        assert flat["transport.close_errors"] == 2
 
     def test_scoped_view_merges_metrics_and_file_stats(self):
         snap = make_snapshot(
@@ -116,9 +136,86 @@ class TestFlatten:
 
     def test_known_metric_catalog_covers_prefix_families(self):
         assert known_metric("shm.fallback_inline")
-        assert known_metric("faults.fired.kill-host")
+        assert known_metric("faults.fired.send:kill")
+        assert known_metric("faults.injected.recv.drop")
+        assert known_metric("faults.injected.resource.disk-full")
         assert known_metric("sessions.opened.thread")
+        assert known_metric("transport.latency.read.p95")
         assert not known_metric("made.up.metric")
+        # families are exact: only the actions their sources allow
+        assert not known_metric("faults.fired.kill-host")
+        assert not known_metric("faults.injected.recv.kill")
+        assert not known_metric("sessions.opened.fork")
+        # the duplicate emitters are gone
+        assert not known_metric("close_errors.count")
+        assert not known_metric("host.rejects.total")
+
+
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory):
+    """A representative evidence capture: a thread-strategy open of a
+    remote file (memory cache, write-behind) over a Network; a
+    process-control open that survives one host kill, with its ping;
+    a fault plane that fired once."""
+    workdir = tmp_path_factory.mktemp("capture")
+    network = Network()
+    server = network.bind(Address("files.test", 7000), FileServer())
+    server.put_file("data/blob.bin", bytes(range(256)) * 64)
+    remote = workdir / "remote.af"
+    create_active(remote, REMOTE, params={
+        "address": "files.test:7000", "path": "data/blob.bin",
+        "cache": "memory", "writeback": True, "block_size": 1024},
+        meta={"data": "memory"})
+    local = workdir / "local.af"
+    create_active(local, NULL, data=b"local " * 1024)
+    plane = FaultPlane(seed=1).drop_frame(op="probe", times=1)
+    plane.on_send({"cmd": "probe"})
+    with open_active(remote, "r+b", strategy="thread",
+                     network=network) as cached, \
+            open_active(local, "rb", strategy="process-control") as pc:
+        cached.read(4096)
+        cached.write(b"dirty")
+        assert pc.read(16)
+        proc = pc.session.host.proc
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        pc.seek(0)
+        assert pc.read(16)  # one respawn, transparently retried
+        ping = pc.session.host.ping()
+        snap = TELEMETRY.snapshot()
+    assert plane.summary() == {"send:drop": 1}
+    return snap, ping
+
+
+class TestOneEmitter:
+    """Every flattened key has one emitter, and the doctor's catalog is
+    exactly what the emitters spell."""
+
+    def test_sections_and_registry_are_disjoint(self, capture):
+        snap, ping = capture
+        parts = flatten_sections(snap, ping)
+        assert all(parts.values())  # the capture exercises every emitter
+        for one, other in itertools.combinations(sorted(parts), 2):
+            shared = set(parts[one]) & set(parts[other])
+            assert not shared, f"{one} and {other} both emit {shared}"
+        scopes = snap["metrics"]["scopes"]
+        assert any(metrics.get("host.respawns") for metrics in scopes.values())
+        file_keys = {f"file.{fld}" for entry in snap["files"].values()
+                     for fld in entry}
+        for metrics in scopes.values():
+            assert not set(engine._flat_metrics(metrics)) & file_keys
+
+    def test_catalog_matches_the_emitters_both_ways(self, capture):
+        snap, ping = capture
+        seen = set(flatten_snapshot(snap, ping)).union(
+            *flatten_scopes(snap).values())
+        assert sorted(key for key in seen if not known_metric(key)) == []
+        fixed = {key for key in engine._catalog()
+                 if not key.startswith(("faults.", "sessions.opened."))}
+        assert sorted(fixed - seen) == []
+        assert not hasattr(engine, "KNOWN_METRICS")
+        assert not hasattr(engine, "KNOWN_METRIC_PREFIXES")
+        assert engine._OPEN_PREFIX == "transport.latency."
 
 
 class TestBundleIO:
@@ -208,7 +305,8 @@ class TestReportContract:
         assert set(report["summary"]) == {"critical", "warning", "info"}
 
     def test_finding_keys_exact(self):
-        evidence = make_evidence({"host.backpressure.stalls": 2})
+        evidence = make_evidence(
+            host={"af-loop#1": {"host.backpressure.stalls": 2}})
         report = run_doctor(evidence)
         assert report["findings"]
         for finding in report["findings"]:
@@ -226,15 +324,16 @@ class TestReportContract:
             second["fingerprint"]["digest"]
 
     def test_fingerprint_tracks_findings(self, clean_evidence):
-        dirty = make_evidence({"host.backpressure.stalls": 1})
+        dirty = make_evidence(
+            host={"af-loop#1": {"host.backpressure.stalls": 1}})
         assert run_doctor(clean_evidence)["fingerprint"]["digest"] != \
             run_doctor(dirty)["fingerprint"]["digest"]
 
     def test_findings_sorted_most_severe_first(self):
         evidence = make_evidence(
-            {"host.backpressure.stalls": 1},               # info
             scopes={"a.af": {"host.respawns": 5}},         # critical
-            close_errors={"count": 1},                     # warning
+            host={"af-loop#1": {"host.backpressure.stalls": 1}},  # info
+            transport={"totals": {"close_errors": 1}},     # warning
         )
         report = run_doctor(evidence)
         severities = [finding["severity"]
