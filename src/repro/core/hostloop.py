@@ -16,6 +16,15 @@ the worker model guaranteed:
 * **concurrent across channels** — distinct channels make progress
   independently, bounded by the pool instead of the thread count.
 
+The one exception to serial is the network bridge on channel 0, whose
+handler is marked :func:`independent`: each bridge call is a separate
+origin exchange that blocks on the network, so each request takes a
+grant of its own and the calls of one connection run at the same time
+on the pool.  Serving them one after another made a read-ahead window
+wait out the whole WAN exchange of the window before it, and a
+write-behind flush wait behind both.  Every other channel, the host's
+own channel 0 (``open``, ``ping``, ``chaos``) included, stays serial.
+
 **Leader/follower serving.**  Reading a connection is a *role* that
 one pool thread holds at a time (the leader).  When a request arrives
 for an idle channel and the loop has nothing else admitted, the leader
@@ -95,6 +104,7 @@ __all__ = [
     "HOST_STAT_KEYS",
     "EventLoopServer",
     "TimerHandle",
+    "independent",
     "serve_one",
     "latency_split_stats",
     "shared_loop",
@@ -174,6 +184,20 @@ def serve_one(channel, chan: int, handler, rid: int,
         pass  # peer is gone; nothing left to answer to
 
 
+def independent(handler: Callable) -> Callable:
+    """Mark a channel-0 handler whose requests do not depend on one
+    another: the loop serves each on a grant of its own, so they run at
+    the same time on the pool instead of in arrival order.
+
+    The network bridge is the one such handler: its calls are separate
+    origin exchanges that each block on the network, and a read-ahead
+    window must not queue behind the one before it.  A session channel
+    stays serial whatever its handler says.
+    """
+    handler.independent = True
+    return handler
+
+
 def latency_split_stats() -> dict[str, float]:
     """Queue-wait vs service-time split of every op this host served.
 
@@ -218,7 +242,7 @@ class _ChanState:
     """
 
     __slots__ = ("server", "channel", "chan", "handler", "name",
-                 "governed", "fifo", "scheduled", "detached")
+                 "governed", "serial", "fifo", "scheduled", "detached")
 
     def __init__(self, server: "EventLoopServer", channel, chan: int,
                  handler, name: str, governed: bool) -> None:
@@ -228,10 +252,15 @@ class _ChanState:
         self.handler = handler
         self.name = name
         self.governed = governed
+        #: False only for an ungoverned channel whose handler serves
+        #: :func:`independent` requests: each request then takes a
+        #: grant of its own, and the channel's requests run at once.
+        self.serial = governed or not getattr(handler, "independent",
+                                              False)
         self.fifo: deque = deque()
-        #: True while the channel is granted: queued on the ready queue
-        #: or running on a pool thread.  Only one grant exists at a
-        #: time, which is what keeps the channel serial.
+        #: True while a serial channel is granted: queued on the ready
+        #: queue or running on a pool thread.  Only one grant exists at
+        #: a time, which is what keeps the channel serial.
         self.scheduled = False
         self.detached = False
 
@@ -322,7 +351,9 @@ class EventLoopServer:
         """Serve *chan* of *channel* on this loop; returns the state.
 
         ``governed=False`` exempts the channel from admission control
-        (the control/bridge plane).
+        (the control/bridge plane); with a handler marked
+        :func:`independent` it also serves each request on a grant of
+        its own.
         """
         state = _ChanState(self, channel, int(chan), handler, name,
                            governed)
@@ -404,7 +435,10 @@ class EventLoopServer:
                 self._queued += 1
                 self._inflight += 1
                 if not state.scheduled:
-                    state.scheduled = True
+                    # A serial channel holds one grant at a time; a
+                    # per-request one takes a grant for every request
+                    # and so never counts as scheduled.
+                    state.scheduled = state.serial
                     if lead is not None and self._inflight == 1:
                         inline = state  # run to completion (see run())
                     else:
@@ -645,7 +679,8 @@ class EventLoopServer:
 
     def _run_one(self, state: _ChanState,
                  lead: "Callable[[], bool] | None" = None) -> bool:
-        """Serve exactly one queued request of *state*, then requeue it.
+        """Serve exactly one queued request of *state*, then requeue a
+        serial channel with more queued.
 
         With *lead* (a read role) the request runs on the thread that
         read it, which keeps the role through the op: the role is
@@ -669,7 +704,10 @@ class EventLoopServer:
         requeued state needs a wake-up only when the calling thread
         kept a read role (it read more requests for the channel while
         waiting on a reply); otherwise that thread goes back to the
-        pool and picks the state up itself.
+        pool and picks the state up itself.  A per-request channel
+        (``serial`` False) is never requeued: each of its requests was
+        granted on arrival, and a grant finding the FIFO emptied by
+        :meth:`detach` serves nothing.
         """
         started = time.monotonic()
         armed = False
@@ -711,7 +749,9 @@ class EventLoopServer:
                 # inline while this thread is tied up.
                 self._inflight -= 1
                 held = self._armed.pop(lead, None) is not None
-                if state.fifo and not state.detached:
+                if not state.serial:
+                    pass  # this grant was the request's own
+                elif state.fifo and not state.detached:
                     self._ready.append(state)
                     if held:
                         self._wake_locked()

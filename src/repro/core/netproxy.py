@@ -17,7 +17,13 @@ over the *same* multiplexed channel that carries file operations:
 Historically the bridge burned a dedicated fd pair per open and
 serialized calls behind a lock; now bridge traffic is ordinary
 channel-0 request/reply traffic — tagged, pipelined, and counted like
-everything else on the connection.
+everything else on the connection.  The bridge handler is marked
+:func:`~repro.core.hostloop.independent`, so the application's serving
+loop runs the calls of one connection at the same time, one pool
+thread each, instead of in arrival order: a read-ahead window reaches
+the origin while the window before it is still on the wire, and a
+write-behind flush does not queue behind either.  Each call waits at
+most until the deadline its caller sent along.
 
 This mirrors reality: the "remote" sources genuinely are in a different
 process from the sentinel.
@@ -29,6 +35,7 @@ from typing import Any, Callable
 
 from repro.core import policy
 from repro.core.channel import CONTROL_CHAN, Channel
+from repro.core.hostloop import independent
 from repro.core.policy import Deadline
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
@@ -59,9 +66,15 @@ class NetworkBridgeServer:
     def __init__(self, network) -> None:
         self.network = network
 
+    @independent
     def handle(self, fields: dict[str, Any],
                payload: bytes) -> tuple[dict[str, Any], bytes]:
-        """Serve one proxied network call (a channel-0 request handler)."""
+        """Serve one proxied network call (a channel-0 request handler).
+
+        Calls share nothing but the network, so the serving loop runs
+        each on its own pool thread: a second read-ahead window reaches
+        the origin while the first is still on the wire.
+        """
         address = Address(host=fields.get("host", ""),
                           port=int(fields.get("port", 0)),
                           scheme=fields.get("scheme", ""))
@@ -109,21 +122,23 @@ class ProxyConnection:
                                         payload=payload),
                                 deadline=deadline)
 
-    def call_async(self, op: str, payload: bytes = b"",
+    def call_async(self, op: str, payload: bytes = b"", *,
+                   deadline: "Deadline | float | None" = None,
                    **fields) -> Callable[[], Response]:
         """Start one proxied call; returns a resolver for its response.
 
         The request is on the wire (pipelined on channel 0) when this
-        returns; calling the resolver blocks for the reply.  All
-        errors — including issue-time transport failures — surface at
-        resolution, so callers can issue a batch before touching any
-        result.
+        returns; calling the resolver blocks for the reply, at most
+        until *deadline*.  All errors — including issue-time transport
+        failures — surface at resolution, so callers can issue a batch
+        before touching any result.
         """
         if self._closed:
             raise NetworkError("connection is closed")
         return self._proxy.call_async(self.address,
                                       Request(op=op, fields=dict(fields),
-                                              payload=payload))
+                                              payload=payload),
+                                      deadline=deadline)
 
     def expect(self, op: str, payload: bytes = b"", **fields) -> Response:
         response = self.call(op, payload, **fields)
@@ -146,7 +161,9 @@ class ProxyNetwork:
 
     Calls ride channel 0 of the host connection as ordinary requests, so
     concurrent sentinels (or one sentinel with concurrent needs) can
-    pipeline network calls rather than queueing behind a pipe lock.
+    pipeline network calls rather than queueing behind a pipe lock, and
+    the application end serves them at once: the next read-ahead window
+    is already at the origin while the current one is consumed.
     """
 
     def __init__(self, channel: Channel) -> None:

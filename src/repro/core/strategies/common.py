@@ -380,6 +380,15 @@ class ChannelSession(Session):
                     raise_for_response(reply)
                     out_payload = self._shm_finish(
                         reply, reply_lease, into, out_payload)
+                except DeadlineExceededError:
+                    # The host ran out of this attempt's budget (a
+                    # bridge wait it bounded by it, say): the same as
+                    # the attempt expiring here.
+                    deadline.check(f"{cmd!r} on {self.strategy} session")
+                    if not recoverable:
+                        raise
+                    status = "timeout"
+                    continue
                 except HostOverloadedError:
                     # Admission fast-reject: the host never queued or
                     # executed the op, so a retry is safe for *every*

@@ -33,6 +33,7 @@ from repro.core.sentinel import Sentinel, SentinelContext
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
     AddressError,
+    DeadlineExceededError,
     FlushError,
     NetworkError,
     RemoteFileNotFound,
@@ -50,20 +51,25 @@ class FileServerOrigin:
         self._connection = ctx.connect(str(params["address"]))
         self.path = str(params["path"])
 
-    def read(self, offset: int, size: int) -> bytes:
+    def read(self, offset: int, size: int,
+             deadline: "Deadline | None" = None) -> bytes:
         response = self._connection.expect("read", path=self.path,
-                                           offset=offset, size=size)
+                                           offset=offset, size=size,
+                                           deadline=deadline)
         return response.payload
 
-    def read_window(self, offset: int, size: int):
+    def read_window(self, offset: int, size: int,
+                    deadline: "Deadline | None" = None):
         """Start one ranged read; returns a resolver for its bytes.
 
         On the bridge (sentinel child) the request is genuinely in
         flight when this returns — the cache's prefetch windows overlap
-        with whatever the application does next.
+        with whatever the application does next.  Resolving waits at
+        most until *deadline*.
         """
         resolve = self._connection.call_async("read", path=self.path,
-                                              offset=offset, size=size)
+                                              offset=offset, size=size,
+                                              deadline=deadline)
 
         def result() -> bytes:
             response = resolve()
@@ -72,27 +78,32 @@ class FileServerOrigin:
             return response.payload
         return result
 
-    def write(self, offset: int, data: bytes) -> int:
+    def write(self, offset: int, data: bytes,
+              deadline: "Deadline | None" = None) -> int:
         response = self._connection.expect("write", data, path=self.path,
-                                           offset=offset)
+                                           offset=offset, deadline=deadline)
         return int(response.fields["written"])
 
-    def write_extents(self, extents: list[tuple[int, bytes]]) -> list[int]:
+    def write_extents(self, extents: list[tuple[int, bytes]],
+                      deadline: "Deadline | None" = None) -> list[int]:
         """Vectored push: one ``writev`` exchange for the whole batch."""
         response = self._connection.expect(
             "writev", b"".join(bytes(data) for _, data in extents),
             path=self.path,
-            extents=[[int(offset), len(data)] for offset, data in extents])
+            extents=[[int(offset), len(data)] for offset, data in extents],
+            deadline=deadline)
         return [int(n) for n in response.fields["written"]]
 
-    def stat(self) -> tuple[int, Any]:
-        response = self._connection.call("stat", path=self.path)
+    def stat(self, deadline: "Deadline | None" = None) -> tuple[int, Any]:
+        response = self._connection.call("stat", path=self.path,
+                                         deadline=deadline)
         if not response.ok:
             raise RemoteFileNotFound(response.error)
         return int(response.fields["size"]), response.fields["version"]
 
-    def truncate(self, size: int) -> None:
-        self._connection.expect("truncate", path=self.path, size=size)
+    def truncate(self, size: int, deadline: "Deadline | None" = None) -> None:
+        self._connection.expect("truncate", path=self.path, size=size,
+                                deadline=deadline)
 
 
 class HttpOrigin:
@@ -102,38 +113,46 @@ class HttpOrigin:
         self._connection = ctx.connect(str(params["address"]))
         self.path = str(params["path"])
 
-    def read(self, offset: int, size: int) -> bytes:
+    def read(self, offset: int, size: int,
+             deadline: "Deadline | None" = None) -> bytes:
         response = self._connection.call("GET", path=self.path,
                                          range_start=offset,
-                                         range_end=offset + size)
+                                         range_end=offset + size,
+                                         deadline=deadline)
         if not response.ok:
             raise RemoteFileNotFound(response.error)
         return response.payload
 
-    def write(self, offset: int, data: bytes) -> int:
+    def write(self, offset: int, data: bytes,
+              deadline: "Deadline | None" = None) -> int:
         # HTTP has no ranged PUT: read-modify-write the entity.
         current = b""
-        response = self._connection.call("GET", path=self.path)
+        response = self._connection.call("GET", path=self.path,
+                                         deadline=deadline)
         if response.ok:
             current = response.payload
         body = bytearray(current)
         if offset > len(body):
             body.extend(b"\x00" * (offset - len(body)))
         body[offset:offset + len(data)] = data
-        self._connection.expect("PUT", bytes(body), path=self.path)
+        self._connection.expect("PUT", bytes(body), path=self.path,
+                                deadline=deadline)
         return len(data)
 
-    def stat(self) -> tuple[int, Any]:
-        response = self._connection.call("HEAD", path=self.path)
+    def stat(self, deadline: "Deadline | None" = None) -> tuple[int, Any]:
+        response = self._connection.call("HEAD", path=self.path,
+                                         deadline=deadline)
         if not response.ok:
             raise RemoteFileNotFound(response.error)
         return int(response.fields["length"]), response.fields["etag"]
 
-    def truncate(self, size: int) -> None:
-        response = self._connection.call("GET", path=self.path)
+    def truncate(self, size: int, deadline: "Deadline | None" = None) -> None:
+        response = self._connection.call("GET", path=self.path,
+                                         deadline=deadline)
         body = response.payload if response.ok else b""
         body = body[:size].ljust(size, b"\x00")
-        self._connection.expect("PUT", body, path=self.path)
+        self._connection.expect("PUT", body, path=self.path,
+                                deadline=deadline)
 
 
 class FtpOrigin:
@@ -149,18 +168,20 @@ class FtpOrigin:
         )
         self._session = response.fields["session"]
 
-    def read(self, offset: int, size: int) -> bytes:
+    def read(self, offset: int, size: int,
+             deadline: "Deadline | None" = None) -> bytes:
         response = self._connection.call("RETR", session=self._session,
                                          path=self.path, offset=offset,
-                                         size=size)
+                                         size=size, deadline=deadline)
         if not response.ok:
             raise RemoteFileNotFound(response.error)
         return response.payload
 
-    def write(self, offset: int, data: bytes) -> int:
+    def write(self, offset: int, data: bytes,
+              deadline: "Deadline | None" = None) -> int:
         current = b""
         response = self._connection.call("RETR", session=self._session,
-                                         path=self.path)
+                                         path=self.path, deadline=deadline)
         if response.ok:
             current = response.payload
         body = bytearray(current)
@@ -168,21 +189,21 @@ class FtpOrigin:
             body.extend(b"\x00" * (offset - len(body)))
         body[offset:offset + len(data)] = data
         self._connection.expect("STOR", bytes(body), session=self._session,
-                                path=self.path)
+                                path=self.path, deadline=deadline)
         return len(data)
 
-    def stat(self) -> tuple[int, Any]:
+    def stat(self, deadline: "Deadline | None" = None) -> tuple[int, Any]:
         response = self._connection.call("SIZE", session=self._session,
-                                         path=self.path)
+                                         path=self.path, deadline=deadline)
         if not response.ok:
             raise RemoteFileNotFound(response.error)
         # FTP has no cheap version token; use the size as a weak one.
         return int(response.fields["size"]), response.fields["size"]
 
-    def truncate(self, size: int) -> None:
-        body = self.read(0, size).ljust(size, b"\x00")
+    def truncate(self, size: int, deadline: "Deadline | None" = None) -> None:
+        body = self.read(0, size, deadline).ljust(size, b"\x00")
         self._connection.expect("STOR", body, session=self._session,
-                                path=self.path)
+                                path=self.path, deadline=deadline)
 
 
 _ORIGINS = {
@@ -266,6 +287,12 @@ class RemoteFileSentinel(Sentinel):
         self.op_timeout = float(self.params.get("op_timeout",
                                                 policy.REMOTE_OP_TIMEOUT))
         self.stale_reads = bool(self.params.get("stale_reads", False))
+        #: Whether anything reads the origin version and size a push
+        #: leaves behind: revalidation (``validate``, ``coherent``) and
+        #: the coherent publish read the version, the leased size and
+        #: the ``stale_reads`` fallback read the size.
+        self._tracks_version = self.validate or self.coherent \
+            or self.stale_reads
         retry_seed = self.params.get("retry_seed")
         self.retry = RetryPolicy(
             attempts=int(self.params.get("retries", 3)),
@@ -343,16 +370,24 @@ class RemoteFileSentinel(Sentinel):
 
     # -- retried origin exchanges -----------------------------------------------------
 
+    def _deadline(self) -> Deadline:
+        """The serving command's remaining budget (``op_timeout`` when
+        the command carried none)."""
+        return Deadline.coerce(self._op_deadline, self.op_timeout)
+
     def _remote(self, fn):
         """Run one origin exchange under the retry policy and deadline.
 
-        Transient network failures (partitions, dropped bridges) retry
-        with seeded backoff inside the serving command's remaining
-        deadline budget; service-level rejections surface immediately.
+        *fn* takes the deadline, and every attempt waits on the origin
+        (across the bridge too) at most until it: a lost bridge frame
+        costs the command its own budget, not the bridge's.  Transient
+        network failures (partitions, dropped bridges) retry with
+        seeded backoff inside that budget; service-level rejections
+        surface immediately.
         """
-        deadline = Deadline.coerce(self._op_deadline, self.op_timeout)
-        return self.retry.run(fn, retryable=_transient, deadline=deadline,
-                              on_retry=self._note_retry)
+        deadline = self._deadline()
+        return self.retry.run(lambda: fn(deadline), retryable=_transient,
+                              deadline=deadline, on_retry=self._note_retry)
 
     @staticmethod
     def _note_retry(exc: BaseException, delay: float) -> None:
@@ -364,20 +399,26 @@ class RemoteFileSentinel(Sentinel):
 
     def _fetch(self, offset: int, size: int) -> bytes:
         """Cache miss path: a retried ranged origin read."""
-        return self._remote(lambda: self._origin.read(offset, size))
+        return self._remote(
+            lambda deadline: self._origin.read(offset, size, deadline))
 
     def _fetch_window(self, offset: int, size: int):
         """Prefetch path: async origin read, degrading to a retried
-        synchronous one if the in-flight exchange fails transiently."""
-        resolve = self._origin.read_window(offset, size)
+        synchronous one if the in-flight exchange fails transiently or
+        its reply is not back by the issuing command's deadline (the
+        window may be consumed by a later command, whose own budget
+        then bounds the re-read)."""
+        resolve = self._origin.read_window(offset, size, self._deadline())
 
         def result() -> bytes:
             try:
                 return resolve()
+            except DeadlineExceededError:
+                pass  # the reply was lost or is late
             except NetworkError as exc:
                 if not _transient(exc):
                     raise
-                return self._fetch(offset, size)
+            return self._fetch(offset, size)
         return result
 
     def _refresh_version(self) -> None:
@@ -398,20 +439,26 @@ class RemoteFileSentinel(Sentinel):
 
         Refreshing here (not in on_write) keeps the version current for
         *every* path that touches the origin, including flush-on-evict.
+        The refresh costs an origin ``stat``, so it runs only when
+        something reads its result (:attr:`_tracks_version`).
         """
-        written = self._remote(lambda: self._origin.write(offset, data))
-        self._refresh_version()
+        written = self._remote(
+            lambda deadline: self._origin.write(offset, data, deadline))
+        if self._tracks_version:
+            self._refresh_version()
         return written
 
     def _push_extents(self, extents) -> None:
         """Coalesced flush: vectored when the origin protocol has one."""
         vectored = getattr(self._origin, "write_extents", None)
         if vectored is not None:
-            self._remote(lambda: vectored(extents))
+            self._remote(lambda deadline: vectored(extents, deadline))
         else:
             for offset, data in extents:
-                self._remote(lambda o=offset, d=data: self._origin.write(o, d))
-        self._refresh_version()
+                self._remote(lambda deadline, o=offset, d=data:
+                             self._origin.write(o, d, deadline))
+        if self._tracks_version:
+            self._refresh_version()
 
     def _revalidate(self) -> None:
         if self._cache is None:
@@ -567,7 +614,8 @@ class RemoteFileSentinel(Sentinel):
             # Flush first: dirty bytes surviving past the truncate would
             # re-extend the file at the next flush.
             self._cache.flush()
-        self._remote(lambda: self._origin.truncate(size))
+        self._remote(
+            lambda deadline: self._origin.truncate(size, deadline))
         if self._cache is not None:
             self._cache.invalidate()
             self._refresh_version()

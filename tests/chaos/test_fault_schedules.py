@@ -20,6 +20,7 @@ the smoke matrix is stable.
 
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -240,3 +241,28 @@ class TestEveryFaultAction:
         assert data == CONTENT
         assert injected.value - before == 1
         assert plane.summary() == {f"{point}:{action}": 1}
+
+    def test_dropped_bridge_call_ends_with_the_attempt(self, monkeypatch):
+        """A ``recv:drop`` on the application's end of an uncached
+        remote read loses the host's bridge call itself.  The host's
+        wait for it ends with the read attempt's deadline, not the
+        bridge's 30 s default, and the retried read gets the bytes."""
+        monkeypatch.setattr(policy, "ATTEMPT_TIMEOUT", 0.5)
+        injected = TELEMETRY.metrics.counter("faults.injected.recv.drop")
+        with tempfile.TemporaryDirectory() as dirname:
+            network, _, path = _rig(dirname, cache="none", retries=6)
+            stream = open_active(path, "rb", strategy="process-control",
+                                 network=network)
+            try:
+                plane = FaultPlane(seed=1).rule("recv", "drop", times=1)
+                plane.arm_host(stream.session.host)
+                before = injected.value
+                started = time.monotonic()
+                data = stream.read()
+                elapsed = time.monotonic() - started
+            finally:
+                stream.close()
+        assert data == CONTENT
+        assert elapsed < 5.0
+        assert injected.value - before == 1
+        assert plane.summary() == {"recv:drop": 1}

@@ -31,7 +31,11 @@ from repro.core.hostloop import EventLoopServer
 from repro.core.policy import LEAD_GRACE_S
 from repro.core.runner import SentinelHost
 from repro.core.telemetry import TELEMETRY
-from repro.errors import HostOverloadedError, wire_error_registry
+from repro.errors import (
+    ChannelClosedError,
+    HostOverloadedError,
+    wire_error_registry,
+)
 from repro.net import Address, FileServer, LinkProfile, Network, WallClock
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
@@ -121,6 +125,58 @@ class TestSerialPerChannel:
         for c in range(4):
             assert seen[c] == list(range(counters[c]))
         app.close()
+
+
+class TestIndependentRequests:
+    """A channel-0 handler marked ``independent`` (the network bridge)
+    takes a grant per request: its requests run at once on the pool."""
+
+    def test_detach_drops_queued_unstarted_requests(self):
+        """Two executors run two requests at once and three wait; a
+        kill drops the three unrun and the ``host.*`` gauges drain."""
+        server = EventLoopServer("independent-loop", executors=2)
+        app, srv = LocalChannel.pair("independent")
+        srv.loop = server
+        gate = threading.Event()
+        lock = threading.Lock()
+        started: list[int] = []
+
+        @hostloop.independent
+        def handler(fields, payload):
+            with lock:
+                started.append(fields["n"])
+            gate.wait(30.0)  # set by the test, at the latest on exit
+            return {"ok": True}, b""
+
+        try:
+            srv.register(CONTROL_CHAN, handler)
+            pendings = [app.request_async(CONTROL_CHAN, {"n": n})
+                        for n in range(5)]
+            deadline = time.monotonic() + 5.0
+            while len(started) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert sorted(started) == [0, 1]  # at once, in one channel
+            stats = server.stats()
+            assert stats["host.queue.depth"] == 3
+            assert stats["host.inflight"] == 5
+            srv.kill("killed with requests queued")
+            gate.set()
+            for pending in pendings:
+                with pytest.raises(ChannelClosedError):
+                    pending.wait(5.0)
+            deadline = time.monotonic() + 5.0
+            while server.stats()["host.inflight"] and \
+                    time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)  # a stray grant would run in this window
+            assert sorted(started) == [0, 1]
+            stats = server.stats()
+            assert (stats["host.channels.active"], stats["host.queue.depth"],
+                    stats["host.inflight"]) == (0, 0, 0)
+        finally:
+            gate.set()
+            app.close()
+            server.shutdown()
 
 
 class TestFairness:

@@ -6,21 +6,21 @@ pair; the integration tests exercise it across a real child interpreter.
 
 import os
 import threading
+import time
 
 import pytest
 
+from repro.core import create_active, open_active
 from repro.core.channel import StreamChannel
 from repro.core.netproxy import BRIDGE_CHAN, NetworkBridgeServer, ProxyNetwork
 from repro.errors import AddressError, NetworkError
-from repro.net import Address, FileServer, Network
+from repro.net import Address, FileServer, LinkProfile, Network, WallClock
 
 
-@pytest.fixture
-def bridged():
-    """A (network, proxy, cleanup) triple wired over OS pipes."""
-    network = Network()
-    network.bind(Address("files", 1), FileServer({"f.txt": b"bridge data"}))
-
+def _wire(network, *, serve=False):
+    """A (proxy, cleanup) pair: *network* bridged over OS pipes.  With
+    *serve* the loop reads the application end the moment a frame
+    lands, rather than its callers and its idle sweep."""
     req_read, req_write = os.pipe()
     resp_read, resp_write = os.pipe()
     app_end = StreamChannel(
@@ -29,7 +29,7 @@ def bridged():
         name="test-bridge-app",
     )
     app_end.register(BRIDGE_CHAN, NetworkBridgeServer(network).handle)
-    app_end.start()
+    app_end.start(serve=serve)
 
     child_end = StreamChannel(
         os.fdopen(resp_read, "rb", buffering=0),
@@ -37,12 +37,20 @@ def bridged():
         name="test-bridge-child",
     )
     child_end.start()
-    proxy = ProxyNetwork(child_end)
 
     def cleanup():
         child_end.close()
         app_end.wait_closed(timeout=2.0)
 
+    return ProxyNetwork(child_end), cleanup
+
+
+@pytest.fixture
+def bridged():
+    """A (network, proxy, cleanup) triple wired over OS pipes."""
+    network = Network()
+    network.bind(Address("files", 1), FileServer({"f.txt": b"bridge data"}))
+    proxy, cleanup = _wire(network)
     yield network, proxy, cleanup
     cleanup()
 
@@ -121,3 +129,75 @@ class TestProxyCalls:
         connection = proxy.connect(Address("files", 1))
         with pytest.raises(NetworkError):
             connection.call("read", path="f.txt", offset=0, size=1)
+
+
+class TestConcurrentBridgeCalls:
+    """Bridge calls of one connection run at the same time on the
+    application's pool, so a read-ahead window reaches the origin while
+    the window before it is still on the wire."""
+
+    def test_two_async_reads_take_about_one_exchange(self):
+        network = Network(profile=LinkProfile(latency_us=20_000.0),
+                          clock=WallClock())
+        network.bind(Address("files", 1),
+                     FileServer({"f.txt": bytes(64 * 1024)}))
+        proxy, cleanup = _wire(network, serve=True)
+        connection = proxy.connect(Address("files", 1))
+
+        def timed(calls: int) -> float:
+            started = time.monotonic()
+            resolvers = [connection.call_async("read", path="f.txt",
+                                               offset=n * 4096, size=4096)
+                         for n in range(calls)]
+            for resolve in resolvers:
+                assert resolve().ok
+            return time.monotonic() - started
+
+        try:
+            one = min(timed(1) for _ in range(3))
+            two = min(timed(2) for _ in range(3))
+        finally:
+            cleanup()
+        # Served one after another, two calls take about 2x one.
+        assert two < 1.5 * one, f"one {one * 1e3:.1f} ms, two {two * 1e3:.1f} ms"
+
+    def test_read_ahead_windows_overlap_at_the_origin(self, tmp_path):
+        """A sequential scan of a process-control remote open with
+        read-ahead has two origin exchanges running at once."""
+        network = Network(profile=LinkProfile(latency_us=2000.0,
+                                              bandwidth_mbps=1000.0),
+                          clock=WallClock())
+        body = bytes(range(256)) * 2048  # 512 KiB
+        network.bind(Address("origin", 7000), FileServer({"f": body}))
+        lock = threading.Lock()
+        active = peak = 0
+        real_call = network.call
+
+        def counting_call(*args, **kwargs):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            try:
+                return real_call(*args, **kwargs)
+            finally:
+                with lock:
+                    active -= 1
+
+        network.call = counting_call
+        path = tmp_path / "remote.af"
+        create_active(path, "repro.sentinels.remotefile:RemoteFileSentinel",
+                      params={"address": "origin:7000", "path": "f",
+                              "cache": "memory", "block_size": 4096,
+                              "readahead": 16},
+                      meta={"data": "memory"})
+        stream = open_active(path, "rb", strategy="process-control",
+                             network=network)
+        try:
+            data = bytearray()
+            while chunk := stream.read(16384):
+                data += chunk
+        finally:
+            stream.close()
+        assert data == body
+        assert peak >= 2, f"at most {peak} origin exchange(s) at once"

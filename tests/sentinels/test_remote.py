@@ -279,10 +279,29 @@ class TestPipelinedCache:
                 stream.write(bytes([65 + i]) * 2)
             before = network.stats.requests
             stream.flush()
-            # one writev + one stat refresh, not six write exchanges
+            # one writev, not six write exchanges
             assert network.stats.requests - before <= 2
             assert stream.cache_stats()["coalesced_flushes"] == 1
         assert server.get_file("data/report.txt").startswith(b"AABBCCDDEEFF")
+
+    @pytest.mark.parametrize("extra,per_flush", [
+        ({}, 1), ({"validate": True}, 2), ({"stale_reads": True}, 2)],
+        ids=["plain", "validate", "stale_reads"])
+    def test_flush_stats_the_origin_only_when_read(self, remote_setup,
+                                                   extra, per_flush):
+        """A flush is one ``writev``; the ``stat`` refreshing the origin
+        version and size follows only when something reads them."""
+        network, server, make = remote_setup
+        path = make("memory", writeback=True, **extra)
+        with open_active(path, "r+b", strategy="inproc",
+                         network=network) as stream:
+            for i in range(3):
+                stream.seek(2 * i)
+                stream.write(b"W%d" % i)
+                before = network.stats.requests
+                stream.flush()
+                assert network.stats.requests - before == per_flush
+        assert server.get_file("data/report.txt").startswith(b"W0W1W2")
 
     def test_writeback_size_includes_buffered_tail(self, remote_setup):
         network, _, make = remote_setup
