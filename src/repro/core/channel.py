@@ -15,9 +15,9 @@ pair per concern.  This module is the single transport they now share:
 * inbound requests are served by the process's event-loop host
   (:mod:`repro.core.hostloop`): one small thread pool serves *every*
   registered channel, so distinct logical channels (= distinct opens
-  of a container) execute concurrently while each channel stays
-  strictly ordered — and a thousand channels cost O(1) threads, not a
-  thousand;
+  of a container) execute concurrently while each session channel
+  stays strictly ordered — and a thousand channels cost O(1) threads,
+  not a thousand;
 * the thread that waits on a reply is the thread that reads it: on an
   application's connection the caller blocked in
   :meth:`PendingReply.wait` reads the replies itself, bridged or not;
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 #: The reserved channel for connection control and bridge traffic.
-CONTROL_CHAN = 0
+CONTROL_CHAN = control.CONTROL_CHAN
 
 #: The first channel id handed to a logical session.
 FIRST_SESSION_CHAN = 1
@@ -420,24 +420,14 @@ class Channel:
 
     # -- responder side ----------------------------------------------------------
 
-    def register(self, chan: int, handler: Handler, *,
-                 name: str | None = None) -> None:
-        """Serve inbound requests on *chan* with *handler*.
-
-        Requests on one channel execute strictly in order; requests on
-        distinct channels execute concurrently, on the process's
-        event-loop host.
-
-        Session channels are subject to the loop's admission control;
-        channel 0 (the control/bridge plane) is exempt — ``open``,
-        ``ping`` and bridge traffic must never be load-shed.
-        """
+    def register(self, chan: int, handler: Handler) -> None:
+        """Serve inbound requests on *chan* with *handler*, on the
+        process's event-loop host, which decides from *chan* alone how
+        its requests are served (see :mod:`repro.core.hostloop`)."""
         chan = int(chan)
         server = self.loop if self.loop is not None \
             else hostloop.shared_loop()
-        state = server.attach(self, chan, handler,
-                              name=name or f"{self.name}-chan{chan}",
-                              governed=chan != CONTROL_CHAN)
+        state = server.attach(self, chan, handler)
         self.serve_loop = server
         with self._handlers_lock:
             old = self._handlers.get(chan)
@@ -661,13 +651,12 @@ class StreamChannel(Channel):
         self.serve_loop.add_reader(self._lead)
         return self
 
-    def register(self, chan: int, handler: Handler, *,
-                 name: str | None = None) -> None:
+    def register(self, chan: int, handler: Handler) -> None:
         if self._poller is not None and not self._serving:
             raise RuntimeError(
                 f"{self.name}: its callers read it, and the loop sweeps "
                 f"it only for handlers registered before start()")
-        super().register(chan, handler, name=name)
+        super().register(chan, handler)
 
     # -- reading -----------------------------------------------------------------
 

@@ -47,6 +47,7 @@ __all__ = [
     "envelope",
     "split_envelope",
     "ENVELOPE_KEYS",
+    "CONTROL_CHAN",
 ]
 
 _JSON_LEN = struct.Struct(">I")
@@ -60,6 +61,10 @@ _SMALL_BODY = 16 * 1024
 
 #: Header fields reserved for the multiplexing envelope.
 ENVELOPE_KEYS = ("rid", "chan", "re")
+
+#: The reserved channel for connection control and bridge traffic;
+#: sessions use channels 1 and up.
+CONTROL_CHAN = 0
 
 #: The envelope as a header carries it, ``dl`` budget included.
 _INNER_ENVELOPE = ENVELOPE_KEYS + ("dl",)

@@ -510,8 +510,7 @@ _registry: dict[str, CoherenceDomain] = {}
 def domain_for(path: "str | os.PathLike") -> CoherenceDomain:
     """The per-container coherence domain (process-global registry).
 
-    Keyed by realpath, mirroring :func:`repro.core.sync.shared_state_for`:
-    in the application process this joins thread/inproc opens, and in a
+    Keyed by realpath: in the application process this joins thread/inproc opens, and in a
     pooled host child — which serves exactly one container — it joins
     every channel session of that container.
     """

@@ -10,20 +10,20 @@ carried a thousand stacks.
 small pool of interchangeable threads, preserving the two properties
 the worker model guaranteed:
 
-* **serial per channel** — one channel's requests execute strictly in
-  arrival order (that *is* the §2 semantic contract: one open, one
-  synchronizing sentinel);
+* **serial per session** — a session channel's (id 1 and up) requests
+  execute strictly in arrival order (that *is* the §2 semantic
+  contract: one open, one synchronizing sentinel);
 * **concurrent across channels** — distinct channels make progress
   independently, bounded by the pool instead of the thread count.
 
-The one exception to serial is the network bridge on channel 0, whose
-handler is marked :func:`independent`: each bridge call is a separate
-origin exchange that blocks on the network, so each request takes a
-grant of its own and the calls of one connection run at the same time
-on the pool.  Serving them one after another made a read-ahead window
-wait out the whole WAN exchange of the window before it, and a
-write-behind flush wait behind both.  Every other channel, the host's
-own channel 0 (``open``, ``ping``, ``chaos``) included, stays serial.
+The channel id alone decides how a channel is served.  Channel 0
+carries a connection's control and bridge messages (§4.2: ``open``,
+``ping`` and ``chaos`` on a sentinel host, network-bridge calls on the
+application), which need no order among themselves, so each channel-0
+request takes a grant of its own and the requests of one connection
+run at the same time on the pool: a read-ahead window reaches the
+origin while the window before it is still on the wire, and a ``ping``
+answers while an ``open`` runs.
 
 **Leader/follower serving.**  Reading a connection is a *role* that
 one pool thread holds at a time (the leader).  When a request arrives
@@ -42,8 +42,6 @@ when the leader could stall them:
 * **grace hand-off** — the op outlives
   :data:`~repro.core.policy.LEAD_GRACE_S` while not reading; the timer
   thread, acting as sentry, moves the role then;
-* **channel-0 hand-off** — before the op runs, when its channel is
-  ungoverned (channel-0 handlers block on the network);
 * **waiter hand-off** — when a thread other than the leader waits on a
   reply over the connection while the leader runs an op
   (:meth:`EventLoopServer.release_lead`), so that waiter never waits
@@ -104,7 +102,6 @@ __all__ = [
     "HOST_STAT_KEYS",
     "EventLoopServer",
     "TimerHandle",
-    "independent",
     "serve_one",
     "latency_split_stats",
     "shared_loop",
@@ -184,20 +181,6 @@ def serve_one(channel, chan: int, handler, rid: int,
         pass  # peer is gone; nothing left to answer to
 
 
-def independent(handler: Callable) -> Callable:
-    """Mark a channel-0 handler whose requests do not depend on one
-    another: the loop serves each on a grant of its own, so they run at
-    the same time on the pool instead of in arrival order.
-
-    The network bridge is the one such handler: its calls are separate
-    origin exchanges that each block on the network, and a read-ahead
-    window must not queue behind the one before it.  A session channel
-    stays serial whatever its handler says.
-    """
-    handler.independent = True
-    return handler
-
-
 def latency_split_stats() -> dict[str, float]:
     """Queue-wait vs service-time split of every op this host served.
 
@@ -241,24 +224,22 @@ class _ChanState:
     :meth:`submit` and tears serving down with :meth:`stop`.
     """
 
-    __slots__ = ("server", "channel", "chan", "handler", "name",
-                 "governed", "serial", "fifo", "scheduled", "detached")
+    __slots__ = ("server", "channel", "chan", "handler", "session", "fifo",
+                 "scheduled", "detached")
 
     def __init__(self, server: "EventLoopServer", channel, chan: int,
-                 handler, name: str, governed: bool) -> None:
+                 handler) -> None:
         self.server = server
         self.channel = channel
         self.chan = chan
         self.handler = handler
-        self.name = name
-        self.governed = governed
-        #: False only for an ungoverned channel whose handler serves
-        #: :func:`independent` requests: each request then takes a
-        #: grant of its own, and the channel's requests run at once.
-        self.serial = governed or not getattr(handler, "independent",
-                                              False)
+        #: A session channel is served in order and admission-controlled;
+        #: channel 0 serves each request on a grant of its own and is
+        #: exempt, so ``open``, ``ping`` and bridge traffic are never
+        #: load-shed.
+        self.session = chan != control.CONTROL_CHAN
         self.fifo: deque = deque()
-        #: True while a serial channel is granted: queued on the ready
+        #: True while a session channel is granted: queued on the ready
         #: queue or running on a pool thread.  Only one grant exists at
         #: a time, which is what keeps the channel serial.
         self.scheduled = False
@@ -346,17 +327,9 @@ class EventLoopServer:
 
     # -- registration --------------------------------------------------------
 
-    def attach(self, channel, chan: int, handler, *, name: str,
-               governed: bool = True) -> _ChanState:
-        """Serve *chan* of *channel* on this loop; returns the state.
-
-        ``governed=False`` exempts the channel from admission control
-        (the control/bridge plane); with a handler marked
-        :func:`independent` it also serves each request on a grant of
-        its own.
-        """
-        state = _ChanState(self, channel, int(chan), handler, name,
-                           governed)
+    def attach(self, channel, chan: int, handler) -> _ChanState:
+        """Serve *chan* of *channel* on this loop; returns the state."""
+        state = _ChanState(self, channel, int(chan), handler)
         with self._lock:
             self._channels += 1
         return state
@@ -423,7 +396,7 @@ class EventLoopServer:
         with self._lock:
             if state.detached or self._stopping:
                 return None  # channel is tearing down; kill() fails the peer
-            if state.governed and (self._inflight >= self.max_inflight
+            if state.session and (self._inflight >= self.max_inflight
                                    or len(state.fifo) >= self.queue_depth):
                 reject = (f"host overloaded: {self._inflight} in flight "
                           f"(max {self.max_inflight}), channel backlog "
@@ -435,10 +408,10 @@ class EventLoopServer:
                 self._queued += 1
                 self._inflight += 1
                 if not state.scheduled:
-                    # A serial channel holds one grant at a time; a
-                    # per-request one takes a grant for every request
-                    # and so never counts as scheduled.
-                    state.scheduled = state.serial
+                    # A session holds one grant at a time; channel 0
+                    # takes a grant for every request and so never
+                    # counts as scheduled.
+                    state.scheduled = state.session
                     if lead is not None and self._inflight == 1:
                         inline = state  # run to completion (see run())
                     else:
@@ -680,17 +653,15 @@ class EventLoopServer:
     def _run_one(self, state: _ChanState,
                  lead: "Callable[[], bool] | None" = None) -> bool:
         """Serve exactly one queued request of *state*, then requeue a
-        serial channel with more queued.
+        session with more queued.
 
         With *lead* (a read role) the request runs on the thread that
         read it, which keeps the role through the op: the role is
         *armed* (recorded with the op's start time) and the sentry
         (:meth:`_timer_loop`) hands it to the pool if the op outlives
         LEAD_GRACE_S.  An op that waits on a reply over the connection
-        reads it itself (:meth:`claim_lead`).  The role goes to the pool
-        at once instead when the channel is ungoverned (channel-0
-        handlers block on the network).  Returns True iff the role is
-        still held, so the caller goes straight back to reading.
+        reads it itself (:meth:`claim_lead`).  Returns True iff the role
+        is still held, so the caller goes straight back to reading.
 
         Every grant passes the fault plane's ``sched`` point (delay
         stalls the grant, kill crashes the armed process) once the role
@@ -704,20 +675,14 @@ class EventLoopServer:
         requeued state needs a wake-up only when the calling thread
         kept a read role (it read more requests for the channel while
         waiting on a reply); otherwise that thread goes back to the
-        pool and picks the state up itself.  A per-request channel
-        (``serial`` False) is never requeued: each of its requests was
-        granted on arrival, and a grant finding the FIFO emptied by
-        :meth:`detach` serves nothing.
+        pool and picks the state up itself.  Channel 0 is never
+        requeued: each of its requests was granted on arrival, and a
+        grant finding the FIFO emptied by :meth:`detach` serves nothing.
         """
         started = time.monotonic()
-        armed = False
         with self._lock:
             if lead is not None:
-                if state.governed:
-                    self._arm_locked(lead, started)
-                    armed = True
-                else:
-                    self._hand_off_locked(lead)
+                self._arm_locked(lead, started)
             if not state.fifo or state.detached:
                 state.scheduled = False
                 return self._armed.pop(lead, None) is not None
@@ -730,8 +695,7 @@ class EventLoopServer:
         if plane is not None:
             self._sched_faults(state, plane, fields)
         _QWAIT.observe(started - submitted)
-        if armed:
-            _HOLDER.lead = lead
+        _HOLDER.lead = lead
         try:
             serve_one(state.channel, state.chan, state.handler,
                       rid, fields, payload, deadline, tc)
@@ -739,8 +703,7 @@ class EventLoopServer:
             self.release_lead(lead)  # never strand the read role
             raise
         finally:
-            if armed:
-                _HOLDER.lead = None
+            _HOLDER.lead = None
             _SERVICE.observe(time.monotonic() - started)
             with self._lock:
                 # The op counts as in flight, and the role stays armed,
@@ -749,7 +712,7 @@ class EventLoopServer:
                 # inline while this thread is tied up.
                 self._inflight -= 1
                 held = self._armed.pop(lead, None) is not None
-                if not state.serial:
+                if not state.session:
                     pass  # this grant was the request's own
                 elif state.fifo and not state.detached:
                     self._ready.append(state)

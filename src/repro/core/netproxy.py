@@ -17,13 +17,13 @@ over the *same* multiplexed channel that carries file operations:
 Historically the bridge burned a dedicated fd pair per open and
 serialized calls behind a lock; now bridge traffic is ordinary
 channel-0 request/reply traffic — tagged, pipelined, and counted like
-everything else on the connection.  The bridge handler is marked
-:func:`~repro.core.hostloop.independent`, so the application's serving
-loop runs the calls of one connection at the same time, one pool
-thread each, instead of in arrival order: a read-ahead window reaches
-the origin while the window before it is still on the wire, and a
-write-behind flush does not queue behind either.  Each call waits at
-most until the deadline its caller sent along.
+everything else on the connection.  The application's serving loop
+serves channel 0 per request (see :mod:`repro.core.hostloop`), so the
+calls of one connection run at the same time, one pool thread each,
+instead of in arrival order: a read-ahead window reaches the origin
+while the window before it is still on the wire, and a write-behind
+flush does not queue behind either.  Each call waits at most until the
+deadline its caller sent along.
 
 This mirrors reality: the "remote" sources genuinely are in a different
 process from the sentinel.
@@ -35,7 +35,6 @@ from typing import Any, Callable
 
 from repro.core import policy
 from repro.core.channel import CONTROL_CHAN, Channel
-from repro.core.hostloop import independent
 from repro.core.policy import Deadline
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
@@ -66,14 +65,14 @@ class NetworkBridgeServer:
     def __init__(self, network) -> None:
         self.network = network
 
-    @independent
     def handle(self, fields: dict[str, Any],
                payload: bytes) -> tuple[dict[str, Any], bytes]:
         """Serve one proxied network call (a channel-0 request handler).
 
-        Calls share nothing but the network, so the serving loop runs
-        each on its own pool thread: a second read-ahead window reaches
-        the origin while the first is still on the wire.
+        Calls share nothing but the network, and the serving loop runs
+        each channel-0 request on its own pool thread: a second
+        read-ahead window reaches the origin while the first is still
+        on the wire.
         """
         address = Address(host=fields.get("host", ""),
                           port=int(fields.get("port", 0)),
@@ -188,7 +187,7 @@ class ProxyNetwork:
         budget travels with the request, so the application-side bridge
         endpoint inherits it instead of inventing its own timeout.
         """
-        deadline = Deadline.coerce(deadline, policy.BRIDGE_TIMEOUT)
+        deadline = Deadline.coerce(deadline, policy.DEFAULT_OP_TIMEOUT)
         fields = {
             "cmd": "net",
             "host": address.host,

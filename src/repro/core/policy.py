@@ -39,8 +39,6 @@ __all__ = [
     "SHUTDOWN_TIMEOUT",
     "HEARTBEAT_IDLE_S",
     "HEARTBEAT_TIMEOUT",
-    "BRIDGE_TIMEOUT",
-    "REMOTE_OP_TIMEOUT",
     "HOST_LINGER_S",
     "JOURNAL_LIMIT_BYTES",
     "SCHED_TICK_S",
@@ -64,7 +62,9 @@ __all__ = [
 # Timeout constants (the only place in the library timeouts are spelled)
 # ---------------------------------------------------------------------------
 
-#: Default overall budget for one session operation (app <-> sentinel).
+#: One operation's budget when its caller sent none: a session op (app
+#: <-> sentinel), a network-bridge exchange (child -> app -> net), or a
+#: caching sentinel's remote-origin exchange.
 DEFAULT_OP_TIMEOUT = 30.0
 
 #: Per-wire-attempt cap inside an operation's budget: a lost frame is
@@ -77,7 +77,8 @@ OPEN_TIMEOUT = 30.0
 #: Budget for the close handshake before teardown proceeds anyway.
 CLOSE_TIMEOUT = 5.0
 
-#: Bound on joining a channel worker thread during teardown.
+#: Bound on a stream channel's teardown waiting for an in-flight
+#: sender's write lock before it closes the write end anyway.
 JOIN_TIMEOUT = 5.0
 
 #: Bound on waiting for a host child to exit after its channel closed.
@@ -88,12 +89,6 @@ HEARTBEAT_IDLE_S = 5.0
 
 #: Budget for one heartbeat ping before the host is declared dead.
 HEARTBEAT_TIMEOUT = 5.0
-
-#: Default budget for one network-bridge exchange (child -> app -> net).
-BRIDGE_TIMEOUT = 30.0
-
-#: Default budget for one remote-origin exchange of a caching sentinel.
-REMOTE_OP_TIMEOUT = 30.0
 
 #: How long an idle pooled host survives after its last lease closes.
 HOST_LINGER_S = 0.5

@@ -185,7 +185,7 @@ class HostAgent:
         shm_ok = bool(shm_info) and self._attach_shm(shm_info)
         # Each open re-loads the container so concurrent sessions keep the
         # independent data-part state per-open children used to have;
-        # cross-open coordination stays on FileLock (shared=False).  This
+        # cross-open coordination stays on FileLock.  This
         # child serves every open of its container, so it IS the
         # container's consistency domain: each open joins the shared
         # CoherenceDomain (leases, write fences, single-flight fills,
@@ -193,15 +193,14 @@ class HostAgent:
         container = Container.load(self.container_path)
         sentinel = container.spec.instantiate()
         network = ProxyNetwork(self.channel) if self.use_network else None
-        ctx = make_context(container, network, strategy, shared=False)
+        ctx = make_context(container, network, strategy)
         dispatcher = dispatcher_class(sentinel, ctx)
         dispatcher.open()
         with self._lock:
             chan = self._next_chan
             self._next_chan += 1
             self._sessions[chan] = dispatcher
-        self.channel.register(chan, self._session_handler(chan, dispatcher),
-                              name=f"af-session-{chan}")
+        self.channel.register(chan, self._session_handler(chan, dispatcher))
         # "chan" itself is an envelope key, so the session id travels
         # under its own name.
         return {"ok": True, "session_chan": chan, "strategy": strategy,
@@ -296,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     TELEMETRY.piggyback = True
     TELEMETRY.tracing = True
     agent = HostAgent(channel, args.container, args.net)
-    channel.register(CONTROL_CHAN, agent.handle, name="af-host-control")
+    channel.register(CONTROL_CHAN, agent.handle)
     # The one connection the loop reads: requests arrive unbidden here.
     channel.start(serve=True)
     channel.wait_closed()  # parent closed the connection or died
@@ -358,8 +357,7 @@ class SentinelHost:
             self.channel.faults = faults
         if network is not None:
             bridge = NetworkBridgeServer(network)
-            self.channel.register(CONTROL_CHAN, bridge.handle,
-                                  name="af-net-bridge")
+            self.channel.register(CONTROL_CHAN, bridge.handle)
         self.stderr_tail: deque = deque(maxlen=50)
         threading.Thread(target=self._drain_stderr, name="af-stderr-drain",
                          daemon=True).start()

@@ -30,7 +30,6 @@ from typing import Any, Iterator
 
 from repro.errors import UnsupportedOperationError
 from repro.core.datapart import DataPart, MemoryDataPart
-from repro.core.sync import SharedState
 from repro.net.address import Address
 
 __all__ = ["Sentinel", "StreamSentinel", "SentinelContext"]
@@ -40,8 +39,8 @@ __all__ = ["Sentinel", "StreamSentinel", "SentinelContext"]
 class SentinelContext:
     """Everything a sentinel can see while serving one open.
 
-    One context is created per open; ``shared`` (when available) is the
-    cross-open coordination state the paper's Section 2.2 calls for.
+    One context is created per open; ``coherence`` (when available) is
+    the cross-open coordination the paper's Section 2.2 calls for.
     """
 
     #: Path of the ``.af`` container, or ``""`` for anonymous opens.
@@ -52,8 +51,6 @@ class SentinelContext:
     data: DataPart = field(default_factory=MemoryDataPart)
     #: Object exposing ``connect(Address)``; ``None`` if no network wired.
     network: Any = None
-    #: Cross-open shared state (thread/inproc strategies of one process).
-    shared: SharedState | None = None
     #: The per-container :class:`~repro.core.fanout.CoherenceDomain`
     #: joining every open served by this process (leases, write fences,
     #: single-flight fills, pub/sub fan-out); ``None`` when the serving

@@ -19,7 +19,6 @@ from repro.core.fanout import domain_for
 from repro.core.policy import Deadline
 from repro.core.sentinel import SentinelContext
 from repro.core.strategies.base import Session
-from repro.core.sync import shared_state_for
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
     ChannelClosedError,
@@ -651,22 +650,19 @@ def make_data_part(container: Container) -> DataPart:
     return ContainerDataPart(container)
 
 
-def make_context(container: Container, network, strategy: str,
-                 shared: bool = True) -> SentinelContext:
+def make_context(container: Container, network,
+                 strategy: str) -> SentinelContext:
     """Build a per-open sentinel context.
 
     Every open joins the container's process-wide
-    :class:`~repro.core.fanout.CoherenceDomain`.  In-process opens
-    (*shared*) also share the legacy ``SharedState`` dict; a pooled
-    host child passes ``shared=False`` and keeps cross-open
-    coordination on ``FileLock``.
+    :class:`~repro.core.fanout.CoherenceDomain`; opens in other
+    processes coordinate on ``FileLock``.
     """
     return SentinelContext(
         path=str(container.path),
         params=dict(container.spec.params),
         data=make_data_part(container),
         network=network,
-        shared=shared_state_for(container.path) if shared else None,
         coherence=domain_for(container.path),
         meta=dict(container.meta),
         strategy=strategy,

@@ -125,8 +125,7 @@ def open_session(container: Container, network=None) -> ThreadSession:
     # process's shared event loop — same serial-per-open semantics, but
     # a thousand thread-strategy opens no longer cost a thousand
     # threads.
-    sentinel_end.register(SESSION_CHAN, serve,
-                          name=monotonic_name("af-sentinel-thread"))
+    sentinel_end.register(SESSION_CHAN, serve)
     TELEMETRY.metrics.counter("sessions.opened.thread",
                               scope=str(container.path)).inc()
     return ThreadSession(app_end, sentinel_end)

@@ -4,13 +4,9 @@ The paper notes that when several user processes open the same active
 file, "multiple sentinels are created, which synchronize amongst
 themselves in a program-dependent fashion using semaphores, shared
 memory or other forms of interprocess communication".  This module
-provides those forms for the native runtime:
-
-* :class:`FileLock` — an advisory ``flock`` on a stable sidecar path,
-  usable across real processes (the process strategies);
-* :class:`SharedState` — a process-global, lock-protected dictionary
-  keyed by container path, usable by sentinels running in threads of the
-  same process (the thread/inproc strategies).
+provides :class:`FileLock`, an advisory ``flock`` on a stable sidecar
+path, usable across real processes (the process strategies); opens in
+one process also share a :class:`~repro.core.fanout.CoherenceDomain`.
 """
 
 from __future__ import annotations
@@ -19,9 +15,8 @@ import fcntl
 import os
 import threading
 from pathlib import Path
-from typing import Any
 
-__all__ = ["FileLock", "SharedState", "shared_state_for"]
+__all__ = ["FileLock"]
 
 
 class FileLock:
@@ -69,45 +64,3 @@ class FileLock:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
-
-class SharedState:
-    """A dictionary shared by all sentinels opened on one active file."""
-
-    def __init__(self) -> None:
-        self.lock = threading.RLock()
-        self._values: dict[str, Any] = {}
-        self.open_count = 0
-
-    def get(self, key: str, default: Any = None) -> Any:
-        with self.lock:
-            return self._values.get(key, default)
-
-    def set(self, key: str, value: Any) -> None:
-        with self.lock:
-            self._values[key] = value
-
-    def setdefault(self, key: str, default: Any) -> Any:
-        with self.lock:
-            return self._values.setdefault(key, default)
-
-    def update_with(self, key: str, fn, default: Any = None) -> Any:
-        """Atomically ``values[key] = fn(values.get(key, default))``."""
-        with self.lock:
-            value = fn(self._values.get(key, default))
-            self._values[key] = value
-            return value
-
-
-_registry_lock = threading.Lock()
-_registry: dict[str, SharedState] = {}
-
-
-def shared_state_for(path: str | os.PathLike) -> SharedState:
-    """Return the per-container shared state (process-global registry)."""
-    key = str(Path(path).resolve())
-    with _registry_lock:
-        state = _registry.get(key)
-        if state is None:
-            state = SharedState()
-            _registry[key] = state
-        return state

@@ -1,4 +1,4 @@
-"""``afctl doctor`` — a plugin-based diagnostics engine.
+"""``afctl doctor`` — a diagnostics engine.
 
 The observability plane (PRs 4–8) produces snapshots, span exports and
 chaos reports; this package interprets them.  Diagnostics consume and
@@ -10,9 +10,8 @@ Public surface:
 
 * :class:`~repro.doctor.engine.Evidence` — load a bundle directory or
   capture one live from a running sentinel host;
-* :func:`~repro.doctor.engine.run_doctor` — run every registered
-  analyzer (declarative YAML checks + span-tree analyzers + any
-  plugin-provided ones) and emit the report;
+* :func:`~repro.doctor.engine.run_doctor` — run every analyzer
+  (declarative YAML checks + span-tree analyzers) and emit the report;
 * :func:`~repro.doctor.engine.render_report` — the summary tree.
 
 See DESIGN.md "Diagnostics engine" for how to add a check.

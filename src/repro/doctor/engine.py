@@ -9,10 +9,8 @@ Three layers, mirroring the chaos engine's declarative design:
   (plus a per-container scoped variant) so checks reference stable
   names instead of walking nested snapshot shapes.
 
-* **Analyzers** — plugin objects with an ``analyze(evidence) ->
-  [Finding]`` method.  Discovery is entry-point style: every module in
-  :mod:`repro.doctor.plugins` is imported and registers factories via
-  :func:`register`; the two shipped plugins wrap the declarative YAML
+* **Analyzers** — objects with an ``analyze(evidence) -> [Finding]``
+  method.  :func:`build_analyzers` lists them all: the declarative YAML
   checks (:mod:`repro.doctor.checks`) and the span-tree analyzers
   (:mod:`repro.doctor.spans`).
 
@@ -32,12 +30,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import importlib
 import json
 import os
-import pkgutil
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.telemetry import (
     BUNDLE_SCHEMA,
@@ -55,7 +51,6 @@ __all__ = [
     "Finding",
     "Evidence",
     "Analyzer",
-    "register",
     "build_analyzers",
     "run_doctor",
     "render_report",
@@ -462,7 +457,7 @@ class Evidence:
 
 
 # ---------------------------------------------------------------------------
-# Analyzer registry (entry-point style discovery over doctor/plugins/)
+# Analyzers
 # ---------------------------------------------------------------------------
 
 class Analyzer:
@@ -476,43 +471,19 @@ class Analyzer:
         raise NotImplementedError
 
 
-#: plugin name -> factory(config) -> list[Analyzer]
-_FACTORIES: dict[str, Callable[[dict[str, Any]], list[Analyzer]]] = {}
-_PLUGINS_LOADED = False
-
-
-def register(name: str):
-    """Decorator: register an analyzer factory under *name*.
-
-    The factory receives a config dict (currently ``{"checks_dir":
-    str | None}``) and returns the analyzers it contributes.  Plugin
-    modules call this at import time; :func:`build_analyzers` imports
-    every module in :mod:`repro.doctor.plugins`, so dropping a new
-    module there is the whole registration ceremony.
-    """
-    def wrap(factory: Callable[[dict[str, Any]], list[Analyzer]]):
-        _FACTORIES[name] = factory
-        return factory
-    return wrap
-
-
-def _load_plugins() -> None:
-    global _PLUGINS_LOADED
-    if _PLUGINS_LOADED:
-        return
-    from repro.doctor import plugins as pkg
-    for info in pkgutil.iter_modules(pkg.__path__):
-        importlib.import_module(f"{pkg.__name__}.{info.name}")
-    _PLUGINS_LOADED = True
-
-
 def build_analyzers(checks_dir: str | None = None) -> list[Analyzer]:
-    """Every registered analyzer, deterministically ordered by name."""
-    _load_plugins()
-    config = {"checks_dir": checks_dir}
-    out: list[Analyzer] = []
-    for plugin in sorted(_FACTORIES):
-        out.extend(_FACTORIES[plugin](config))
+    """Every analyzer the doctor runs, deterministically ordered by name:
+    the declarative checks in *checks_dir* (default: the shipped ones)
+    and the span-tree analyzers."""
+    # Imported here: both modules build on this one's Analyzer.
+    from repro.doctor import checks, spans
+    out: list[Analyzer] = [
+        *(checks.DeclarativeCheck(doc) for doc in checks.load_checks(
+            checks_dir or checks.default_checks_dir())),
+        spans.RetryDominatedOpens(),
+        spans.QueueWaitSkew(),
+        spans.ReadaheadCollapse(),
+    ]
     out.sort(key=lambda a: a.name)
     names = [a.name for a in out]
     dupes = {n for n in names if names.count(n) > 1}

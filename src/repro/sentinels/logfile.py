@@ -17,6 +17,8 @@ operation.
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.datapart import ContainerDataPart
 from repro.core.sentinel import Sentinel, SentinelContext
 
@@ -39,6 +41,9 @@ class ConcurrentLogSentinel(Sentinel):
         self.keep_records = int(self.params.get("keep_records",
                                                 self.max_records or 0)) or None
         self.stamp = bool(self.params.get("stamp", True))
+        #: Serializes the records of this open's threads on a data part
+        #: no other open shares (a memory data part is built per open).
+        self._lock = threading.Lock()
 
     # -- helpers -----------------------------------------------------------------
 
@@ -57,14 +62,10 @@ class ConcurrentLogSentinel(Sentinel):
         return 0
 
     def _locked(self, ctx: SentinelContext):
-        """Reload-under-lock context; returns (lock context usable or None)."""
+        """The lock a record is appended under."""
         if isinstance(ctx.data, ContainerDataPart):
             return ctx.data._lock  # advisory cross-process lock
-        if ctx.shared is not None:
-            return ctx.shared.lock
-        import contextlib
-
-        return contextlib.nullcontext()
+        return self._lock
 
     # -- sentinel interface ---------------------------------------------------------
 

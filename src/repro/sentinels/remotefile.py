@@ -285,7 +285,7 @@ class RemoteFileSentinel(Sentinel):
                 "coherent mode needs a cache to keep leased bytes in "
                 "(cache='disk' or cache='memory', not 'none')")
         self.op_timeout = float(self.params.get("op_timeout",
-                                                policy.REMOTE_OP_TIMEOUT))
+                                                policy.DEFAULT_OP_TIMEOUT))
         self.stale_reads = bool(self.params.get("stale_reads", False))
         #: Whether anything reads the origin version and size a push
         #: leaves behind: revalidation (``validate``, ``coherent``) and

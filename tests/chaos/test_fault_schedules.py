@@ -23,7 +23,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import create_active, open_active, policy
@@ -100,24 +100,35 @@ class TestReadPathChaos:
     @given(seed=st.integers(0, 2**16),
            kill_after=st.integers(2, 12),
            drop_p=st.sampled_from([0.0, 0.1, 0.25]))
+    @example(seed=2501, kill_after=6, drop_p=0.25)
     def test_reads_survive_kills_and_drops(self, seed, kill_after, drop_p):
-        with tempfile.TemporaryDirectory() as dirname:
-            network, _, path = _rig(dirname, cache="memory",
-                                    block_size=2048, retries=6,
-                                    retry_seed=seed)
-            plane = FaultPlane(seed)
-            plane.kill_host(after=kill_after, times=1)
-            if drop_p:
-                plane.drop_frame(op="read", p=drop_p)
-                plane.drop_frame(op="readv", p=drop_p)
-            stream = open_active(path, "rb", strategy="process-control",
-                                 network=network)
-            plane.arm_host(stream.session.host)
-            data = _read_all(stream)
-            assert data == CONTENT  # no corruption, no shortfall
-            # no hung futures: the surviving channel is fully drained
-            assert stream.session.channel.counters.snapshot()["in_flight"] == 0
-            stream.close()
+        # Each lost frame costs the read one attempt.  At the default
+        # 5 s attempt, the six drops seed 2501 draws use up the read's
+        # whole 30 s budget; at 0.5 s (as in TestEveryFaultAction) they
+        # cost 3 s.
+        attempt = policy.ATTEMPT_TIMEOUT
+        policy.ATTEMPT_TIMEOUT = 0.5
+        try:
+            with tempfile.TemporaryDirectory() as dirname:
+                network, _, path = _rig(dirname, cache="memory",
+                                        block_size=2048, retries=6,
+                                        retry_seed=seed)
+                plane = FaultPlane(seed)
+                plane.kill_host(after=kill_after, times=1)
+                if drop_p:
+                    plane.drop_frame(op="read", p=drop_p)
+                    plane.drop_frame(op="readv", p=drop_p)
+                stream = open_active(path, "rb", strategy="process-control",
+                                     network=network)
+                plane.arm_host(stream.session.host)
+                data = _read_all(stream)
+                assert data == CONTENT  # no corruption, no shortfall
+                # no hung futures: the surviving channel is fully drained
+                counters = stream.session.channel.counters
+                assert counters.snapshot()["in_flight"] == 0
+                stream.close()
+        finally:
+            policy.ATTEMPT_TIMEOUT = attempt
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**16),

@@ -185,12 +185,12 @@ class TestDemux:
     def test_per_channel_ordering_is_preserved(self):
         a, b = make_stream_pair()
         seen = []
-        b.register(CONTROL_CHAN,
+        b.register(FIRST_SESSION_CHAN,
                    lambda f, p: (seen.append(f["n"]), ({"ok": True}, b""))[1])
         a.start()
         b.start(serve=True)
         try:
-            pendings = [a.request_async(CONTROL_CHAN, {"n": n})
+            pendings = [a.request_async(FIRST_SESSION_CHAN, {"n": n})
                         for n in range(50)]
             for pending in pendings:
                 pending.wait(5.0)

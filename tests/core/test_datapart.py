@@ -7,7 +7,7 @@ import pytest
 from repro.core.container import Container
 from repro.core.datapart import ContainerDataPart, MemoryDataPart
 from repro.core.spec import SentinelSpec
-from repro.core.sync import FileLock, SharedState, shared_state_for
+from repro.core.sync import FileLock
 
 SPEC = SentinelSpec("repro.sentinels.null:NullFilterSentinel")
 
@@ -118,38 +118,3 @@ class TestFileLock:
             assert (tmp_path / "file.af.lock").exists()
         lock.close()
 
-
-class TestSharedState:
-    def test_registry_returns_same_state_for_same_path(self, tmp_path):
-        target = tmp_path / "x.af"
-        target.touch()
-        assert shared_state_for(target) is shared_state_for(str(target))
-
-    def test_registry_distinct_per_path(self, tmp_path):
-        (tmp_path / "a").touch()
-        (tmp_path / "b").touch()
-        assert shared_state_for(tmp_path / "a") is not shared_state_for(tmp_path / "b")
-
-    def test_update_with_is_atomic(self):
-        state = SharedState()
-        errors = []
-
-        def bump():
-            try:
-                for _ in range(500):
-                    state.update_with("n", lambda v: v + 1, default=0)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert state.get("n") == 2000
-
-    def test_setdefault(self):
-        state = SharedState()
-        assert state.setdefault("k", 1) == 1
-        assert state.setdefault("k", 2) == 1

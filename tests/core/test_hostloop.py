@@ -128,8 +128,8 @@ class TestSerialPerChannel:
 
 
 class TestIndependentRequests:
-    """A channel-0 handler marked ``independent`` (the network bridge)
-    takes a grant per request: its requests run at once on the pool."""
+    """Channel 0 takes a grant per request: its requests run at once on
+    the pool."""
 
     def test_detach_drops_queued_unstarted_requests(self):
         """Two executors run two requests at once and three wait; a
@@ -141,7 +141,6 @@ class TestIndependentRequests:
         lock = threading.Lock()
         started: list[int] = []
 
-        @hostloop.independent
         def handler(fields, payload):
             with lock:
                 started.append(fields["n"])
@@ -176,6 +175,39 @@ class TestIndependentRequests:
         finally:
             gate.set()
             app.close()
+            server.shutdown()
+
+    def test_channel_zero_requests_overlap_on_a_loop_read_connection(self):
+        """On a connection the serving loop reads (a sentinel host's),
+        two slow channel-0 requests run at the same time: the first runs
+        on the reading thread, the role moves on after the grace period,
+        and the second gets a grant of its own."""
+        a, b = _stream_pair("chan0-overlap")
+        server = EventLoopServer("chan0-overlap-loop", executors=2)
+        b.loop = server
+        lock = threading.Lock()
+        spans: list[tuple[float, float]] = []
+
+        def handler(fields, payload):
+            started = time.monotonic()
+            time.sleep(0.2)
+            with lock:
+                spans.append((started, time.monotonic()))
+            return {"ok": True}, b""
+
+        b.register(CONTROL_CHAN, handler)
+        a.start()
+        b.start(serve=True)
+        try:
+            pendings = [a.request_async(CONTROL_CHAN, {"n": n})
+                        for n in range(2)]
+            for pending in pendings:
+                assert pending.wait(5.0)[0]["ok"] is True
+            (_, first_end), (second_start, _) = sorted(spans)
+            assert second_start < first_end, \
+                "the second request started after the first one ended"
+        finally:
+            a.close()
             server.shutdown()
 
 
@@ -700,10 +732,9 @@ class TestTelemetry:
 class TestKillSwitch:
     def test_loop_mode_spawns_no_per_channel_thread(self):
         app, srv = LocalChannel.pair("loopy")
-        srv.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""),
-                     name="loopy-worker-thread")
-        assert not any(t.name == "loopy-worker-thread"
-                       for t in threading.enumerate())
+        before = set(threading.enumerate())
+        srv.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""))
+        assert not set(threading.enumerate()) - before  # none started
         fields, _ = app.request(FIRST_SESSION_CHAN, {"cmd": "ping"})
         assert fields["ok"] is True
         app.close()

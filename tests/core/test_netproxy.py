@@ -12,7 +12,9 @@ import pytest
 
 from repro.core import create_active, open_active
 from repro.core.channel import StreamChannel
+from repro.core.control import raise_for_response
 from repro.core.netproxy import BRIDGE_CHAN, NetworkBridgeServer, ProxyNetwork
+from repro.core.runner import SentinelHost
 from repro.errors import AddressError, NetworkError
 from repro.net import Address, FileServer, LinkProfile, Network, WallClock
 
@@ -201,3 +203,53 @@ class TestConcurrentBridgeCalls:
             stream.close()
         assert data == body
         assert peak >= 2, f"at most {peak} origin exchange(s) at once"
+
+
+class TestConcurrentOpens:
+    def test_sixteen_threads_open_one_bridged_container_at_once(
+            self, tmp_path):
+        """Sixteen opens of one bridged remote-file container reach the
+        host's channel 0 together, and each stats the origin over the
+        bridge while it opens: every open gets a session of its own and
+        reads the origin's bytes."""
+        network = Network(profile=LinkProfile(latency_us=500.0,
+                                              bandwidth_mbps=1000.0),
+                          clock=WallClock())
+        body = bytes(range(256)) * 64  # 16 KiB
+        network.bind(Address("origin", 7000), FileServer({"f": body}))
+        path = tmp_path / "remote.af"
+        create_active(path, "repro.sentinels.remotefile:RemoteFileSentinel",
+                      params={"address": "origin:7000", "path": "f",
+                              "cache": "memory", "block_size": 4096},
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path), network=network)
+        width = 16
+        barrier = threading.Barrier(width)
+        results: dict[int, tuple[int, bytes]] = {}
+        errors: list[BaseException] = []
+
+        def opener(n: int) -> None:
+            try:
+                barrier.wait(10.0)
+                chan = host.open("process-control", timeout=30.0)
+                fields, data = host.channel.request(
+                    chan, {"cmd": "read", "offset": 0, "size": len(body)},
+                    timeout=30.0)
+                raise_for_response(fields)
+                results[n] = (chan, bytes(data))
+            except BaseException as exc:  # asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=opener, args=(n,))
+                   for n in range(width)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len({chan for chan, _ in results.values()}) == width
+            assert all(data == body for _, data in results.values())
+        finally:
+            host.shutdown()

@@ -5,16 +5,26 @@ respawned, and idempotent operations retry transparently after the
 session's write journal is replayed.  These tests cover both faces:
 recovery must be invisible when it is safe, and crashes must still
 surface as typed errors when it is not (``meta={"supervise": False}``,
-non-idempotent streams, retry exhaustion).
+non-idempotent streams, retry exhaustion).  A wedged host fails its
+idle heartbeat, and a wedged sentinel thread (the thread strategy)
+surfaces within its op or close budget.
 """
 
+import os
 import signal
+import threading
 import time
 
 import pytest
 
-from repro.core import create_active, open_active
-from repro.errors import ChannelClosedError, SentinelCrashError, SpecError
+from repro.core import Container, create_active, open_active, policy
+from repro.core.strategies import thread as thread_strategy
+from repro.errors import (
+    ChannelClosedError,
+    SentinelCrashError,
+    SessionCloseError,
+    SpecError,
+)
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
 
@@ -72,6 +82,40 @@ class CrashOnNthRead:
                 return ctx.data.read_at(offset, size)
 
         return Impl(params)
+
+
+class Blocking:
+    """Importable sentinel whose reads (``block="read"``) or close
+    (``block="close"``) wait on :attr:`gate` until the test sets it."""
+
+    gate = threading.Event()
+
+    def __new__(cls, params):
+        from repro.core.sentinel import Sentinel
+
+        gate = cls.gate
+
+        class Impl(Sentinel):
+            def on_read(self, ctx, offset, size):
+                if self.params.get("block") == "read":
+                    gate.wait(30.0)
+                return ctx.data.read_at(offset, size)
+
+            def on_close(self, ctx):
+                if self.params.get("block") == "close":
+                    gate.wait(30.0)
+
+        return Impl(params)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """A fresh gate for :class:`Blocking`, set when the test ends so no
+    handler stays blocked on the shared loop."""
+    event = threading.Event()
+    monkeypatch.setattr(Blocking, "gate", event)
+    yield event
+    event.set()
 
 
 class TestTransparentRecovery:
@@ -233,9 +277,6 @@ class TestCallerReadCrash:
         """A connection without a network bridge is read by its callers.
         SIGKILL the host while one caller holds the read role and others
         sleep: every waiter fails with the typed crash error, none hangs."""
-        import os
-        import threading
-
         from repro.core.runner import SentinelHost
 
         path = tmp_path / "stall.af"
@@ -277,6 +318,74 @@ class TestCallerReadCrash:
             host.shutdown()
 
 
+class TestHeartbeat:
+    def test_stopped_host_fails_its_heartbeat_and_respawns(
+            self, tmp_path, monkeypatch):
+        """A host that is alive but answers nothing (SIGSTOP) fails its
+        idle heartbeat: it is declared dead with a typed crash naming
+        the heartbeat, and the next supervised read respawns it."""
+        monkeypatch.setattr(policy, "HEARTBEAT_IDLE_S", 0.2)
+        monkeypatch.setattr(policy, "HEARTBEAT_TIMEOUT", 0.2)
+        path = tmp_path / "wedged.af"
+        create_active(path, NULL, data=b"h" * 64)
+        stream = open_active(str(path), "rb", strategy="process-control")
+        host = stream.session.host
+        try:
+            assert stream.read(4) == b"hhhh"
+            os.kill(host.proc.pid, signal.SIGSTOP)
+            deadline = time.monotonic() + 10.0
+            while host.alive and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not host.alive
+            error = host.channel.death_error
+            assert isinstance(error, SentinelCrashError)
+            assert "heartbeat" in str(error)
+            assert stream.read(4) == b"hhhh"  # on a respawned host
+            assert stream.session.host is not host
+            assert stream.session._lease.respawns == 1
+        finally:
+            try:
+                os.kill(host.proc.pid, signal.SIGCONT)
+            except OSError:
+                pass  # already reaped
+            stream.close()
+
+
+class TestThreadSupervision:
+    """The thread strategy bounds every wait on its sentinel thread."""
+
+    def test_blocked_op_surfaces_as_unresponsive(self, tmp_path,
+                                                 monkeypatch, gate):
+        monkeypatch.setattr(policy, "DEFAULT_OP_TIMEOUT", 0.3)
+        path = tmp_path / "stuck-read.af"
+        create_active(path, f"{__name__}:Blocking",
+                      params={"block": "read"}, data=b"t" * 16)
+        session = thread_strategy.open_session(Container.load(str(path)))
+        try:
+            started = time.monotonic()
+            with pytest.raises(SentinelCrashError, match="unresponsive"):
+                session.read_at(0, 4)
+            assert time.monotonic() - started < 5.0
+        finally:
+            gate.set()
+            session.close()
+
+    def test_blocked_close_raises_and_counts_a_close_error(
+            self, tmp_path, monkeypatch, gate):
+        monkeypatch.setattr(policy, "CLOSE_TIMEOUT", 0.3)
+        path = tmp_path / "stuck-close.af"
+        create_active(path, f"{__name__}:Blocking",
+                      params={"block": "close"}, data=b"t" * 16)
+        session = thread_strategy.open_session(Container.load(str(path)))
+        assert session.read_at(0, 4) == b"tttt"
+        try:
+            with pytest.raises(SessionCloseError):
+                session.close()
+            assert session.counters.close_errors == 1
+        finally:
+            gate.set()
+
+
 class TestApplicationMisbehaviour:
     def test_close_without_reading_everything(self, tmp_path):
         """Abandoning a stream mid-read must not hang or error."""
@@ -294,8 +403,6 @@ class TestApplicationMisbehaviour:
             stream.close()
 
     def test_many_sequential_opens_no_fd_leak(self, tmp_path):
-        import os
-
         from repro.core.runner import HOST_POOL
 
         path = tmp_path / "f.af"

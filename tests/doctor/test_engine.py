@@ -12,7 +12,7 @@ from repro.core import create_active, open_active
 from repro.core.faults import FaultPlane
 from repro.core.hostloop import shared_loop
 from repro.core.telemetry import BUNDLE_SCHEMA, TELEMETRY, Histogram
-from repro.doctor import engine
+from repro.doctor import engine, spans
 from repro.doctor.engine import (
     DOCTOR_SCHEMA,
     Analyzer,
@@ -366,9 +366,7 @@ class TestRegistry:
                 return [Finding(check=self.name, severity="fatal",
                                 subsystem="x", message="boom")]
 
-        engine._load_plugins()
-        monkeypatch.setitem(engine._FACTORIES, "zz-test",
-                            lambda config: [Broken()])
+        monkeypatch.setattr(spans, "ReadaheadCollapse", Broken)
         with pytest.raises(DoctorError, match="invalid severity"):
             run_doctor(clean_evidence)
 
@@ -378,8 +376,6 @@ class TestRegistry:
             def analyze(self, evidence):
                 return []
 
-        engine._load_plugins()
-        monkeypatch.setitem(engine._FACTORIES, "zz-test",
-                            lambda config: [Dupe()])
+        monkeypatch.setattr(spans, "ReadaheadCollapse", Dupe)
         with pytest.raises(DoctorError, match="duplicate analyzer"):
             build_analyzers()

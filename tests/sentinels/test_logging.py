@@ -1,5 +1,6 @@
 """Tests for the concurrent-log sentinel."""
 
+import sys
 import threading
 
 import pytest
@@ -81,6 +82,43 @@ class TestMultiWriter:
         for tag in ("t1", "t2", "t3"):
             tagged = [r for r in records if r.startswith(tag.encode())]
             assert tagged == [f"{tag}:{i}".encode() for i in range(20)]
+
+    def test_threads_sharing_one_memory_open_lose_nothing(self, make_active):
+        """Threads append through one inproc open of a memory log: the
+        read-modify-write of each record runs under the open's own lock,
+        so no append overwrites another."""
+        from repro.core.strategies import inproc
+
+        path = make_active(LOG, params={"stamp": False},
+                           meta={"data": "memory"})
+        session = inproc.open_session(Container.load(path))
+        errors = []
+
+        def writer(tag):
+            try:
+                for i in range(100):
+                    session.write_at(0, f"{tag}:{i}".encode())
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,))
+                   for t in ("t1", "t2", "t3", "t4")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the appends finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        records = session.read_at(0, session.size()).splitlines()
+        session.close()
+        assert not errors
+        assert len(records) == 400
+        for tag in ("t1", "t2", "t3", "t4"):
+            tagged = [r for r in records if r.startswith(tag.encode())]
+            assert tagged == [f"{tag}:{i}".encode() for i in range(100)]
 
     def test_cross_process_writers(self, make_active):
         """Two sentinel child processes appending to one log."""
