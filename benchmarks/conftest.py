@@ -1,16 +1,6 @@
-"""Shared helpers for the benchmark harness.
-
-Every Figure 6 benchmark times the *simulation* (wall-clock) and
-attaches the measurement that actually matters — virtual microseconds
-per operation on the simulated 300 MHz/NT testbed — as
-``extra_info["virtual_us_per_op"]``, so ``--benchmark-json`` output
-carries the reproduced figure data.
+"""Shared helpers for the benchmark harness: the published key sets of
+every ``BENCH_*.json`` artifact and the check that holds them.
 """
-
-import pytest
-
-#: Reduced block-size axis for benchmarks (full axis in the harness).
-BENCH_BLOCKS = (8, 512, 2048)
 
 #: Required top-level keys of every BENCH_*.json artifact.
 BENCH_TOP_KEYS = ("block_size", "total_bytes", "strategy", "results")
@@ -93,28 +83,3 @@ def check_bench_schema(doc, result_keys, *, name="benchmark json"):
             value = results[section][key]
             assert isinstance(value, (int, float)), \
                 f"{name}: results[{section!r}][{key!r}] is {type(value).__name__}"
-
-#: Calls per simulated point (paper: 1000; reduced to keep wall time sane).
-BENCH_CALLS = 200
-
-
-def record_sim_point(benchmark, strategy, path, op, block):
-    """Run one simulated Figure 6 point under the benchmark timer."""
-    from repro.afsim.workload import measure_point
-
-    result = benchmark(measure_point, strategy, path, op, block,
-                       BENCH_CALLS)
-    benchmark.extra_info["virtual_us_per_op"] = round(result.per_op_us, 2)
-    benchmark.extra_info["strategy"] = strategy
-    benchmark.extra_info["path"] = path
-    benchmark.extra_info["op"] = op
-    benchmark.extra_info["block"] = block
-    return result
-
-
-@pytest.fixture
-def sim_point(benchmark):
-    def runner(strategy, path, op, block):
-        return record_sim_point(benchmark, strategy, path, op, block)
-
-    return runner

@@ -2,18 +2,23 @@
 
 Tracing off is the default, and the budget for it is one predicate per
 frame — no spans, no collector traffic, and critically no *retained*
-allocations.  This microbench drives the hottest frame path
-(:class:`LocalChannel` request/reply, the thread-strategy transport)
-in steady state and asserts the interpreter's allocated-block count
-does not grow with the number of frames, then reports the per-frame
-wall cost for the CI log.
+allocations.  This microbench drives both request/reply paths in
+steady state — the in-memory loopback (:class:`LocalChannel`, the
+thread-strategy transport) and the wire (:class:`StreamChannel` over a
+socketpair: a caller-read connection to a loop-read one, as between an
+application and its sentinel host) — and asserts the interpreter's
+allocated-block count does not grow with the number of frames, then
+reports the per-frame wall cost for the CI log.
 """
 
 import gc
+import socket
 import sys
 import time
 
-from repro.core.channel import LocalChannel
+import pytest
+
+from repro.core.channel import LocalChannel, StreamChannel
 from repro.core.telemetry import TELEMETRY
 
 WARMUP = 500
@@ -25,11 +30,37 @@ FRAMES = 5000
 ALLOWED_GROWTH = 200
 
 
-def test_disabled_tracing_steady_state_allocations():
+def _echo(fields, payload):
+    return {"ok": True}, payload
+
+
+def _loopback():
+    channel = LocalChannel("bench-telemetry")
+    channel.register(1, _echo)
+    return channel, channel
+
+
+def _socketpair():
+    app_sock, srv_sock = socket.socketpair()
+    app, srv = (StreamChannel(sock.makefile("rb", buffering=0),
+                              sock.makefile("wb", buffering=0),
+                              name=f"bench-telemetry-{side}")
+                for sock, side in ((app_sock, "app"), (srv_sock, "srv")))
+    # The file objects keep each descriptor open until they are closed.
+    app_sock.close()
+    srv_sock.close()
+    srv.register(1, _echo)
+    app.start()
+    srv.start(serve=True)
+    return app, srv
+
+
+@pytest.mark.parametrize("rig", [_loopback, _socketpair],
+                         ids=["loopback", "socketpair"])
+def test_disabled_tracing_steady_state_allocations(rig):
     assert not TELEMETRY.tracing, "tracing must default to off"
-    app, peer = LocalChannel.pair("bench-telemetry")
+    app, srv = rig()
     try:
-        peer.register(1, lambda fields, payload: ({"ok": True}, payload))
         for _ in range(WARMUP):  # populate caches: histograms, counters
             app.request(1, {"cmd": "read"}, b"x")
         gc.collect()
@@ -42,8 +73,8 @@ def test_disabled_tracing_steady_state_allocations():
         growth = sys.getallocatedblocks() - before
     finally:
         app.close()
-        peer.close()
-    print(f"\ntelemetry-disabled frame path: "
+        srv.close()
+    print(f"\ntelemetry-disabled frame path ({rig.__name__[1:]}): "
           f"{elapsed / FRAMES * 1e6:.1f} us/frame, "
           f"net allocated-block growth {growth} over {FRAMES} frames")
     assert growth <= ALLOWED_GROWTH, (

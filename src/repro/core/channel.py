@@ -34,9 +34,10 @@ Two concrete transports exist:
 * :class:`StreamChannel` — length-prefixed frames over a byte-stream
   pair (the sentinel-host connection of :mod:`repro.core.runner` and the
   network bridge of :mod:`repro.core.netproxy` share one of these);
-* :class:`LocalChannel` — an in-memory pair for same-process endpoints
-  (the thread strategy): identical semantics, no serialization, which is
-  exactly why that strategy is cheaper.
+* :class:`LocalChannel` — an in-memory loopback for a same-process
+  handler (the thread strategy): one endpoint serves its own requests
+  with identical semantics and no serialization, which is exactly why
+  that strategy is cheaper.
 
 Both sides of a channel may originate requests: the application opens
 files and issues file operations; a sentinel child issues network-bridge
@@ -325,9 +326,9 @@ class PendingReply:
 class Channel:
     """The multiplexed request/reply core, independent of the byte transport.
 
-    Subclasses provide :meth:`_send` (deliver one enveloped message to
-    the peer) and arrange for inbound messages to reach
-    :meth:`_dispatch`.
+    Subclasses provide :meth:`_send` (deliver one message) and arrange
+    for inbound messages to reach :meth:`_dispatch`, or, with no wire
+    in between, :meth:`_serve` and :meth:`_deliver`.
     """
 
     def __init__(self, name: str = "channel") -> None:
@@ -453,12 +454,24 @@ class Channel:
         """
         rid, chan, is_reply, rest = control.split_envelope(fields)
         if is_reply:
-            pending = self._settle(rid, len(payload))
-            if pending is not None:
-                if "tsp" in rest:  # spans the peer produced serving us
-                    TELEMETRY.ingest(rest.pop("tsp"), anchor=pending.span)
-                pending.resolve(rest, payload)
+            self._deliver(rid, rest, payload)
             return None
+        return self._serve(rid, chan, rest, payload, lead)
+
+    def _deliver(self, rid: int, fields: dict[str, Any],
+                 payload: bytes) -> None:
+        """Resolve *rid*'s future with its reply, if anyone waits for it."""
+        pending = self._settle(rid, len(payload))
+        if pending is not None:
+            if "tsp" in fields:  # spans the peer produced serving us
+                TELEMETRY.ingest(fields.pop("tsp"), anchor=pending.span)
+            pending.resolve(fields, payload)
+
+    def _serve(self, rid: int, chan: int, fields: dict[str, Any],
+               payload: bytes,
+               lead: "Callable[[], bool] | None" = None) -> Any:
+        """Hand one inbound request to *chan*'s serving state (see
+        :meth:`_dispatch` for *lead*), or answer that none exists."""
         # A lock-free read: register/unregister replace entries whole.
         state = self._handlers.get(chan)
         if state is None:
@@ -468,7 +481,7 @@ class Channel:
             except (ChannelClosedError, OSError, ValueError):
                 pass
             return None
-        return state.submit(rid, rest, payload, lead)
+        return state.submit(rid, fields, payload, lead)
 
     def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
         """Block until *pending* settles; False if *deadline* expires."""
@@ -935,46 +948,29 @@ class StreamChannel(Channel):
 
 
 class LocalChannel(Channel):
-    """An in-memory channel endpoint: same semantics, no serialization.
+    """An in-memory loopback endpoint: it serves its own requests.
 
-    Use :meth:`pair` to create two connected endpoints.  Messages cross
-    by reference — the thread strategy's "only one user-level copy"
-    property (here: zero copies), with the same envelope, demux,
-    pipelining and counters as the wire transport.
+    A request goes straight to the loop serving the handler registered
+    on this channel, and a reply straight to the caller's future:
+    nothing is enveloped or decoded, and field values cross by
+    reference — the thread strategy's "only one user-level copy"
+    property (here: none), with the same futures, deadlines, spans and
+    counters as the wire transport.
     """
-
-    def __init__(self, name: str = "local-channel") -> None:
-        super().__init__(name)
-        self._peer: LocalChannel | None = None
-
-    @classmethod
-    def pair(cls, name: str = "local") -> "tuple[LocalChannel, LocalChannel]":
-        a = cls(f"{name}:a")
-        b = cls(f"{name}:b")
-        a._peer = b
-        b._peer = a
-        return a, b
 
     def _send(self, rid: int, chan: int, fields: dict[str, Any],
               parts: tuple, *, reply: bool = False,
               dl: "int | None" = None, tc: "tuple | None" = None) -> None:
         self._check_alive()
-        peer = self._peer
-        if peer is None or peer.dead:
-            raise ChannelClosedError(f"{self.name}: peer is closed")
         if len(parts) == 1 and isinstance(parts[0], bytes):
             payload = parts[0]  # cross by reference: zero copies
         else:
             # Handlers receive immutable bytes; materialize views and
             # gathered extents so the sender may reuse its buffers.
             payload = b"".join(parts)
-        # The peer splits and consumes the header it receives: give it
-        # its own dict, as a wire decoder would.
-        peer._dispatch(control.envelope(fields, rid, chan, reply, dl, tc),
-                       payload)
-
-    def kill(self, reason: str, error: BaseException | None = None) -> None:
-        super().kill(reason, error=error)
-        peer = self._peer
-        if peer is not None and not peer.dead:
-            peer.kill(f"peer closed: {reason}")
+        if reply:
+            self._deliver(rid, fields, payload)
+        else:
+            # The loop pops ``dl``/``tc`` off the fields it is handed
+            # and the handler may change them: give it its own dict.
+            self._serve(rid, chan, {**fields, "dl": dl, "tc": tc}, payload)

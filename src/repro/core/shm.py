@@ -96,7 +96,7 @@ def _crc(view: "memoryview | bytes") -> int:
 
 
 #: Segment names created by THIS process.  An attach to one of them is
-#: an in-process attach (tests, LocalChannel rigs): the resource
+#: an in-process attach (a test attaching its own segment): the resource
 #: tracker's registration belongs to the creator and must be left
 #: alone, or the eventual unlink would unregister a second time.
 _LOCAL_NAMES: set = set()

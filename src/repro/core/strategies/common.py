@@ -29,8 +29,8 @@ from repro.errors import (
     ShmError,
 )
 
-__all__ = ["make_data_part", "make_context", "CommandSession",
-           "ChannelSession", "IDEMPOTENT_CMDS"]
+__all__ = ["make_data_part", "make_context", "overload_backoff",
+           "CommandSession", "ChannelSession", "IDEMPOTENT_CMDS"]
 
 #: Commands safe to re-issue after a crash or a lost frame: every one is
 #: expressed in absolute offsets (or touches no state), so executing it
@@ -47,6 +47,17 @@ _TRANSPORT_FAILURES = (ChannelClosedError, SentinelCrashError, OSError,
                        ValueError)
 
 
+def overload_backoff(deadline: Deadline, cmd: str) -> None:
+    """Wait out an admission fast-reject before re-submitting *cmd*.
+
+    The host never queued or executed the op, so a retry is safe for
+    *every* command, not just the idempotent set: back off briefly,
+    within *deadline* (raising once it has passed).
+    """
+    deadline.check(f"{cmd!r} on an overloaded host")
+    deadline.sleep(policy.OVERLOAD_RETRY_S)
+
+
 class CommandSession(Session):
     """The command vocabulary of the control channel (paper §4.2).
 
@@ -55,8 +66,8 @@ class CommandSession(Session):
     sent through :meth:`_op`.  This class is the single client of that
     vocabulary; a subclass supplies only the transport by implementing
     :meth:`_op`: the supervised host lease of :class:`ChannelSession`
-    (process-plus-control) or the in-process channel pair of the thread
-    strategy.
+    (process-plus-control) or the in-process loopback channel of the
+    thread strategy.
     """
 
     #: Transfers larger than this are split into several commands:
@@ -389,13 +400,8 @@ class ChannelSession(Session):
                     status = "timeout"
                     continue
                 except HostOverloadedError:
-                    # Admission fast-reject: the host never queued or
-                    # executed the op, so a retry is safe for *every*
-                    # command, not just the idempotent set.  Back off
-                    # briefly and re-submit within the deadline.
                     status = "overloaded"
-                    deadline.check(f"{cmd!r} on an overloaded host")
-                    deadline.sleep(policy.OVERLOAD_RETRY_S)
+                    overload_backoff(deadline, cmd)
                     continue
                 except ShmError:
                     # The slot exchange was rejected (stale generation,

@@ -273,8 +273,10 @@ class TestDemux:
 
 
 class TestLocalChannel:
-    def test_pair_round_trip_no_serialization(self):
-        app, sentinel = LocalChannel.pair()
+    """The in-memory loopback: one endpoint serves its own requests."""
+
+    def test_round_trip_no_serialization(self):
+        app = sentinel = LocalChannel("loopback")
         marker = object()  # deliberately not JSON-encodable
         sentinel.register(FIRST_SESSION_CHAN,
                           lambda f, p: ({"ok": True, "obj": f["obj"]}, p))
@@ -284,19 +286,29 @@ class TestLocalChannel:
         assert payload == b"raw"
         app.close()
 
-    def test_kill_propagates_to_peer(self):
-        app, sentinel = LocalChannel.pair()
-        app.close()
-        assert sentinel.dead
-
     def test_local_counters(self):
-        app, sentinel = LocalChannel.pair()
+        app = sentinel = LocalChannel("loopback-counters")
         sentinel.register(FIRST_SESSION_CHAN,
                           lambda f, p: ({"ok": True}, b"xy"))
         app.request(FIRST_SESSION_CHAN, {"cmd": "read"})
         snap = app.counters.snapshot()
         assert snap["requests_sent"] == 1
         assert snap["per_op"]["read"]["count"] == 1
+        app.close()
+
+    def test_views_arrive_as_bytes_and_unknown_chan_is_refused(self):
+        app = LocalChannel("loopback-views")
+        seen = []
+        app.register(FIRST_SESSION_CHAN,
+                     lambda f, p: (seen.append(p), ({"ok": True}, p))[1])
+        buf = bytearray(b"abcd")
+        _, payload = app.request(FIRST_SESSION_CHAN, {"cmd": "write"},
+                                 (memoryview(buf)[:2], b"yz"))
+        assert seen == [b"abyz"] and type(seen[0]) is bytes
+        assert payload == b"abyz"
+        fields, _ = app.request(FIRST_SESSION_CHAN + 1, {"cmd": "read"})
+        assert fields["error_type"] == "ProtocolError"
+        assert app.counters.snapshot()["in_flight"] == 0
         app.close()
 
 

@@ -22,7 +22,7 @@ NULL = "repro.sentinels.null:NullFilterSentinel"
 
 
 def _echo_pair(name):
-    app, peer = LocalChannel.pair(name)
+    app = peer = LocalChannel(name)
     peer.register(1, lambda fields, payload: ({"ok": True}, payload))
     return app, peer
 
@@ -62,7 +62,7 @@ class TestConservationUnderRaces:
         peer.close()
 
     def test_withdrawn_requests_count_as_failed(self):
-        app, peer = LocalChannel.pair("counters-withdraw")
+        app = peer = LocalChannel("counters-withdraw")
         gate = threading.Event()
         peer.register(1, lambda fields, payload:
                       (gate.wait(5) and None) or ({"ok": True}, b""))

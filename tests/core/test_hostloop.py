@@ -103,7 +103,7 @@ class TestSerialPerChannel:
     def test_ordering_preserved_per_channel(self, schedule):
         """Arbitrary interleavings across 4 channels: each channel's ops
         execute strictly in arrival order on the shared loop."""
-        app, srv = LocalChannel.pair("ordering")
+        app = srv = LocalChannel("ordering")
         seen = defaultdict(list)
         lock = threading.Lock()
 
@@ -135,7 +135,7 @@ class TestIndependentRequests:
         """Two executors run two requests at once and three wait; a
         kill drops the three unrun and the ``host.*`` gauges drain."""
         server = EventLoopServer("independent-loop", executors=2)
-        app, srv = LocalChannel.pair("independent")
+        app = srv = LocalChannel("independent")
         srv.loop = server
         gate = threading.Event()
         lock = threading.Lock()
@@ -217,7 +217,7 @@ class TestFairness:
         waits behind at most one op of a deeply backlogged sibling."""
         server = EventLoopServer("fair-loop", executors=1,
                                  max_inflight=1000, queue_depth=1000)
-        app, srv = LocalChannel.pair("fair")
+        app = srv = LocalChannel("fair")
         srv.loop = server
         try:
             def slow(fields, payload):
@@ -251,7 +251,7 @@ class TestAdmissionControl:
         HostOverloadedError replies without ever being queued."""
         server = EventLoopServer("tiny-loop", executors=2,
                                  max_inflight=4, queue_depth=2)
-        app, srv = LocalChannel.pair("overload")
+        app = srv = LocalChannel("overload")
         srv.loop = server
         gate = threading.Event()
         try:
@@ -714,7 +714,7 @@ class TestTimerWheel:
 
 class TestTelemetry:
     def test_host_family_in_snapshot(self):
-        app, srv = LocalChannel.pair("gauges")
+        app = srv = LocalChannel("gauges")
         srv.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""))
         app.request(FIRST_SESSION_CHAN, {"cmd": "ping"})
         snap = TELEMETRY.snapshot()
@@ -731,7 +731,7 @@ class TestTelemetry:
 
 class TestKillSwitch:
     def test_loop_mode_spawns_no_per_channel_thread(self):
-        app, srv = LocalChannel.pair("loopy")
+        app = srv = LocalChannel("loopy")
         before = set(threading.enumerate())
         srv.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, b""))
         assert not set(threading.enumerate()) - before  # none started

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.core import Container, create_active, open_active, policy
+from repro.core import Container, create_active, hostloop, open_active, policy
 from repro.core.strategies import thread as thread_strategy
 from repro.errors import (
     ChannelClosedError,
@@ -258,7 +258,7 @@ class TestShutdownOrdering:
         with an error reply rather than leaving it hanging."""
         from repro.core.channel import FIRST_SESSION_CHAN, LocalChannel
 
-        app, srv = LocalChannel.pair("teardown")
+        app = srv = LocalChannel("teardown")
 
         def dying_handler(fields, payload):
             raise SystemExit("sentinel tearing down")
@@ -384,6 +384,80 @@ class TestThreadSupervision:
             assert session.counters.close_errors == 1
         finally:
             gate.set()
+
+
+class TestThreadLoopback:
+    """A thread open's calls queue on the shared loop like a host's."""
+
+    @staticmethod
+    def read_in_threads(session, count):
+        outcomes: list = []
+
+        def reader():
+            try:
+                outcomes.append(session.read_at(0, 4))
+            except Exception as exc:  # asserted by the caller
+                # The type alone: a kept exception's traceback would
+                # keep the session (and its counters) alive.
+                outcomes.append(type(exc))
+
+        threads = [threading.Thread(target=reader) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        return threads, outcomes
+
+    def test_calls_past_the_queue_bound_wait_instead_of_failing(
+            self, tmp_path, monkeypatch, gate):
+        """Readers past the channel's FIFO bound are fast-rejected by the
+        loop; the session backs off and re-submits, as a host's does."""
+        path = tmp_path / "queued.af"
+        create_active(path, f"{__name__}:Blocking",
+                      params={"block": "read"}, data=b"q" * 16)
+        # A loop of the shared loop's shape, serving this open alone, so
+        # its rejects stay out of the process-wide host gauges.
+        loop = hostloop.EventLoopServer("overload-loop")
+        with monkeypatch.context() as patch:
+            patch.setattr(hostloop, "_SHARED", loop)
+            session = thread_strategy.open_session(
+                Container.load(str(path)))
+        rejects = loop.stats()["host.rejects"]
+        count = loop.queue_depth + 8
+        threads, outcomes = self.read_in_threads(session, count)
+        try:
+            deadline = time.monotonic() + 2.0
+            while loop.stats()["host.rejects"] - rejects < 8 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            gate.set()
+            for thread in threads:
+                thread.join(30.0)
+            assert outcomes == [b"qqqq"] * count
+        finally:
+            gate.set()
+            session.close()
+            loop.shutdown()
+
+    def test_close_of_a_wedged_open_fails_every_queued_reader(
+            self, tmp_path, monkeypatch, gate):
+        monkeypatch.setattr(policy, "CLOSE_TIMEOUT", 0.3)
+        path = tmp_path / "wedged.af"
+        create_active(path, f"{__name__}:Blocking",
+                      params={"block": "read"}, data=b"w" * 16)
+        session = thread_strategy.open_session(Container.load(str(path)))
+        threads, outcomes = self.read_in_threads(session, 5)
+        deadline = time.monotonic() + 5.0
+        while session.counters.snapshot()["in_flight"] < 5 \
+                and time.monotonic() < deadline:
+            time.sleep(0.005)
+        started = time.monotonic()
+        with pytest.raises(SessionCloseError):
+            session.close()
+        for thread in threads:
+            thread.join(5.0)
+        assert time.monotonic() - started < 5.0
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [SentinelCrashError] * 5
+        assert session.counters.snapshot()["in_flight"] == 0
 
 
 class TestApplicationMisbehaviour:

@@ -292,7 +292,7 @@ class TestSnapshotSchema:
         plane = FaultPlane(seed=3)
         cache = BlockCache(fetch=lambda o, s: b"", push=lambda o, d: len(d),
                            store=MemoryDataPart())
-        app, peer = LocalChannel.pair("schema-test")
+        app = peer = LocalChannel("schema-test")
         peer.register(1, lambda fields, payload: ({"ok": True}, payload))
         app.request(1, {"cmd": "read"}, b"x")
         app.counters.record_close_error("synthetic close failure")

@@ -54,7 +54,7 @@ class TestLocalSpanTrees:
         assert root.attrs["strategy"] == "thread"
         (app_read,) = names["app.read"]
         assert _parent_of(spans, app_read) is root
-        # thread strategy: the frame crosses a LocalChannel in-process.
+        # thread strategy: a loopback LocalChannel serves the frame in-process.
         frame = next(s for s in names["frame.read"])
         dispatch = next(s for s in names["dispatch.read"])
         assert frame.trace == root.trace == dispatch.trace
