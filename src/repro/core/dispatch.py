@@ -1,4 +1,4 @@
-"""Command dispatch loop shared by the channel-based strategies.
+"""Command dispatch shared by every strategy.
 
 The paper's §4.2/§5.2 sentinel "typically blocks on a read on the
 control channel.  Upon receiving a command from the application, the
@@ -6,7 +6,9 @@ thread wakes up and performs the operation".  This module is that
 dispatch loop, factored out once: the process-plus-control runner drives
 it from pipe frames (encoded), the thread strategy drives it from the
 shared-memory channel (raw dicts — no serialization, which is exactly
-why that strategy is cheaper), and tests drive it directly.
+why that strategy is cheaper), the DLL-only strategy calls it in place
+for every op but reads and writes (its ``AF_Control``), and tests drive
+it directly.
 """
 
 from __future__ import annotations

@@ -96,6 +96,7 @@ from repro.errors import (
     ChannelClosedError,
     DeadlineExceededError,
     HostOverloadedError,
+    ProtocolError,
 )
 
 __all__ = [
@@ -389,7 +390,13 @@ class EventLoopServer:
         # on the local monotonic clock at intake time; the queue wait
         # counts against it.  The trace context (``tc``) rides the same
         # way: popped here, re-parented at serve time.
-        deadline = Deadline.from_ms(fields.pop("dl", None))
+        try:
+            deadline = Deadline.from_ms(fields.pop("dl", None))
+        except (TypeError, ValueError, OverflowError) as exc:
+            # A malformed budget fails this request, never the reader.
+            self._reply_error(state, rid, ProtocolError(
+                f"malformed deadline budget: {exc}"))
+            return None
         tc = fields.pop("tc", None)
         reject = None
         inline = None
@@ -398,9 +405,10 @@ class EventLoopServer:
                 return None  # channel is tearing down; kill() fails the peer
             if state.session and (self._inflight >= self.max_inflight
                                    or len(state.fifo) >= self.queue_depth):
-                reject = (f"host overloaded: {self._inflight} in flight "
-                          f"(max {self.max_inflight}), channel backlog "
-                          f"{len(state.fifo)}/{self.queue_depth}")
+                reject = HostOverloadedError(
+                    f"host overloaded: {self._inflight} in flight "
+                    f"(max {self.max_inflight}), channel backlog "
+                    f"{len(state.fifo)}/{self.queue_depth}")
                 self._rejects += 1
             else:
                 state.fifo.append((rid, fields, payload, deadline, tc,
@@ -422,13 +430,17 @@ class EventLoopServer:
             # overloaded host sheds load without queueing it first.
             # The reply may overtake queued siblings on the wire; rid
             # matching makes that harmless.
-            try:
-                state.channel._send_reply(
-                    rid, state.chan,
-                    control.error_fields(HostOverloadedError(reject)), b"")
-            except (ChannelClosedError, OSError, ValueError):
-                pass
+            self._reply_error(state, rid, reject)
         return inline
+
+    @staticmethod
+    def _reply_error(state: _ChanState, rid: int, exc: Exception) -> None:
+        """Answer *rid* with *exc* from the reading thread, unqueued."""
+        try:
+            state.channel._send_reply(rid, state.chan,
+                                      control.error_fields(exc), b"")
+        except (ChannelClosedError, OSError, ValueError):
+            pass
 
     def throttle(self, channel) -> None:
         """Backpressure hook for the thread holding a read role.

@@ -373,8 +373,10 @@ class SentinelHost:
                          daemon=True).start()
 
     def _drain_stderr(self) -> None:
-        for line in self.proc.stderr:
-            self.stderr_tail.append(line.decode("utf-8", errors="replace"))
+        with self.proc.stderr:  # closed at EOF: the child has exited
+            for line in self.proc.stderr:
+                self.stderr_tail.append(
+                    line.decode("utf-8", errors="replace"))
 
     def stderr_text(self) -> str:
         return "".join(self.stderr_tail).strip()

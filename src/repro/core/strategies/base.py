@@ -62,23 +62,16 @@ class Session:
         return len(data)
 
     def read_multi(self, extents: list[tuple[int, int]]) -> list[bytes]:
-        """Read many ``(offset, size)`` extents; returns their bytes.
-
-        The default loops :meth:`read_at` — one round trip per extent.
-        Channel-backed sessions override this with the vectored
-        ``readv`` command so the whole batch rides one exchange.
-        """
-        return [self.read_at(int(offset), int(size))
-                for offset, size in extents]
+        """Read many ``(offset, size)`` extents; returns their bytes."""
+        raise UnsupportedOperationError(
+            f"{self.strategy}: vectored read unsupported"
+        )
 
     def write_extents(self, extents: list[tuple[int, bytes]]) -> list[int]:
-        """Write many ``(offset, data)`` extents; returns written counts.
-
-        Default is a :meth:`write_at` loop; channel-backed sessions
-        override with the vectored ``writev`` command (one exchange for
-        a coalesced write-behind flush).
-        """
-        return [self.write_at(int(offset), data) for offset, data in extents]
+        """Write many ``(offset, data)`` extents; returns written counts."""
+        raise UnsupportedOperationError(
+            f"{self.strategy}: vectored write unsupported"
+        )
 
     def size(self) -> int:
         raise UnsupportedOperationError(f"{self.strategy}: size unsupported")

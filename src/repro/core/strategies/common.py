@@ -66,8 +66,9 @@ class CommandSession(Session):
     sent through :meth:`_op`.  This class is the single client of that
     vocabulary; a subclass supplies only the transport by implementing
     :meth:`_op`: the supervised host lease of :class:`ChannelSession`
-    (process-plus-control) or the in-process loopback channel of the
-    thread strategy.
+    (process-plus-control), the in-process loopback channel of the
+    thread strategy, or the in-place dispatcher call of the DLL-only
+    strategy.
     """
 
     #: Transfers larger than this are split into several commands:

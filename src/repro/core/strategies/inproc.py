@@ -6,13 +6,21 @@ sentinel itself performs: "The DLL-only implementation approach
 eliminates this switch by directly routing file system API calls to
 appropriate routines in the sentinel DLL."
 
+As in the paper, only ``AF_ReadFile`` and ``AF_WriteFile`` go straight
+to the sentinel's hooks: :meth:`InprocSession.read_at` and
+:meth:`~InprocSession.write_at` call ``on_read``/``on_write`` in place.
+Every other operation is a command of the :class:`CommandSession`
+vocabulary, served by calling the open's
+:class:`~repro.core.dispatch.SentinelDispatcher` in place — the
+``AF_Control`` routine — so the command-to-hook mapping and the close
+lifecycle are the ones every channel strategy's sentinel runs.
+
 This is the cheapest strategy and the one whose overhead the paper
 measures as "negligible ... incurring the same costs as if the
 application were directly accessing the information sources".  The cost
 is convenience: the sentinel runs on the *application's* thread, so a
-slow handler stalls the caller, and the sentinel author gets no
-dispatch-loop scaffolding (here that only means exceptions propagate
-synchronously instead of being marshalled through response frames).
+slow handler stalls the caller, and its exceptions propagate
+synchronously instead of being marshalled through response frames.
 """
 
 from __future__ import annotations
@@ -21,28 +29,25 @@ import threading
 from typing import Any
 
 from repro.core.container import Container
-from repro.core.dispatch import canonical_control_op
-from repro.core.sentinel import Sentinel, SentinelContext
-from repro.core.strategies.base import Session
-from repro.core.strategies.common import make_context
+from repro.core.dispatch import SentinelDispatcher
+from repro.core.strategies.common import CommandSession, make_context
 from repro.core.telemetry import TELEMETRY
 
 __all__ = ["InprocSession", "open_session"]
 
 
-class InprocSession(Session):
+class InprocSession(CommandSession):
     """Direct-call session: the application thread runs the sentinel."""
 
     strategy = "inproc"
 
-    def __init__(self, sentinel: Sentinel, ctx: SentinelContext) -> None:
-        self._sentinel = sentinel
-        self._ctx = ctx
-        self._closed = False
+    def __init__(self, dispatcher: SentinelDispatcher) -> None:
+        self._dispatcher = dispatcher
+        self._sentinel = dispatcher.sentinel
+        self._ctx = dispatcher.ctx
         self._close_lock = threading.Lock()
-        sentinel.on_open(ctx)
 
-    # -- data plane ---------------------------------------------------------------
+    # -- data plane: AF_ReadFile / AF_WriteFile -----------------------------------
 
     def read_at(self, offset: int, size: int) -> bytes:
         return self._sentinel.on_read(self._ctx, offset, size)
@@ -55,66 +60,32 @@ class InprocSession(Session):
             data = bytes(data)
         return self._sentinel.on_write(self._ctx, offset, data)
 
-    def size(self) -> int:
-        return self._sentinel.on_size(self._ctx)
+    # -- everything else: AF_Control ----------------------------------------------
 
-    def truncate(self, size: int) -> None:
-        self._sentinel.on_truncate(self._ctx, size)
-
-    def flush(self) -> None:
-        self._sentinel.on_flush(self._ctx)
-
-    def control(self, op: str, args: dict[str, Any] | None = None,
-                payload: bytes = b"") -> tuple[dict[str, Any], bytes]:
-        # Same alias folding the wire dispatchers apply, so sentinels
-        # see one spelling regardless of strategy.
-        return self._sentinel.on_control(self._ctx, canonical_control_op(op),
-                                         args or {}, payload)
-
-    # -- fan-out plane -------------------------------------------------------------
-
-    def publish(self, offset: int, data: bytes,
-                meta: "dict[str, Any] | None" = None) -> tuple[int, int]:
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        out = self._sentinel.on_publish(self._ctx, int(offset), data,
-                                        meta or {})
-        return int(out["written"]), int(out["seq"])
-
-    def subscribe(self, max_pending: int | None = None) -> int:
-        args: dict[str, Any] = {}
-        if max_pending is not None:
-            args["max_pending"] = int(max_pending)
-        return int(self._sentinel.on_subscribe(self._ctx, args)["sub"])
-
-    def poll(self, sub: int, max_items: int = 64) -> list[dict[str, Any]]:
-        fields, _ = self._sentinel.on_poll(
-            self._ctx, {"sub": int(sub), "max_items": int(max_items)})
-        return list(fields.get("updates") or [])
-
-    def unsubscribe(self, sub: int) -> None:
-        self._sentinel.on_unsubscribe(self._ctx, {"sub": int(sub)})
-
-    # -- lifecycle ----------------------------------------------------------------
+    def _op(self, fields: dict[str, Any], payload: Any = b""
+            ) -> tuple[dict[str, Any], bytes]:
+        """Serve one command in place; a sentinel's exception propagates
+        as raised (no error reply is marshalled)."""
+        if not isinstance(payload, bytes):
+            # Handlers receive immutable bytes: join gathered extents
+            # and copy views, so the caller may reuse its buffers.
+            payload = b"".join(payload if isinstance(payload, tuple)
+                               else (payload,))
+        return self._dispatcher._execute(fields["cmd"], fields, payload)
 
     def close(self) -> None:
+        # No channel serializes this strategy's calls: two threads
+        # closing at once must still run the close lifecycle once.
         with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self._sentinel.on_close(self._ctx)
-        finally:
-            try:
-                self._sentinel._fanout_release(self._ctx)
-            finally:
-                self._ctx.data.close()
+            self._dispatcher.close()
 
 
 def open_session(container: Container, network=None) -> InprocSession:
     """Open *container* with the DLL-only strategy."""
     sentinel = container.spec.instantiate()
     ctx = make_context(container, network, strategy="inproc")
+    dispatcher = SentinelDispatcher(sentinel, ctx)
+    dispatcher.open()
     TELEMETRY.metrics.counter("sessions.opened.inproc",
                               scope=str(container.path)).inc()
-    return InprocSession(sentinel, ctx)
+    return InprocSession(dispatcher)

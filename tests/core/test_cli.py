@@ -225,8 +225,8 @@ class TestStatsTrace:
         self._make()
         assert main(["trace", "--export", "t.jsonl", "f.af",
                      "--", "read", "0", "5"]) == 0
-        lines = [json.loads(line)
-                 for line in open("t.jsonl").read().splitlines()]
+        with open("t.jsonl") as export:
+            lines = [json.loads(line) for line in export.read().splitlines()]
         assert lines
         assert len({line["trace"] for line in lines}) == 1
         sids = {line["sid"] for line in lines}

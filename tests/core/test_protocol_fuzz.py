@@ -6,13 +6,17 @@ dead loop would strand the application)."""
 
 import io
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.channel import FIRST_SESSION_CHAN
 from repro.core.control import encode_head, encode_head_wire, read_wire_message
 from repro.core.dispatch import SentinelDispatcher
 from repro.core.sentinel import Sentinel, SentinelContext
 from repro.errors import ChannelClosedError, FrameError
 from repro.util.framing import write_frame
+
+from tests.core.test_channel import make_stream_pair
 
 # arbitrary JSON-able field dictionaries
 json_values = st.recursive(
@@ -56,6 +60,28 @@ class TestDispatcherNeverDies:
             assert out_fields["ok"] is False
         ok_fields, _ = dispatcher.execute({"cmd": "size"}, b"")
         assert ok_fields["ok"] is True
+
+    @pytest.mark.parametrize("bad", ["soon", "", [], {}])
+    def test_malformed_deadline_budget_fails_only_that_request(self, bad):
+        """A garbage ``dl`` budget on the wire is answered with a typed
+        error for its rid alone; the serving connection keeps reading."""
+        a, b = make_stream_pair()
+        b.register(FIRST_SESSION_CHAN, lambda f, p: ({"ok": True}, p))
+        a.start()
+        b.start(serve=True)
+        try:
+            # No sender budget: the bad ``dl`` rides the JSON header.
+            fields, _ = a.request_async(
+                FIRST_SESSION_CHAN, {"cmd": "x", "dl": bad}).wait(2.0)
+            assert fields["ok"] is False
+            assert fields["error_type"] == "ProtocolError"
+            fields, payload = a.request_async(
+                FIRST_SESSION_CHAN, {"cmd": "x"}, b"next").wait(2.0)
+            assert fields["ok"] is True and payload == b"next"
+            assert not b.dead
+        finally:
+            a.close()
+            b.close()
 
 
 def wire_frame(head, payload=b""):

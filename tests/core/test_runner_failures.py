@@ -271,6 +271,23 @@ class TestShutdownOrdering:
         assert app.counters.snapshot()["in_flight"] == 0
         app.close()
 
+    def test_shutdown_closes_the_stderr_pipe(self, tmp_path):
+        """The stderr drain ends at the child's EOF and closes its end
+        of the pipe, so a shut-down host leaks no file object."""
+        from repro.core.runner import SentinelHost
+
+        path = tmp_path / "quiet.af"
+        create_active(path, NULL, data=b"abc", meta={"data": "memory"})
+        before = set(threading.enumerate())
+        host = SentinelHost(str(path))
+        drains = [t for t in threading.enumerate()
+                  if t not in before and t.name == "af-stderr-drain"]
+        assert len(drains) == 1
+        host.shutdown()
+        drains[0].join(5.0)
+        assert not drains[0].is_alive()
+        assert host.proc.stderr.closed
+
 
 class TestCallerReadCrash:
     def test_sigkill_while_a_caller_reads_fails_every_waiter(self, tmp_path):

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core import Container
 from repro.core.telemetry import TELEMETRY
@@ -26,6 +29,23 @@ def demo(workdir):
     main(["create", "demo.af", "repro.sentinels.null:NullFilterSentinel"])
     Container.load("demo.af").write_data(b"payload " * 4096)
     return "demo.af"
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro.cli *args`` in a fresh process.
+
+    Its telemetry holds only its own traffic: in this process, channels
+    that earlier tests left alive stay registered as transport
+    collectors, and a reset cannot unregister them.
+    """
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH", "")) if p)
+    return subprocess.run([sys.executable, "-m", "repro.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestStatsExport:
@@ -59,7 +79,7 @@ class TestDoctorExitCodes:
     """The contract scripts rely on: 0 clean, 1 findings, 2 error."""
 
     def test_clean_bundle_exits_zero(self, demo, capsys):
-        main(["stats", demo, "--export", "bundle"])
+        run_cli("stats", demo, "--export", "bundle")
         assert main(["doctor", "--bundle", "bundle"]) == 0
         assert "clean" in capsys.readouterr().out
 
@@ -84,8 +104,8 @@ class TestDoctorExitCodes:
         assert excinfo.value.code == 2
 
     def test_live_capture_runs_clean(self, demo):
-        assert main(["doctor", "--live", demo,
-                     "--strategy", "thread"]) == 0
+        proc = run_cli("doctor", "--live", demo, "--strategy", "thread")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestDoctorOutput:
