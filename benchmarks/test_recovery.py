@@ -28,6 +28,12 @@ BLOCK = 4096
 TOTAL = 256 * 1024           # 256 KiB workload
 KILLS = 5                    # recovery samples per run
 
+#: Bound on the median recovery.  Ten runs on a 2-vCPU VM read p50s of
+#: 247-305 ms (median 286); the bound is that median plus nine times
+#: their 57 ms spread, so a respawn that waits out a timeout, or spawns
+#: a much slower host, fails here.
+RECOVERY_P50_BOUND_S = 0.8
+
 #: Where the numbers land; CI uploads this file as an artifact.
 RESULTS_PATH = os.environ.get("BENCH_RECOVERY_JSON", "BENCH_recovery.json")
 
@@ -94,7 +100,7 @@ def test_kill_to_first_successful_read(tmp_path, origin):
     assert respawns == KILLS
     _record("kill_to_first_read", samples, kills=KILLS, respawns=respawns)
 
-    # Recovery is respawn + backoff + replay; it must stay well under the
-    # per-attempt timeout or supervision is not pulling its weight.
+    # Recovery is respawn + backoff + replay.
     p50 = sorted(samples)[len(samples) // 2]
-    assert p50 < 4.0, f"median recovery latency {p50:.2f}s too slow"
+    assert p50 < RECOVERY_P50_BOUND_S, \
+        f"median recovery latency {p50:.2f}s too slow"

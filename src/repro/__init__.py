@@ -21,24 +21,13 @@ Package map:
 * :mod:`repro.ntos` — the virtual-time NT-like OS substrate;
 * :mod:`repro.afsim` — active files on that substrate, reproducing the
   paper's Figure 6 performance study.
+
+The names below, and those of :mod:`repro.core`, :mod:`repro.net` and
+:mod:`repro.sentinels`, are imported on first use
+(:mod:`repro.util.lazy`).
 """
 
-from repro.core import (
-    ACTIVE_SUFFIX,
-    ActiveFile,
-    Container,
-    MediatingConnector,
-    STRATEGIES,
-    Sentinel,
-    SentinelContext,
-    SentinelSpec,
-    StreamSentinel,
-    Win32Api,
-    create_active,
-    is_active_path,
-    open_active,
-)
-from repro.errors import ActiveFileError
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -59,3 +48,15 @@ __all__ = [
     "is_active_path",
     "open_active",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.api": ("Win32Api",),
+    "repro.core.container": ("ACTIVE_SUFFIX", "Container", "is_active_path"),
+    "repro.core.fileobj": ("ActiveFile",),
+    "repro.core.interception": ("MediatingConnector",),
+    "repro.core.opener": ("create_active", "open_active"),
+    "repro.core.sentinel": ("Sentinel", "SentinelContext", "StreamSentinel"),
+    "repro.core.spec": ("SentinelSpec",),
+    "repro.core.strategies": ("STRATEGIES",),
+    "repro.errors": ("ActiveFileError",),
+})

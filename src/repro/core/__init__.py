@@ -11,18 +11,13 @@ Public surface:
 * :class:`~repro.core.api.Win32Api` — the Win32-flavoured handle API;
 * :class:`~repro.core.container.Container` / :class:`~repro.core.spec.SentinelSpec`
   — the on-disk representation.
+
+Each name is imported from its module on first use, so a sentinel host
+child, which imports :mod:`repro.core.runner`, never loads the client
+surface it does not run.
 """
 
-from repro.core.api import Win32Api
-from repro.core.cache import BlockCache
-from repro.core.container import ACTIVE_SUFFIX, Container, is_active_path
-from repro.core.fileobj import ActiveFile
-from repro.core.handles import HandleTable
-from repro.core.interception import MediatingConnector
-from repro.core.opener import create_active, open_active
-from repro.core.sentinel import Sentinel, SentinelContext, StreamSentinel
-from repro.core.spec import SentinelSpec
-from repro.core.strategies import STRATEGIES
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "ACTIVE_SUFFIX",
@@ -41,3 +36,16 @@ __all__ = [
     "is_active_path",
     "open_active",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.api": ("Win32Api",),
+    "repro.core.cache": ("BlockCache",),
+    "repro.core.container": ("ACTIVE_SUFFIX", "Container", "is_active_path"),
+    "repro.core.fileobj": ("ActiveFile",),
+    "repro.core.handles": ("HandleTable",),
+    "repro.core.interception": ("MediatingConnector",),
+    "repro.core.opener": ("create_active", "open_active"),
+    "repro.core.sentinel": ("Sentinel", "SentinelContext", "StreamSentinel"),
+    "repro.core.spec": ("SentinelSpec",),
+    "repro.core.strategies": ("STRATEGIES",),
+})

@@ -42,7 +42,6 @@ import sys
 import threading
 import time
 from collections import deque
-from subprocess import PIPE, Popen
 from typing import Any
 
 from repro.core import control, hostloop, policy
@@ -56,8 +55,8 @@ from repro.core.container import Container
 from repro.core.dispatch import SentinelDispatcher, StreamDispatcher
 from repro.core.netproxy import NetworkBridgeServer, ProxyNetwork
 from repro.core.policy import Deadline
+from repro.core.sentinel import make_context
 from repro.core.shm import AttachedSegment, ShmPlane
-from repro.core.strategies.common import make_context
 from repro.core.telemetry import TELEMETRY
 from repro.errors import ProtocolError, SentinelCrashedError, ShmError
 
@@ -323,6 +322,8 @@ class SentinelHost:
 
     def __init__(self, container_path: str, network=None,
                  faults=None) -> None:
+        from subprocess import PIPE, Popen  # parent side only
+
         self.container_path = str(container_path)
         self.network = network
         argv = [sys.executable, "-m", "repro.core.runner",
@@ -409,10 +410,13 @@ class SentinelHost:
                 return
 
     def mark_crashed(self, reason: str) -> None:
-        """Declare the host dead: typed failure for every in-flight op."""
-        if self.channel.dead:
-            return
-        self.channel.kill(reason, error=self.crash_error(reason))
+        """Declare the host dead: typed failure for every in-flight op.
+
+        Idempotent, and complete even when the connection died first
+        (a reader saw EOF before the watcher reaped the child).
+        """
+        if not self.channel.dead:
+            self.channel.kill(reason, error=self.crash_error(reason))
         try:
             self.proc.kill()
         except Exception:
@@ -651,6 +655,10 @@ class SentinelHostPool:
         with self._lock:
             if self._hosts.get(key) is dead_host:
                 self._evict_locked(key)
+        if not dead_host.alive:
+            # No lease releases a dead host: finish it here, so its
+            # segment goes before a successor's is made.
+            dead_host.mark_crashed("replaced after a crash")
         host, reaper = self._checkout_locked(key, container_path, network)
         if reaper is not None:
             reaper.cancel()

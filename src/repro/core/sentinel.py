@@ -29,10 +29,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.errors import UnsupportedOperationError
-from repro.core.datapart import DataPart, MemoryDataPart
+from repro.core.container import Container
+from repro.core.datapart import ContainerDataPart, DataPart, MemoryDataPart
+from repro.core.fanout import DEFAULT_MAX_PENDING, domain_for
 from repro.net.address import Address
 
-__all__ = ["Sentinel", "StreamSentinel", "SentinelContext"]
+__all__ = ["Sentinel", "StreamSentinel", "SentinelContext",
+           "make_context", "make_data_part"]
 
 
 @dataclass
@@ -74,6 +77,38 @@ class SentinelContext:
         if isinstance(address, str):
             address, _ = Address.parse(address)
         return self.network.connect(address)
+
+
+def make_data_part(container: Container) -> DataPart:
+    """Pick the data-part backing for *container*.
+
+    Containers may declare ``meta={"data": "memory"}`` for an ephemeral
+    data part (the paper: "an active file can have an empty data part
+    ... the sentinel process just creates the illusion of its
+    existence"); the default is the persistent container segment.
+    """
+    if container.meta.get("data") == "memory":
+        return MemoryDataPart(container.data)
+    return ContainerDataPart(container)
+
+
+def make_context(container: Container, network,
+                 strategy: str) -> SentinelContext:
+    """Build a per-open sentinel context.
+
+    Every open joins the container's process-wide
+    :class:`~repro.core.fanout.CoherenceDomain`; opens in other
+    processes coordinate on ``FileLock``.
+    """
+    return SentinelContext(
+        path=str(container.path),
+        params=dict(container.spec.params),
+        data=make_data_part(container),
+        network=network,
+        coherence=domain_for(container.path),
+        meta=dict(container.meta),
+        strategy=strategy,
+    )
 
 
 class Sentinel:
@@ -206,8 +241,6 @@ class Sentinel:
     def on_subscribe(self, ctx: SentinelContext,
                      args: dict[str, Any]) -> dict[str, Any]:
         """Open a bounded update queue; returns ``{"sub": id}``."""
-        from repro.core.fanout import DEFAULT_MAX_PENDING
-
         domain = self._fanout_domain(ctx)
         sub = domain.subscribe(
             self._fanout_member(ctx),

@@ -43,8 +43,8 @@ Crash safety:
 
 from __future__ import annotations
 
+import mmap
 import os
-import secrets
 import struct
 import threading
 import zlib
@@ -93,13 +93,6 @@ FALLBACK_INLINE = TELEMETRY.metrics.counter("shm.fallback_inline")
 
 def _crc(view: "memoryview | bytes") -> int:
     return zlib.crc32(view) & 0xFFFFFFFF
-
-
-#: Segment names created by THIS process.  An attach to one of them is
-#: an in-process attach (a test attaching its own segment): the resource
-#: tracker's registration belongs to the creator and must be left
-#: alone, or the eventual unlink would unregister a second time.
-_LOCAL_NAMES: set = set()
 
 
 class SlotLease:
@@ -181,6 +174,7 @@ class ShmPlane:
     def __init__(self, slots: int = SEGMENT_SLOTS,
                  slot_bytes: int = SLOT_BYTES,
                  checksums: bool = False) -> None:
+        import secrets  # the application side only: hosts attach
         from multiprocessing import shared_memory
         self.slots = int(slots)
         self.slot_bytes = int(slot_bytes)
@@ -197,7 +191,6 @@ class ShmPlane:
         self._shm = shared_memory.SharedMemory(
             name=f"repro-af-{os.getpid()}-{secrets.token_hex(4)}",
             create=True, size=size)
-        _LOCAL_NAMES.add(self._shm.name)
         self._buf = self._shm.buf
         self._lock = threading.Lock()
         self._free = bytearray(self.slots)  # 0 = free, 1 = leased/parked
@@ -318,38 +311,36 @@ class ShmPlane:
 
 
 class AttachedSegment:
-    """Child-side attachment to the host plane's segment."""
+    """Child-side attachment to the host plane's segment.
 
-    def __init__(self, shm, slots: int, slot_bytes: int,
-                 checksums: bool = False) -> None:
-        self._shm = shm
+    The child maps the segment by its POSIX name, as
+    :mod:`multiprocessing.shared_memory` would, but without importing
+    :mod:`multiprocessing` or starting a resource tracker: the
+    application side created the segment and unlinks it, so a tracker
+    here would have nothing to do but unregister it again.
+    """
+
+    def __init__(self, name: str, mapping: mmap.mmap, slots: int,
+                 slot_bytes: int, checksums: bool = False) -> None:
+        self.name = name
+        self._map = mapping
         self.slots = int(slots)
         self.slot_bytes = int(slot_bytes)
         self.checksums = bool(checksums)
         self._header_bytes = self.slots * _GEN.size
-        self._buf = shm.buf
+        self._buf = memoryview(mapping)
 
     @classmethod
     def attach(cls, name: str, slots: int, slot_bytes: int,
                checksums: bool = False) -> "AttachedSegment":
-        from multiprocessing import shared_memory
-        from multiprocessing import resource_tracker
-        shm = shared_memory.SharedMemory(name=name)
-        # The application side created (and will unlink) the segment;
-        # without this the child's resource tracker would unlink it too
-        # on exit and warn about a leak it does not own.  In-process
-        # attaches (test rigs) skip it: the tracker entry is the
-        # creator's.
-        if name not in _LOCAL_NAMES:
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
-        return cls(shm, slots, slot_bytes, checksums)
+        import _posixshmem
 
-    @property
-    def name(self) -> str:
-        return self._shm.name
+        fd = _posixshmem.shm_open(f"/{name}", os.O_RDWR, mode=0o600)
+        try:
+            mapping = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        return cls(name, mapping, slots, slot_bytes, checksums)
 
     def _slot_view(self, slot: int, length: int) -> memoryview:
         if not 0 <= slot < self.slots:
@@ -419,8 +410,10 @@ class AttachedSegment:
         return [slot, len(filled), generation, checksum]
 
     def close(self) -> None:
-        self._buf = None
+        buf, self._buf = self._buf, None
         try:
-            self._shm.close()
+            if buf is not None:
+                buf.release()
+            self._map.close()
         except (BufferError, OSError):  # pragma: no cover
             pass

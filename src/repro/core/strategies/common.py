@@ -1,9 +1,9 @@
 """Shared helpers for the strategy implementations.
 
-Context construction for every strategy, the command vocabulary every
-channel strategy speaks (:class:`CommandSession`), and the supervised
-transport of the strategies whose sentinel lives behind a pooled host
-connection (:class:`ChannelSession`).
+The command vocabulary every channel strategy speaks
+(:class:`CommandSession`), and the supervised transport of the
+strategies whose sentinel lives behind a pooled host connection
+(:class:`ChannelSession`).
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ from typing import Any
 
 from repro.core import policy
 from repro.core import shm as shmplane
-from repro.core.container import Container
 from repro.core.control import raise_for_response
-from repro.core.datapart import ContainerDataPart, DataPart, MemoryDataPart
-from repro.core.fanout import domain_for
 from repro.core.policy import Deadline
-from repro.core.sentinel import SentinelContext
 from repro.core.strategies.base import Session
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
@@ -29,8 +25,8 @@ from repro.errors import (
     ShmError,
 )
 
-__all__ = ["make_data_part", "make_context", "overload_backoff",
-           "CommandSession", "ChannelSession", "IDEMPOTENT_CMDS"]
+__all__ = ["overload_backoff", "CommandSession", "ChannelSession",
+           "IDEMPOTENT_CMDS"]
 
 #: Commands safe to re-issue after a crash or a lost frame: every one is
 #: expressed in absolute offsets (or touches no state), so executing it
@@ -643,34 +639,3 @@ class ChannelSession(Session):
         finally:
             self._lease.release()
 
-
-def make_data_part(container: Container) -> DataPart:
-    """Pick the data-part backing for *container*.
-
-    Containers may declare ``meta={"data": "memory"}`` for an ephemeral
-    data part (the paper: "an active file can have an empty data part
-    ... the sentinel process just creates the illusion of its
-    existence"); the default is the persistent container segment.
-    """
-    if container.meta.get("data") == "memory":
-        return MemoryDataPart(container.data)
-    return ContainerDataPart(container)
-
-
-def make_context(container: Container, network,
-                 strategy: str) -> SentinelContext:
-    """Build a per-open sentinel context.
-
-    Every open joins the container's process-wide
-    :class:`~repro.core.fanout.CoherenceDomain`; opens in other
-    processes coordinate on ``FileLock``.
-    """
-    return SentinelContext(
-        path=str(container.path),
-        params=dict(container.spec.params),
-        data=make_data_part(container),
-        network=network,
-        coherence=domain_for(container.path),
-        meta=dict(container.meta),
-        strategy=strategy,
-    )

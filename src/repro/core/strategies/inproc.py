@@ -8,9 +8,10 @@ appropriate routines in the sentinel DLL."
 
 As in the paper, only ``AF_ReadFile`` and ``AF_WriteFile`` go straight
 to the sentinel's hooks: :meth:`InprocSession.read_at` and
-:meth:`~InprocSession.write_at` call ``on_read``/``on_write`` in place.
-Every other operation is a command of the :class:`CommandSession`
-vocabulary, served by calling the open's
+:meth:`~InprocSession.write_at` call ``on_read``/``on_write`` in place,
+and their scatter/gather forms call them once per extent.  Every other
+operation is a command of the :class:`CommandSession` vocabulary,
+served by calling the open's
 :class:`~repro.core.dispatch.SentinelDispatcher` in place — the
 ``AF_Control`` routine — so the command-to-hook mapping and the close
 lifecycle are the ones every channel strategy's sentinel runs.
@@ -30,7 +31,8 @@ from typing import Any
 
 from repro.core.container import Container
 from repro.core.dispatch import SentinelDispatcher
-from repro.core.strategies.common import CommandSession, make_context
+from repro.core.sentinel import make_context
+from repro.core.strategies.common import CommandSession
 from repro.core.telemetry import TELEMETRY
 
 __all__ = ["InprocSession", "open_session"]
@@ -59,6 +61,16 @@ class InprocSession(CommandSession):
             # too instead of leaking caller buffers into sentinel code.
             data = bytes(data)
         return self._sentinel.on_write(self._ctx, offset, data)
+
+    # Scatter/gather calls the hooks once per extent, in order, as the
+    # dispatcher's ``readv``/``writev`` do, with no batch to build.
+
+    def read_multi(self, extents: list[tuple[int, int]]) -> list[bytes]:
+        return [self.read_at(int(offset), int(size))
+                for offset, size in extents]
+
+    def write_extents(self, extents: list[tuple[int, bytes]]) -> list[int]:
+        return [self.write_at(int(offset), data) for offset, data in extents]
 
     # -- everything else: AF_Control ----------------------------------------------
 

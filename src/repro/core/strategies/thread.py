@@ -29,11 +29,8 @@ from repro.core.container import Container
 from repro.core.control import raise_for_response
 from repro.core.dispatch import SentinelDispatcher
 from repro.core.policy import Deadline
-from repro.core.strategies.common import (
-    CommandSession,
-    make_context,
-    overload_backoff,
-)
+from repro.core.sentinel import make_context
+from repro.core.strategies.common import CommandSession, overload_backoff
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
     ChannelClosedError,

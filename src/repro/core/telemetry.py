@@ -64,6 +64,8 @@ __all__ = [
     "SPAN_BUFFER_LIMIT",
     "HISTOGRAM_BOUNDS",
     "BUNDLE_SCHEMA",
+    "METRIC_MODULES",
+    "load_metric_modules",
     "bucket_percentile",
     "snap_buckets",
 ]
@@ -464,6 +466,28 @@ class MetricsRegistry:
         return one(before, after)
 
 
+#: The modules that create fixed-name registry metrics when imported.
+#: A snapshot imports them all first, so its key set never depends on
+#: which of them the process happened to load (the package surfaces
+#: are lazy, and a host child loads no client module).
+METRIC_MODULES = (
+    "repro.core.cache",
+    "repro.core.channel",
+    "repro.core.fanout",
+    "repro.core.hostloop",
+    "repro.core.runner",
+    "repro.core.shm",
+)
+
+
+def load_metric_modules() -> None:
+    """Import every module of :data:`METRIC_MODULES`."""
+    import importlib
+
+    for module in METRIC_MODULES:
+        importlib.import_module(module)
+
+
 #: The ChannelCounters keys summed across live connections for
 #: ``snapshot()["transport"]["totals"]`` — the cross-connection view.
 TRANSPORT_TOTAL_KEYS = (
@@ -783,7 +807,11 @@ class Telemetry:
         * ``metrics`` — the :class:`MetricsRegistry` snapshot
           (``{"global": ..., "scopes": ...}``);
         * ``spans`` — ``{"tracing", "buffered", "dropped"}``.
+
+        The global metrics always include every fixed name that
+        :data:`METRIC_MODULES` create.
         """
+        load_metric_modules()
         with self._lock:
             families = {fam: dict(entries)
                         for fam, entries in self._families.items()}

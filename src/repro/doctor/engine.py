@@ -244,16 +244,16 @@ _OPEN_PREFIX = "transport.latency."
 def _catalog() -> frozenset[str]:
     """Every fixed-name key the flattener can produce, plus the exact
     members of the families whose suffix varies by run."""
-    # The runner imports every module that creates registry metrics at
-    # import (channel, shm, hostloop, cache, fanout and itself); the
-    # global registry then spells every fixed registry name.
-    import repro.core.runner  # noqa: F401
     from repro.core import faults, hostloop, resourcefaults
     from repro.core.cache import CACHE_STAT_KEYS
     from repro.core.fileobj import FileStats
     from repro.core.strategies import STRATEGIES
-    from repro.core.telemetry import TRANSPORT_TOTAL_KEYS
+    from repro.core.telemetry import TRANSPORT_TOTAL_KEYS, load_metric_modules
     from repro.net.network import NetworkStats
+
+    # With every metric-creating module imported, the global registry
+    # spells every fixed registry name.
+    load_metric_modules()
 
     def numeric(stats: Any) -> list[str]:
         return [key for key, value in asdict(stats).items()

@@ -9,21 +9,12 @@ clock.  Services cover every information source the paper's Section 3
 mentions: plain file servers, HTTP- and FTP-style servers, POP3/SMTP
 mail, a stock-quote feed, a key-value database, and a Windows-registry
 style hive.
+
+Each name is imported from its module on first use: a sentinel needs
+:mod:`repro.net.address` without loading every service.
 """
 
-from repro.net.address import Address
-from repro.net.message import Request, Response
-from repro.net.network import AccountingClock, LinkProfile, Network, WallClock
-from repro.net.service import Service
-
-from repro.net.fileserver import FileServer
-from repro.net.ftpd import FtpServer
-from repro.net.httpd import HttpServer
-from repro.net.kvstore import KeyValueStore
-from repro.net.pop3 import Pop3Server
-from repro.net.quoteserver import QuoteServer
-from repro.net.smtpd import SmtpServer
-from repro.net.winregistry import RegistryServer
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Address",
@@ -43,3 +34,19 @@ __all__ = [
     "SmtpServer",
     "RegistryServer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.address": ("Address",),
+    "repro.net.message": ("Request", "Response"),
+    "repro.net.network": ("AccountingClock", "LinkProfile", "Network",
+                          "WallClock"),
+    "repro.net.service": ("Service",),
+    "repro.net.fileserver": ("FileServer",),
+    "repro.net.ftpd": ("FtpServer",),
+    "repro.net.httpd": ("HttpServer",),
+    "repro.net.kvstore": ("KeyValueStore",),
+    "repro.net.pop3": ("Pop3Server",),
+    "repro.net.quoteserver": ("QuoteServer",),
+    "repro.net.smtpd": ("SmtpServer",),
+    "repro.net.winregistry": ("RegistryServer",),
+})

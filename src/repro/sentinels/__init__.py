@@ -2,27 +2,11 @@
 
 Each module provides one or more sentinel classes usable as container
 spec targets, e.g. ``"repro.sentinels.null:NullFilterSentinel"``.
+Each name here is imported from its module on first use, so
+instantiating one sentinel loads only that sentinel's module.
 """
 
-from repro.sentinels.null import NullFilterSentinel
-from repro.sentinels.generate import (
-    CounterSentinel,
-    RandomBytesSentinel,
-    SequenceSentinel,
-)
-from repro.sentinels.compress import CompressionSentinel
-from repro.sentinels.cipher import XorCipherSentinel
-from repro.sentinels.logfile import ConcurrentLogSentinel
-from repro.sentinels.audit import AuditSentinel
-from repro.sentinels.registryfs import RegistryFileSentinel
-from repro.sentinels.remotefile import RemoteFileSentinel
-from repro.sentinels.aggregate import AggregateSentinel
-from repro.sentinels.quotes import StockQuoteSentinel
-from repro.sentinels.mailbox import InboxSentinel, OutboxSentinel
-from repro.sentinels.distribute import DistributionSentinel
-from repro.sentinels.script import ScriptSentinel, script_spec
-from repro.sentinels.compose import PipelineSentinel, pipeline_spec
-from repro.sentinels.versioned import VersioningSentinel
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "PipelineSentinel",
@@ -46,3 +30,22 @@ __all__ = [
     "OutboxSentinel",
     "DistributionSentinel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sentinels.null": ("NullFilterSentinel",),
+    "repro.sentinels.generate": ("CounterSentinel", "RandomBytesSentinel",
+                                 "SequenceSentinel"),
+    "repro.sentinels.compress": ("CompressionSentinel",),
+    "repro.sentinels.cipher": ("XorCipherSentinel",),
+    "repro.sentinels.logfile": ("ConcurrentLogSentinel",),
+    "repro.sentinels.audit": ("AuditSentinel",),
+    "repro.sentinels.registryfs": ("RegistryFileSentinel",),
+    "repro.sentinels.remotefile": ("RemoteFileSentinel",),
+    "repro.sentinels.aggregate": ("AggregateSentinel",),
+    "repro.sentinels.quotes": ("StockQuoteSentinel",),
+    "repro.sentinels.mailbox": ("InboxSentinel", "OutboxSentinel"),
+    "repro.sentinels.distribute": ("DistributionSentinel",),
+    "repro.sentinels.script": ("ScriptSentinel", "script_spec"),
+    "repro.sentinels.compose": ("PipelineSentinel", "pipeline_spec"),
+    "repro.sentinels.versioned": ("VersioningSentinel",),
+})

@@ -510,6 +510,57 @@ class TestLazyHandOff:
         finally:
             self._stop(a, loops)
 
+    def test_waiter_off_the_reading_thread_takes_the_role_at_once(
+            self, monkeypatch):
+        """Op A holds the read role through a long op; op B, on another
+        channel and another pool thread, then waits on a reply over the
+        same connection.  Only a reader can hand B its reply, so B's
+        wait moves the role on at once (``release_lead``).  The grace
+        period is an hour here, so the sentry cannot do it instead."""
+        monkeypatch.setattr(policy, "LEAD_GRACE_S", 3600.0)
+        a, b = _stream_pair("waiter")
+        loops = self._serve(a, b)
+        b_sent = threading.Event()
+        a_blocked = threading.Event()
+        release_a = threading.Event()
+
+        def bridge(fields, payload):
+            if fields["cmd"] == "first":
+                # A's own call-back is answered only after B is on the
+                # wire, so A reads B's request while it waits.
+                b_sent.wait(5.0)
+            return {"ok": True}, b""
+
+        def op_a(fields, payload):
+            b.request(CONTROL_CHAN, {"cmd": "first"}, timeout=5.0)
+            a_blocked.set()  # back to holding the role through the op
+            release_a.wait(10.0)
+            return {"ok": True}, b""
+
+        def op_b(fields, payload):
+            assert a_blocked.wait(5.0)
+            b.request(CONTROL_CHAN, {"cmd": "second"}, timeout=2.0)
+            return {"ok": True}, b""
+
+        a.register(CONTROL_CHAN, bridge)
+        b.register(FIRST_SESSION_CHAN, op_a)
+        b.register(FIRST_SESSION_CHAN + 1, op_b)
+        a.start()
+        b.start(serve=True)
+        try:
+            pending_a = a.request_async(FIRST_SESSION_CHAN, {"cmd": "a"})
+            pending_b = a.request_async(FIRST_SESSION_CHAN + 1, {"cmd": "b"})
+            b_sent.set()
+            fields, _ = pending_b.wait(5.0)
+            assert fields["ok"]
+            assert not pending_a.done, "A was to be still running"
+        finally:
+            release_a.set()
+        try:
+            pending_a.wait(5.0)
+        finally:
+            self._stop(a, loops)
+
     def test_reply_blocked_on_a_full_pipe_hands_the_role_on(self):
         """A reply too big for the pipe, to a peer still busy writing
         requests, blocks the thread that ran the op inline: the role
