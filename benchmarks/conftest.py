@@ -40,11 +40,11 @@ BENCH_SHM_RESULT_KEYS = {
 #: Required per-section result keys of BENCH_swarm.json — the "heavy
 #: traffic" artifact of benchmarks/test_swarm.py.  The ``queue_wait_*``
 #: / ``service_*`` keys split end-to-end latency into time spent in the
-#: host's admission FIFO vs time actually executing (PR 7).
+#: host's channel FIFO vs time actually executing.
 BENCH_SWARM_RESULT_KEYS = {
     "mixed_swarm": ("channels", "ops", "elapsed_s", "ops_per_s",
                     "p50_us", "p95_us", "p99_us", "slo_p95_us",
-                    "host_threads", "rejects",
+                    "host_threads",
                     "queue_wait_p50_us", "queue_wait_p95_us",
                     "service_p50_us", "service_p95_us"),
 }

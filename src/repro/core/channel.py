@@ -133,7 +133,7 @@ class ChannelCounters:
         #: Monotonic time of the last send/settle/serve — what the idle
         #: heartbeat of :mod:`repro.core.runner` keys off.
         self.last_activity = time.monotonic()
-        #: op -> [count, bytes_out, bytes_in, total_latency_s, max_latency_s]
+        #: op -> [count, bytes_in, total_latency_s, max_latency_s]
         self._per_op: dict[str, list[float]] = {}
         #: op -> shared global latency histogram (cached so the settle
         #: path never takes the registry lock).
@@ -158,12 +158,12 @@ class ChannelCounters:
             self.requests_failed += 1
         record = self._per_op.get(op)
         if record is None:
-            record = self._per_op[op] = [0, 0, 0, 0.0, 0.0]
+            record = self._per_op[op] = [0, 0, 0.0, 0.0]
         record[0] += 1
-        record[2] += nbytes
-        record[3] += elapsed
-        if elapsed > record[4]:
-            record[4] = elapsed
+        record[1] += nbytes
+        record[2] += elapsed
+        if elapsed > record[3]:
+            record[3] = elapsed
 
     def withdrawn_locked(self) -> None:
         """A request was aborted before any reply (send error, timeout)."""
@@ -195,7 +195,7 @@ class ChannelCounters:
         """A plain-data copy of every counter, for tests and monitoring."""
         with self.lock:
             per_op = {}
-            for op, (count, out, in_, total, peak) in self._per_op.items():
+            for op, (count, in_, total, peak) in self._per_op.items():
                 count = int(count)
                 per_op[op] = {
                     "count": count,
@@ -526,7 +526,7 @@ class Channel:
 
         *error* (or the installed :attr:`crash_error_factory`) types the
         failure handed to in-flight futures — a crashed sentinel host
-        surfaces as ``SentinelCrashedError`` rather than a bare closed
+        surfaces as ``SentinelCrashError`` rather than a bare closed
         channel.
         """
         with self._lock:

@@ -54,21 +54,17 @@ any free thread picks it up.
 Scheduling is round-robin over ready channels: a channel finishing an
 op goes to the *tail* of the ready queue, so a saturated channel can
 delay an idle sibling by at most the ops currently ahead of it — never
-starve it.  Admission control bounds the damage of a flood: past the
-global in-flight high-water mark (or a channel's FIFO bound), session
-requests are fast-rejected with a typed
-:class:`~repro.errors.HostOverloadedError` *from the reading thread*,
-so a reject costs no queueing at all.  The control/bridge channel
-(channel 0) is exempt — ``open``/``ping``/bridge traffic must never be
-rejected, or recovery itself would be load-shed.
+starve it.
 
-Backpressure is the reader throttling itself (:meth:`throttle`): past
-the intake high-water mark the leader stops decoding frames until the
-backlog drains below the low-water mark.  The stall is conditional on
-the connection having **zero in-flight outbound requests**: replies
-are resolved by the reading thread itself, and a sentinel's bridge
-calls ride the same connection — stalling while a reply is owed would
-deadlock the very handler we are waiting for.
+The loop queues every request it reads and never sheds one.  Overload
+is the reader throttling itself (:meth:`throttle`): past the intake
+high-water mark the leader stops decoding frames until the backlog
+drains below the low-water mark, so a flood waits in the kernel pipe,
+as it does at a sentinel's input pipe (§4.1).  The stall is
+conditional on the connection having **zero in-flight outbound
+requests**: replies are resolved by the reading thread itself, and a
+sentinel's bridge calls ride the same connection — stalling while a
+reply is owed would deadlock the very handler we are waiting for.
 
 Deadline (``dl``) and trace-context (``tc``) are popped at submit time
 on the reading thread, so queue wait counts against the sender's
@@ -95,7 +91,6 @@ from repro.core.telemetry import TELEMETRY
 from repro.errors import (
     ChannelClosedError,
     DeadlineExceededError,
-    HostOverloadedError,
     ProtocolError,
 )
 
@@ -112,9 +107,8 @@ __all__ = [
 #: The keys of :meth:`EventLoopServer.stats`: the loop's ``host.*``
 #: gauges, in a snapshot's ``host`` section and in every ``ping`` reply.
 HOST_STAT_KEYS = ("host.channels.active", "host.queue.depth",
-                  "host.inflight", "host.rejects",
-                  "host.backpressure.stalls", "host.executors",
-                  "host.timers")
+                  "host.inflight", "host.backpressure.stalls",
+                  "host.executors", "host.timers")
 
 #: End-to-end host latency, split at the scheduling grant: time an
 #: admitted request waited for a thread to take up its grant vs time
@@ -234,10 +228,8 @@ class _ChanState:
         self.channel = channel
         self.chan = chan
         self.handler = handler
-        #: A session channel is served in order and admission-controlled;
-        #: channel 0 serves each request on a grant of its own and is
-        #: exempt, so ``open``, ``ping`` and bridge traffic are never
-        #: load-shed.
+        #: A session channel is served in order; channel 0 serves each
+        #: request on a grant of its own.
         self.session = chan != control.CONTROL_CHAN
         self.fifo: deque = deque()
         #: True while a session channel is granted: queued on the ready
@@ -277,19 +269,13 @@ class EventLoopServer:
 
     def __init__(self, name: str = "af-loop", *,
                  executors: int | None = None,
-                 max_inflight: int | None = None,
-                 queue_depth: int | None = None,
                  intake_high: int | None = None,
                  intake_low: int | None = None) -> None:
         self.name = name
         self.executors = executors if executors is not None \
             else policy.HOST_EXECUTOR_THREADS
-        self.max_inflight = max_inflight if max_inflight is not None \
-            else policy.HOST_MAX_INFLIGHT
-        self.queue_depth = queue_depth if queue_depth is not None \
-            else policy.HOST_QUEUE_DEPTH
         self.intake_high = intake_high if intake_high is not None \
-            else min(policy.HOST_INTAKE_HIGH, self.max_inflight)
+            else policy.HOST_INTAKE_HIGH
         self.intake_low = intake_low if intake_low is not None \
             else min(policy.HOST_INTAKE_LOW, max(0, self.intake_high - 1))
         self._lock = threading.Lock()
@@ -321,7 +307,6 @@ class EventLoopServer:
         self._channels = 0   # attached states
         self._queued = 0     # admitted requests waiting in a FIFO
         self._inflight = 0   # admitted requests not yet replied to
-        self._rejects = 0
         self._stalls = 0
         TELEMETRY.register_collector("host", name, self,
                                      EventLoopServer.stats)
@@ -398,39 +383,24 @@ class EventLoopServer:
                 f"malformed deadline budget: {exc}"))
             return None
         tc = fields.pop("tc", None)
-        reject = None
         inline = None
         with self._lock:
             if state.detached or self._stopping:
                 return None  # channel is tearing down; kill() fails the peer
-            if state.session and (self._inflight >= self.max_inflight
-                                   or len(state.fifo) >= self.queue_depth):
-                reject = HostOverloadedError(
-                    f"host overloaded: {self._inflight} in flight "
-                    f"(max {self.max_inflight}), channel backlog "
-                    f"{len(state.fifo)}/{self.queue_depth}")
-                self._rejects += 1
-            else:
-                state.fifo.append((rid, fields, payload, deadline, tc,
-                                   time.monotonic()))
-                self._queued += 1
-                self._inflight += 1
-                if not state.scheduled:
-                    # A session holds one grant at a time; channel 0
-                    # takes a grant for every request and so never
-                    # counts as scheduled.
-                    state.scheduled = state.session
-                    if lead is not None and self._inflight == 1:
-                        inline = state  # run to completion (see run())
-                    else:
-                        self._ready.append(state)
-                        self._wake_locked()
-        if reject is not None:
-            # Fast-reject straight from the reading thread: an
-            # overloaded host sheds load without queueing it first.
-            # The reply may overtake queued siblings on the wire; rid
-            # matching makes that harmless.
-            self._reply_error(state, rid, reject)
+            state.fifo.append((rid, fields, payload, deadline, tc,
+                               time.monotonic()))
+            self._queued += 1
+            self._inflight += 1
+            if not state.scheduled:
+                # A session holds one grant at a time; channel 0 takes
+                # a grant for every request and so never counts as
+                # scheduled.
+                state.scheduled = state.session
+                if lead is not None and self._inflight == 1:
+                    inline = state  # run to completion (see run())
+                else:
+                    self._ready.append(state)
+                    self._wake_locked()
         return inline
 
     @staticmethod
@@ -525,7 +495,7 @@ class EventLoopServer:
         with self._lock:
             return dict(zip(HOST_STAT_KEYS, (
                 self._channels, self._queued, self._inflight,
-                self._rejects, self._stalls,
+                self._stalls,
                 max(0, self._threads - self._readers),
                 sum(1 for _, _, h in self._timers if not h.cancelled))))
 

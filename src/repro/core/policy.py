@@ -45,11 +45,8 @@ __all__ = [
     "READ_POLL_S",
     "LEAD_GRACE_S",
     "HOST_EXECUTOR_THREADS",
-    "HOST_MAX_INFLIGHT",
-    "HOST_QUEUE_DEPTH",
     "HOST_INTAKE_HIGH",
     "HOST_INTAKE_LOW",
-    "OVERLOAD_RETRY_S",
     "CHAOS_MAX_FAULT_S",
     "CHAOS_MAX_TOTAL_INJECTION_S",
     "CHAOS_OP_TIMEOUT",
@@ -117,24 +114,13 @@ LEAD_GRACE_S = 0.002
 #: (a private server may pass its own; the process's shared loop uses this).
 HOST_EXECUTOR_THREADS = 4
 
-#: Admission high-water mark: total admitted-but-unfinished operations
-#: one host serves before fast-rejecting session requests.
-HOST_MAX_INFLIGHT = 1024
-
-#: Per-channel FIFO bound; a channel this far behind is fast-rejected
-#: rather than buffered deeper.
-HOST_QUEUE_DEPTH = 128
-
-#: Reader backpressure: stop decoding frames past this admitted
-#: backlog ...
+#: Reader backpressure: the host's only overload control.  Stop
+#: decoding frames past this queued backlog ...
 HOST_INTAKE_HIGH = 768
 
 #: ... and resume once it drains below this (hysteresis, so the reader
 #: does not flap at the boundary).
 HOST_INTAKE_LOW = 256
-
-#: Session-layer backoff between retries of an admission-rejected op.
-OVERLOAD_RETRY_S = 0.02
 
 #: Hard wall-clock bound on any single resource fault: a resource
 #: injection (cpu-hog, memory-pressure, fd-exhaustion, disk-full) whose

@@ -58,7 +58,7 @@ from repro.core.policy import Deadline
 from repro.core.sentinel import make_context
 from repro.core.shm import AttachedSegment, ShmPlane
 from repro.core.telemetry import TELEMETRY
-from repro.errors import ProtocolError, SentinelCrashedError, ShmError
+from repro.errors import ProtocolError, SentinelCrashError, ShmError
 
 __all__ = [
     "main",
@@ -313,7 +313,7 @@ class SentinelHost:
 
     * a **process watcher** blocks in ``waitpid`` and kills the channel
       the instant the child dies, so in-flight futures fail with a typed
-      :class:`SentinelCrashedError` instead of hanging until a read
+      :class:`SentinelCrashError` instead of hanging until a read
       notices EOF;
     * an **idle heartbeat** pings the child whenever the connection has
       been quiet for :data:`~repro.core.policy.HEARTBEAT_IDLE_S`, so a
@@ -432,13 +432,13 @@ class SentinelHost:
         if plane is not None:
             plane.destroy()
 
-    def crash_error(self, cause) -> SentinelCrashedError:
+    def crash_error(self, cause) -> SentinelCrashError:
         """Describe this host's death, folding in its captured stderr."""
         detail = self.stderr_text()
         message = f"sentinel host died: {cause}"
         if detail:
             message = f"{message}\n--- sentinel stderr ---\n{detail}"
-        return SentinelCrashedError(message)
+        return SentinelCrashError(message)
 
     @property
     def alive(self) -> bool:
@@ -541,7 +541,7 @@ class HostLease:
     def request_async(self, fields: dict[str, Any], payload: bytes = b""):
         return self.host.channel.request_async(self.chan, fields, payload)
 
-    def crash_error(self, cause: BaseException) -> SentinelCrashedError:
+    def crash_error(self, cause: BaseException) -> SentinelCrashError:
         """Describe a dead host, folding in its captured stderr."""
         return self.host.crash_error(f"mid-operation: {cause}")
 

@@ -156,9 +156,16 @@ class SlotLease:
 
     # -- deterministic fault hooks (see repro.core.faults) -------------------
 
-    def scribble(self) -> None:
-        """Corrupt one staged byte (the ``shm-corrupt`` fault action)."""
+    def scribble(self, desc: list[int]) -> None:
+        """Corrupt one staged byte (the ``shm-corrupt`` fault action).
+
+        *desc* is the staged run's descriptor; one staged without a CRC
+        is sealed with the CRC of the bytes as staged first, so the
+        peer rejects the slot whether or not the plane checksums.
+        """
         view = self._view(max(1, self.length))
+        if not desc[3] & _SUM_PRESENT:
+            desc[3] = _crc(view[:self.length]) | _SUM_PRESENT
         view[0] ^= 0xFF
 
     def invalidate(self) -> None:

@@ -20,13 +20,11 @@ from repro.errors import (
     ChannelClosedError,
     DeadlineExceededError,
     FlushError,
-    HostOverloadedError,
     SentinelCrashError,
     ShmError,
 )
 
-__all__ = ["overload_backoff", "CommandSession", "ChannelSession",
-           "IDEMPOTENT_CMDS"]
+__all__ = ["CommandSession", "ChannelSession", "IDEMPOTENT_CMDS"]
 
 #: Commands safe to re-issue after a crash or a lost frame: every one is
 #: expressed in absolute offsets (or touches no state), so executing it
@@ -41,17 +39,6 @@ IDEMPOTENT_CMDS = frozenset({"read", "readv", "write", "writev", "size",
 #: Failures meaning "the transport under this session died".
 _TRANSPORT_FAILURES = (ChannelClosedError, SentinelCrashError, OSError,
                        ValueError)
-
-
-def overload_backoff(deadline: Deadline, cmd: str) -> None:
-    """Wait out an admission fast-reject before re-submitting *cmd*.
-
-    The host never queued or executed the op, so a retry is safe for
-    *every* command, not just the idempotent set: back off briefly,
-    within *deadline* (raising once it has passed).
-    """
-    deadline.check(f"{cmd!r} on an overloaded host")
-    deadline.sleep(policy.OVERLOAD_RETRY_S)
 
 
 class CommandSession(Session):
@@ -396,10 +383,6 @@ class ChannelSession(Session):
                         raise
                     status = "timeout"
                     continue
-                except HostOverloadedError:
-                    status = "overloaded"
-                    overload_backoff(deadline, cmd)
-                    continue
                 except ShmError:
                     # The slot exchange was rejected (stale generation,
                     # corrupt bytes, unattached peer) — the command did
@@ -455,7 +438,7 @@ class ChannelSession(Session):
                     shmplane.FALLBACK_INLINE.inc()
                 else:
                     desc = send_lease.stage(parts)
-                    self._shm_inject_faults(fields, send_lease, staged=True)
+                    self._shm_inject_faults(fields, send_lease, desc)
                     wire_fields = {**fields, "shm": desc}
                     wire_payload = b""
         else:  # read / readv: offer a landing slot for the reply
@@ -471,18 +454,19 @@ class ChannelSession(Session):
                     shmplane.FALLBACK_INLINE.inc()
                 else:
                     desc = reply_lease.reply_desc()
-                    self._shm_inject_faults(fields, reply_lease, staged=False)
+                    self._shm_inject_faults(fields, reply_lease)
                     wire_fields = {**fields, "shm_r": desc}
         return wire_fields, wire_payload, send_lease, reply_lease
 
     def _shm_inject_faults(self, fields: dict[str, Any], lease,
-                           staged: bool) -> None:
+                           desc: "list[int] | None" = None) -> None:
         """Apply a scheduled shm fault to *lease* (deterministic tests).
 
-        ``corrupt`` flips a staged byte after the descriptor's CRC was
-        computed; ``stale-generation`` bumps the slot's generation so
-        the descriptor no longer matches.  Both are applied sender-side
-        so a schedule replays identically regardless of host timing.
+        ``corrupt`` flips a byte of a staged payload (*desc* is its
+        descriptor; None for a reply slot) after its CRC was taken;
+        ``stale-generation`` bumps the slot's generation so the
+        descriptor no longer matches.  Both are applied sender-side so
+        a schedule replays identically regardless of host timing.
         """
         faults = getattr(self.channel, "faults", None)
         if faults is None:
@@ -490,8 +474,8 @@ class ChannelSession(Session):
         rule = faults.on_shm(fields)
         if rule is None:
             return
-        if rule.action == "shm-corrupt" and staged:
-            lease.scribble()
+        if rule.action == "shm-corrupt" and desc is not None:
+            lease.scribble(desc)
         elif rule.action == "shm-stale-generation":
             lease.invalidate()
 

@@ -30,11 +30,10 @@ from repro.core.control import raise_for_response
 from repro.core.dispatch import SentinelDispatcher
 from repro.core.policy import Deadline
 from repro.core.sentinel import make_context
-from repro.core.strategies.common import CommandSession, overload_backoff
+from repro.core.strategies.common import CommandSession
 from repro.core.telemetry import TELEMETRY
 from repro.errors import (
     ChannelClosedError,
-    HostOverloadedError,
     SentinelCrashError,
     SessionCloseError,
 )
@@ -69,23 +68,18 @@ class ThreadSession(CommandSession):
             ) -> tuple[dict[str, Any], bytes]:
         """One command round trip; a dead or wedged sentinel thread
         surfaces as :class:`SentinelCrashError`."""
-        deadline = Deadline.after(policy.DEFAULT_OP_TIMEOUT)
-        while True:
-            try:
-                out_fields, out_payload = self._channel.request(
-                    SESSION_CHAN, fields, payload, timeout=deadline)
-            except ChannelClosedError as exc:
-                raise SentinelCrashError(
-                    f"sentinel thread terminated: {exc}") from exc
-            except TimeoutError as exc:
-                raise SentinelCrashError(
-                    f"sentinel thread unresponsive: {exc}") from exc
-            try:
-                raise_for_response(out_fields)
-            except HostOverloadedError:
-                overload_backoff(deadline, fields["cmd"])
-                continue
-            return out_fields, out_payload
+        try:
+            out_fields, out_payload = self._channel.request(
+                SESSION_CHAN, fields, payload,
+                timeout=policy.DEFAULT_OP_TIMEOUT)
+        except ChannelClosedError as exc:
+            raise SentinelCrashError(
+                f"sentinel thread terminated: {exc}") from exc
+        except TimeoutError as exc:
+            raise SentinelCrashError(
+                f"sentinel thread unresponsive: {exc}") from exc
+        raise_for_response(out_fields)
+        return out_fields, out_payload
 
     # -- lifecycle ----------------------------------------------------------------
 

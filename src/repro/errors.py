@@ -17,7 +17,6 @@ __all__ = [
     "SpecError",
     "SentinelError",
     "SentinelCrashError",
-    "SentinelCrashedError",
     "SessionCloseError",
     "FlushError",
     "FanoutError",
@@ -31,7 +30,6 @@ __all__ = [
     "FrameError",
     "ChannelClosedError",
     "DeadlineExceededError",
-    "HostOverloadedError",
     "ShmError",
     "ShmCorruptError",
     "ShmStaleGenerationError",
@@ -85,12 +83,6 @@ class SentinelError(ActiveFileError):
 
 class SentinelCrashError(SentinelError):
     """The sentinel process/thread died while the file was open."""
-
-
-#: Preferred spelling for the supervised-transport crash error; the
-#: supervision layer raises it when a crash could not be recovered
-#: transparently.  One class, two names, so both round-trip the wire.
-SentinelCrashedError = SentinelCrashError
 
 
 class SessionCloseError(SentinelError):
@@ -195,17 +187,6 @@ class DeadlineExceededError(ActiveFileError, TimeoutError):
 
     Subclasses :class:`TimeoutError` so callers guarding waits with the
     builtin still catch the typed form.
-    """
-
-
-class HostOverloadedError(ActiveFileError):
-    """The sentinel host fast-rejected an operation at admission.
-
-    Raised past the host's in-flight high-water mark (or a channel's
-    FIFO bound) *before* the operation is queued or executed — so a
-    retry is always safe, idempotent command or not.  The supervised
-    session layer backs off and retries within the deadline; raw
-    channel users see the typed error round-trip the wire.
     """
 
 

@@ -2,8 +2,8 @@
 
 The loop serves every channel from one small pool of interchangeable
 threads; these tests pin the properties it must keep (serial-per-channel
-ordering, cross-channel fairness) and the ones it adds (admission control
-with typed fast-rejects, reader backpressure, O(1) thread count, the
+ordering, cross-channel fairness) and the ones it adds (reader
+backpressure as the only overload control, O(1) thread count, the
 ``host.*`` telemetry family, and leader/follower serving that keeps a
 connection readable while the reading thread runs a slow handler, yet
 hands the read role on only when an op needs that).
@@ -31,11 +31,7 @@ from repro.core.hostloop import EventLoopServer
 from repro.core.policy import LEAD_GRACE_S
 from repro.core.runner import SentinelHost
 from repro.core.telemetry import TELEMETRY
-from repro.errors import (
-    ChannelClosedError,
-    HostOverloadedError,
-    wire_error_registry,
-)
+from repro.errors import ChannelClosedError
 from repro.net import Address, FileServer, LinkProfile, Network, WallClock
 
 NULL = "repro.sentinels.null:NullFilterSentinel"
@@ -215,8 +211,7 @@ class TestFairness:
     def test_saturated_channel_cannot_starve_idle_sibling(self):
         """Round-robin grants: with ONE executor, an idle channel's op
         waits behind at most one op of a deeply backlogged sibling."""
-        server = EventLoopServer("fair-loop", executors=1,
-                                 max_inflight=1000, queue_depth=1000)
+        server = EventLoopServer("fair-loop", executors=1)
         app = srv = LocalChannel("fair")
         srv.loop = server
         try:
@@ -245,74 +240,12 @@ class TestFairness:
             server.shutdown()
 
 
-class TestAdmissionControl:
-    def test_overload_fast_reject_is_typed(self):
-        """Past the per-channel FIFO bound, submissions come back as
-        HostOverloadedError replies without ever being queued."""
-        server = EventLoopServer("tiny-loop", executors=2,
-                                 max_inflight=4, queue_depth=2)
-        app = srv = LocalChannel("overload")
-        srv.loop = server
-        gate = threading.Event()
-        try:
-            srv.register(FIRST_SESSION_CHAN,
-                         lambda f, p: (gate.wait(5.0), ({"ok": True}, b""))[1])
-            pendings = [app.request_async(FIRST_SESSION_CHAN,
-                                          {"cmd": "read", "n": i})
-                        for i in range(10)]
-            gate.set()
-            rejected = 0
-            for pending in pendings:
-                fields, _ = pending.wait(10.0)
-                if not fields.get("ok", False):
-                    assert fields["error_type"] == "HostOverloadedError"
-                    with pytest.raises(HostOverloadedError):
-                        raise_for_response(fields)
-                    rejected += 1
-            assert rejected >= 1  # the flood was shed, not buffered
-            assert server.stats()["host.rejects"] == rejected
-        finally:
-            app.close()
-            server.shutdown()
-
-    def test_overload_round_trips_the_wire(self, tmp_path):
-        """A real host child fast-rejects past its FIFO bound
-        (``policy.HOST_QUEUE_DEPTH``) and the typed error crosses the
-        framed transport intact."""
-        path = tmp_path / "slow.af"
-        create_active(path, f"{__name__}:SlowRead",
-                      params={"delay": 0.02}, data=b"x" * 64,
-                      meta={"data": "memory"})
-        host = SentinelHost(str(path))
-        try:
-            chan = host.open("process-control")
-            pendings = [host.channel.request_async(
-                chan, {"cmd": "read", "offset": 0, "size": 1})
-                for _ in range(policy.HOST_QUEUE_DEPTH + 12)]
-            outcomes = [pending.wait(30.0)[0] for pending in pendings]
-            rejected = [f for f in outcomes if not f.get("ok", False)]
-            served = [f for f in outcomes if f.get("ok", False)]
-            assert served  # admitted ops still completed
-            assert rejected  # and the flood's tail was shed
-            assert all(f["error_type"] == "HostOverloadedError"
-                       for f in rejected)
-            with pytest.raises(HostOverloadedError):
-                raise_for_response(rejected[0])
-        finally:
-            host.shutdown()
-
-    def test_error_is_wire_registered(self):
-        assert wire_error_registry()["HostOverloadedError"] \
-            is HostOverloadedError
-
-
 class TestBackpressure:
     def test_reader_throttles_past_intake_high_water(self):
         """A flood against a stalled handler piles up in the kernel pipe,
         not in this process: the reader stops past the high-water mark
         and drains once the backlog clears."""
         server = EventLoopServer("bp-loop", executors=1,
-                                 max_inflight=1000, queue_depth=1000,
                                  intake_high=4, intake_low=2)
         a, b = _stream_pair("bp")
         b.loop = server
@@ -336,6 +269,27 @@ class TestBackpressure:
             gate.set()
             a.close()
             server.shutdown()
+
+    def test_pipelined_flood_on_a_host_child_is_all_served(self, tmp_path):
+        """A host child queues a pipelined flood on one session channel
+        rather than shedding its tail: every request is answered ``ok``
+        over the framed transport."""
+        path = tmp_path / "slow.af"
+        create_active(path, f"{__name__}:SlowRead",
+                      params={"delay": 0.01}, data=b"x" * 64,
+                      meta={"data": "memory"})
+        host = SentinelHost(str(path))
+        try:
+            chan = host.open("process-control")
+            pendings = [host.channel.request_async(
+                chan, {"cmd": "read", "offset": 0, "size": 1})
+                for _ in range(140)]
+            outcomes = [pending.wait(30.0) for pending in pendings]
+            assert [fields.get("ok") for fields, _ in outcomes] \
+                == [True] * 140
+            assert [payload for _, payload in outcomes] == [b"x"] * 140
+        finally:
+            host.shutdown()
 
 
 class TestLeaderFollower:
@@ -775,7 +729,7 @@ class TestTelemetry:
                        if key.startswith("af-loop")), None)
         assert shared is not None
         for key in ("host.channels.active", "host.queue.depth",
-                    "host.inflight", "host.rejects"):
+                    "host.inflight", "host.backpressure.stalls"):
             assert key in shared
         app.close()
 

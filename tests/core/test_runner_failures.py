@@ -425,24 +425,23 @@ class TestThreadLoopback:
 
     def test_calls_past_the_queue_bound_wait_instead_of_failing(
             self, tmp_path, monkeypatch, gate):
-        """Readers past the channel's FIFO bound are fast-rejected by the
-        loop; the session backs off and re-submits, as a host's does."""
+        """Readers queue on the loop behind a blocked one, however many
+        there are, and each is served once the sentinel unblocks."""
         path = tmp_path / "queued.af"
         create_active(path, f"{__name__}:Blocking",
                       params={"block": "read"}, data=b"q" * 16)
         # A loop of the shared loop's shape, serving this open alone, so
-        # its rejects stay out of the process-wide host gauges.
+        # its in-flight gauge counts these readers only.
         loop = hostloop.EventLoopServer("overload-loop")
         with monkeypatch.context() as patch:
             patch.setattr(hostloop, "_SHARED", loop)
             session = thread_strategy.open_session(
                 Container.load(str(path)))
-        rejects = loop.stats()["host.rejects"]
-        count = loop.queue_depth + 8
+        count = 136
         threads, outcomes = self.read_in_threads(session, count)
         try:
-            deadline = time.monotonic() + 2.0
-            while loop.stats()["host.rejects"] - rejects < 8 \
+            deadline = time.monotonic() + 5.0
+            while loop.stats()["host.inflight"] < count \
                     and time.monotonic() < deadline:
                 time.sleep(0.005)
             gate.set()

@@ -136,7 +136,7 @@ class TestChildValidation:
         try:
             lease = plane.lease(500)
             desc = lease.stage((pattern(500),))
-            lease.scribble()
+            lease.scribble(desc)
             with pytest.raises(ShmCorruptError):
                 seg.read_desc(desc)
             desc = lease.stage((pattern(500),))  # restage: CRC fresh again
@@ -233,7 +233,6 @@ class TestSessionIntegration:
         session = _open(tmp_path, "faulty.af",
                         data=data if op == "read" else b"")
         try:
-            session.host.shm.checksums = True  # arm corruption detection
             plane = FaultPlane(seed=1)
             getattr(plane, fault)(op=op, times=1)
             plane.arm_host(session.host)

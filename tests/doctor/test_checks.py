@@ -70,17 +70,6 @@ class TestShippedChecksFireAndStaySilent:
                       make_evidence({"cache.flush_failures": 1}))
         assert found and found[0].subsystem == "cache"
 
-    def test_admission_misconfigured_gated_on_idle_host(self, shipped):
-        check = shipped["admission-misconfigured"]
-        idle_rejects = make_evidence(
-            host={"loop#1": {"host.rejects": 4, "host.inflight": 0}})
-        found = fires(check, idle_rejects)
-        assert found and found[0].evidence["host.rejects"] == 4
-        # rejects under genuine load are capacity, not misconfiguration
-        busy_rejects = make_evidence(
-            host={"loop#1": {"host.rejects": 4, "host.inflight": 30}})
-        assert not fires(check, busy_rejects)
-
     def test_respawn_storm_is_per_container(self, shipped):
         check = shipped["respawn-storm"]
         dirty = make_evidence(scopes={"a.af": {"host.respawns": 3},

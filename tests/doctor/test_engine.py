@@ -79,14 +79,14 @@ class TestFlatten:
             assert flat[f"{hist.name}.p95"] == hist.percentile(0.95)
 
     def test_ping_overlays_host_gauges(self):
-        snap = make_snapshot(host={"af-loop#1": {"host.inflight": 5,
-                                                 "host.rejects": 0}})
-        ping = {"host": {"host.inflight": 1, "host.rejects": 2},
+        snap = make_snapshot(host={"af-loop#1": {
+            "host.inflight": 5, "host.backpressure.stalls": 0}})
+        ping = {"host": {"host.inflight": 1, "host.backpressure.stalls": 2},
                 "lat": {"queue_wait_p95_us": 900.0},
                 "sessions": 3, "threads": 2}
         flat = flatten_snapshot(snap, ping=ping)
         assert flat["host.inflight"] == 1       # live beats section
-        assert flat["host.rejects"] == 2
+        assert flat["host.backpressure.stalls"] == 2
         assert flat["host.lat.queue_wait_p95_us"] == 900.0
         assert flat["host.sessions"] == 3
 
