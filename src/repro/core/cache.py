@@ -72,6 +72,18 @@ _FLUSH_FAILURES = TELEMETRY.metrics.counter("cache.flush_failures")
 MIN_WINDOW = 2
 
 
+def _runs(blocks: list[int]):
+    """The ``(first, last)`` block of each run of consecutive indices
+    in the ascending list *blocks*."""
+    first = last = blocks[0]
+    for block in blocks[1:]:
+        if block != last + 1:
+            yield first, last
+            first = block
+        last = block
+    yield first, last
+
+
 class _WindowFetch:
     """One in-flight contiguous fetch covering one or more blocks.
 
@@ -307,29 +319,42 @@ class BlockCache:
     # -- fetch planning --------------------------------------------------------------
 
     def _install(self, fetched: _WindowFetch, data: bytes) -> None:
-        """Install one resolved fetch, skipping stale or dirty spans."""
-        size = self.block_size
-        for index, block in enumerate(fetched.blocks):
-            if self._inflight.get(block) is not fetched:
-                continue  # superseded: invalidated, re-fetched, written
+        """Install one resolved fetch, skipping stale or dirty spans.
+
+        One walk per window, not per block: the blocks the fetch still
+        owns are released first, then each contiguous run of them is
+        written with one store write per clean span of the dirty list,
+        sliced from the reply without copying; only then is each block
+        admitted, in block order.
+        """
+        owned = [block for block in fetched.blocks
+                 if self._inflight.get(block) is fetched]
+        for block in owned:
             del self._inflight[block]
-            if fetched.generation != self._generation:
-                continue  # stale: an invalidate raced this fetch
-            chunk = data[index * size:(index + 1) * size]
+        if not owned or fetched.generation != self._generation:
+            return  # superseded, or stale: an invalidate raced this fetch
+        size = self.block_size
+        base = fetched.start * size
+        data_end = base + len(data)
+        view = memoryview(data)
+        # Buffered writes are newer than anything the origin returned;
+        # install only the clean sub-ranges.
+        for first, last in _runs(owned):
+            start, end = first * size, min((last + 1) * size, data_end)
+            if end > start:
+                for lo, hi in self._clean_subranges(start, end):
+                    self._store.write_at(lo, view[lo - base:hi - base])
+        current = fetched.epoch == self._write_epoch
+        for block in owned:
             offset = block * size
-            if chunk:
-                # Buffered writes are newer than anything the origin
-                # returned; install only the clean sub-ranges.
-                for start, end in self._clean_subranges(offset,
-                                                        offset + len(chunk)):
-                    self._store.write_at(
-                        start, chunk[start - offset:end - offset])
+            received = min(max(data_end - offset, 0), size)
+            if received:
                 self._admit(block)
-            if fetched.epoch == self._write_epoch:
+            if current:
                 # A fetch that predates a write may have seen the file
                 # before the write extended it; only a current-epoch
                 # short read is evidence about the origin's end.
-                self._note_end(offset, size, len(chunk))
+                self._note_end(offset, size, received)
 
     def _resolve(self, fetched: _WindowFetch, *, used: bool) -> None:
         """Wait for an in-flight fetch and install it.

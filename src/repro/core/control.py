@@ -151,10 +151,14 @@ def _decode_json_head(header: bytes) -> dict[str, Any]:
 # the payload copy.  Those — and only those — headers therefore have a
 # struct-packed encoding, tagged by the high bit of the in-body
 # header-length word (legal because MAX_FRAME < 2**31 keeps that bit
-# clear for JSON headers).  Everything else — errors, opens, control
-# ops, traced frames (``tc``), piggybacked spans (``tsp``) — stays JSON,
-# and the decoder accepts both forms forever, so the two encodings can
-# coexist on one connection.
+# clear for JSON headers).  One bridge shape joins them: a sentinel's
+# ranged origin read (a ``net`` request whose ``op`` is ``read`` with
+# exactly ``path``/``offset``/``size``) and its data reply, the frames
+# every read-ahead window costs on both ends of the network bridge.
+# Everything else — errors, opens, control ops, every other bridge
+# call, traced frames (``tc``), piggybacked spans (``tsp``) — stays
+# JSON, and the decoder accepts both forms forever, so the two
+# encodings can coexist on one connection.
 
 #: Marks a binary header in the header-length word's high bit.
 _BINARY_TAG = 0x80000000
@@ -166,13 +170,18 @@ _B_U64x2 = struct.Struct(">QQ")
 _B_F64 = struct.Struct(">d")
 _B_SHM = struct.Struct(">QQQQ")     # slot, length, generation, crc32
 _B_SHMR = struct.Struct(">QQQ")     # slot, capacity, generation
+#: A bridged read: port, offset, size, then the UTF-8 byte lengths of
+#: the host, scheme and path that follow it.
+_B_NET_READ = struct.Struct(">HQQIII")
+_B_NET_DATA = struct.Struct(">Q?")  # version, eof
 
 # Header kinds.
 _K_READ, _K_WRITE, _K_READV, _K_WRITEV = 1, 2, 3, 4
 _K_OK, _K_WRITTEN, _K_SIZES, _K_WRITTENV = 5, 6, 7, 8
 _K_SIZE, _K_SIZED = 9, 10
+_K_NET_READ, _K_NET_DATA = 11, 12
 _REPLY_KINDS = frozenset({_K_OK, _K_WRITTEN, _K_SIZES, _K_WRITTENV,
-                          _K_SIZED})
+                          _K_SIZED, _K_NET_DATA})
 
 # Optional-field flag bits.
 _F_DL, _F_SHM, _F_SHMR, _F_SL = 1, 2, 4, 8
@@ -189,6 +198,42 @@ def _is_uints(value: Any, count: int | None = None) -> bool:
 def _pack_u64s(values) -> bytes:
     return _B_U32.pack(len(values)) + b"".join(
         _B_U64.pack(v) for v in values)
+
+
+def _encode_net_read(fields: dict[str, Any]) -> bytes | None:
+    """The tail of a bridged ranged read, or None for any other call."""
+    if fields.get("op") != "read":
+        return None
+    args = fields.get("fields")
+    if type(args) is not dict or len(args) != 3:
+        return None
+    offset, size = args.get("offset"), args.get("size")
+    if type(offset) is not int or type(size) is not int:
+        return None
+    host, scheme, port = fields.get("host"), fields.get("scheme"), \
+        fields.get("port")
+    path = args.get("path")
+    if type(host) is not str or type(scheme) is not str \
+            or type(path) is not str or type(port) is not int:
+        return None
+    host_b, scheme_b, path_b = (host.encode("utf-8"),
+                                scheme.encode("utf-8"),
+                                path.encode("utf-8"))
+    return b"".join((_B_NET_READ.pack(port, offset, size, len(host_b),
+                                      len(scheme_b), len(path_b)),
+                     host_b, scheme_b, path_b))
+
+
+def _encode_net_data(fields: dict[str, Any]) -> bytes | None:
+    """The tail of a bridged read's data reply, or None otherwise."""
+    resp = fields.get("resp_fields")
+    if fields.get("resp_ok") is not True or fields.get("resp_error") != "" \
+            or type(resp) is not dict or len(resp) != 2:
+        return None
+    version, eof = resp.get("version"), resp.get("eof")
+    if type(version) is not int or type(eof) is not bool:
+        return None
+    return _B_NET_DATA.pack(version, eof)
 
 
 def encode_head_wire(fields: dict[str, Any], rid: int | None = None,
@@ -264,6 +309,10 @@ def _encode_binary(fields: dict[str, Any], rid: Any, chan: Any,
         body -= 1
         if body == 0:
             kind, tail = _K_OK, b""
+        elif body == 3:
+            kind, tail = _K_NET_DATA, _encode_net_data(fields)
+            if tail is None:
+                return None
         elif body != 1:
             return None
         elif "written" in fields:
@@ -302,6 +351,10 @@ def _encode_binary(fields: dict[str, Any], rid: Any, chan: Any,
                 parts.append(_B_U64x2.pack(extent[0], extent[1]))
             kind, tail = (_K_READV if cmd == "readv" else _K_WRITEV), \
                 b"".join(parts)
+        elif cmd == "net" and body == 5:
+            kind, tail = _K_NET_READ, _encode_net_read(fields)
+            if tail is None:
+                return None
         else:
             return None
     return _B_BASE.pack(kind, flags, chan, rid) + b"".join(opt) + tail
@@ -356,6 +409,29 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
                 pos += _B_U64x2.size
                 extents.append([pair[0], pair[1]])
             fields["extents"] = extents
+        elif kind == _K_NET_READ:
+            port, offset, size, n_host, n_scheme, n_path = \
+                _B_NET_READ.unpack_from(header, pos)
+            pos += _B_NET_READ.size
+            end = pos + n_host + n_scheme + n_path
+            if end > len(header):
+                raise FrameError("binary header address is truncated")
+            cut = pos + n_host
+            fields["cmd"] = "net"
+            fields["host"] = header[pos:cut].decode("utf-8")
+            fields["port"] = port
+            fields["scheme"] = header[cut:cut + n_scheme].decode("utf-8")
+            fields["op"] = "read"
+            path = header[cut + n_scheme:end].decode("utf-8")
+            pos = end
+            fields["fields"] = {"path": path, "offset": offset,
+                                "size": size}
+        elif kind == _K_NET_DATA:
+            version, eof = _B_NET_DATA.unpack_from(header, pos)
+            pos += _B_NET_DATA.size
+            fields["resp_ok"] = True
+            fields["resp_error"] = ""
+            fields["resp_fields"] = {"version": version, "eof": eof}
         elif kind == _K_OK:
             pass
         elif kind in (_K_WRITTEN, _K_SIZED):
@@ -384,7 +460,7 @@ def decode_binary_head(header: bytes) -> dict[str, Any]:
         fields["rid"] = rid
         fields["chan"] = chan
         return fields
-    except struct.error as exc:
+    except (struct.error, UnicodeDecodeError) as exc:
         raise FrameError(f"binary header is malformed: {exc}") from exc
 
 

@@ -39,6 +39,11 @@ class DataPart:
         return len(data)
 
     def write_at(self, offset: int, data: bytes) -> int:
+        """Write *data* at *offset*; return the count.
+
+        *data* may be any bytes-like object: the block cache installs a
+        fetched window as ``memoryview`` slices of the origin's reply.
+        """
         raise NotImplementedError
 
     @property

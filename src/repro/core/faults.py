@@ -44,7 +44,7 @@ from typing import Any
 
 from repro.core.telemetry import TELEMETRY
 
-__all__ = ["FaultPlane", "FaultRule"]
+__all__ = ["FaultPlane", "FaultRule", "rule_problem"]
 
 #: Actions whose firing the send path must handle.
 _SEND_ACTIONS = ("drop", "delay", "corrupt", "eof", "kill")
@@ -54,6 +54,11 @@ _SERVICE_ACTIONS = ("fail",)
 _SHM_ACTIONS = ("shm-corrupt", "shm-stale-generation")
 _SCHED_ACTIONS = ("delay", "kill")
 
+#: Ops whose shm slot is a reply's landing slot: it holds no staged
+#: payload when the plane is consulted, so ``shm-corrupt`` has no byte
+#: to flip there.
+_REPLY_SLOT_OPS = ("read", "readv")
+
 _POINTS = {
     "send": _SEND_ACTIONS,
     "recv": _RECV_ACTIONS,
@@ -62,6 +67,14 @@ _POINTS = {
     "shm": _SHM_ACTIONS,
     "sched": _SCHED_ACTIONS,
 }
+
+
+def rule_problem(point: str, action: str, op: Any) -> str | None:
+    """Why a rule could never act as scheduled, or None if it can."""
+    if point == "shm" and action == "shm-corrupt" and op in _REPLY_SLOT_OPS:
+        return (f"shm-corrupt cannot match op {op!r}: its reply slot holds "
+                "no staged payload to corrupt")
+    return None
 
 
 @dataclass
@@ -123,6 +136,9 @@ class FaultPlane:
             raise ValueError(f"unknown fault point {point!r}")
         if action not in _POINTS[point]:
             raise ValueError(f"action {action!r} is not valid at {point!r}")
+        problem = rule_problem(point, action, op)
+        if problem is not None:
+            raise ValueError(problem)
         with self._lock:
             self._rules.append(FaultRule(
                 point=point, action=action, op=op, address=address,
@@ -164,7 +180,9 @@ class FaultPlane:
         """Flip one byte of a staged shm payload post-checksum.
 
         The peer's CRC validation rejects the slot and the attempt
-        retries inline — the operation still succeeds.
+        retries inline — the operation still succeeds.  Only writes
+        stage a payload: *op* ``read``/``readv`` is refused, and a rule
+        without *op* passes over reply slots.
         """
         return self.rule("shm", "shm-corrupt", op=op, after=after,
                          times=times)
@@ -219,10 +237,15 @@ class FaultPlane:
     def on_service(self, op: str) -> FaultRule | None:
         return self._match("service", str(op))
 
-    def on_shm(self, fields: dict[str, Any]) -> FaultRule | None:
-        """Consulted sender-side after a slot is staged/offered."""
+    def on_shm(self, fields: dict[str, Any], *,
+               staged: bool = True) -> FaultRule | None:
+        """Consulted sender-side after a payload is *staged* in a slot,
+        or a reply slot is offered.  An offered slot holds nothing to
+        corrupt, so ``shm-corrupt`` rules pass over it: they count a
+        firing only where they flip a byte."""
         op = str(fields.get("cmd") or fields.get("op") or "")
-        return self._match("shm", op)
+        return self._match("shm", op,
+                           skip=None if staged else "shm-corrupt")
 
     def on_sched(self, fields: dict[str, Any]) -> FaultRule | None:
         """Consulted by the event loop before granting one channel a turn."""
@@ -231,11 +254,12 @@ class FaultPlane:
 
     # -- matching -----------------------------------------------------------
 
-    def _match(self, point: str, op: str,
-               address: str | None = None) -> FaultRule | None:
+    def _match(self, point: str, op: str, address: str | None = None,
+               skip: str | None = None) -> FaultRule | None:
         with self._lock:
             for rule in self._rules:
-                if rule.point != point or rule.exhausted():
+                if rule.point != point or rule.exhausted() \
+                        or rule.action == skip:
                     continue
                 if rule.op is not None and rule.op != op:
                     continue

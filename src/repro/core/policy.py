@@ -47,6 +47,7 @@ __all__ = [
     "HOST_EXECUTOR_THREADS",
     "HOST_INTAKE_HIGH",
     "HOST_INTAKE_LOW",
+    "BRIDGED_PIPE_BYTES",
     "CHAOS_MAX_FAULT_S",
     "CHAOS_MAX_TOTAL_INJECTION_S",
     "CHAOS_OP_TIMEOUT",
@@ -121,6 +122,13 @@ HOST_INTAKE_HIGH = 768
 #: ... and resume once it drains below this (hysteresis, so the reader
 #: does not flap at the boundary).
 HOST_INTAKE_LOW = 256
+
+#: Capacity of both pipes of a host spawned with a network bridge.  A
+#: read-ahead window's bridge reply (16 blocks of 4 KiB plus its frame
+#: header) overfills the kernel's default 64 KiB pipe, so the app's
+#: reply write would block until the host drained it.  Bridge-free
+#: hosts keep the kernel default.
+BRIDGED_PIPE_BYTES = 256 * 1024
 
 #: Hard wall-clock bound on any single resource fault: a resource
 #: injection (cpu-hog, memory-pressure, fd-exhaustion, disk-full) whose

@@ -306,6 +306,29 @@ def main(argv: list[str] | None = None) -> int:
 # Parent side
 # ---------------------------------------------------------------------------
 
+def _enlarge_pipes(*pipes) -> None:
+    """Grow each pipe to :data:`~repro.core.policy.BRIDGED_PIPE_BYTES`.
+
+    A bridged host's window replies then fit the pipe whole, so the
+    application's pool thread hands one over without blocking until the
+    host drains it.  Where the platform lacks ``F_SETPIPE_SZ`` or the
+    kernel refuses the size (an unprivileged process past
+    ``pipe-max-size``), the pipe quietly keeps its default.
+    """
+    try:
+        import fcntl  # parent side only
+    except ImportError:
+        return
+    setsize = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if setsize is None:
+        return
+    for pipe in pipes:
+        try:
+            fcntl.fcntl(pipe.fileno(), setsize, policy.BRIDGED_PIPE_BYTES)
+        except OSError:
+            pass
+
+
 class SentinelHost:
     """One pooled sentinel child, its channel, and its supervision.
 
@@ -349,6 +372,8 @@ class SentinelHost:
             self.shm = None
         self.proc = Popen(argv, stdin=PIPE, stdout=PIPE, stderr=PIPE,
                           bufsize=0, env=env)
+        if network is not None:
+            _enlarge_pipes(self.proc.stdin, self.proc.stdout)
         self.channel = StreamChannel(
             self.proc.stdout, self.proc.stdin,
             name=f"af-host:{os.path.basename(self.container_path)}")

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core import policy
-from repro.core.faults import FaultPlane, _POINTS
+from repro.core.faults import FaultPlane, _POINTS, rule_problem
 from repro.core.telemetry import TELEMETRY, MetricsRegistry
 from repro.errors import DiskFullError, ScenarioError
 from repro.util import yamlite
@@ -252,6 +252,9 @@ def lint_scenario(scenario: Scenario, *,
             problems.append(f"{where}: action {inj.action!r} is not valid "
                             f"at point {inj.point!r}")
             continue
+        problem = rule_problem(inj.point, inj.action, inj.params.get("op"))
+        if problem is not None:
+            problems.append(f"{where}: {problem}")
         if inj.at < 0:
             problems.append(f"{where}: 'at' must be >= 0")
         if inj.target not in _TARGETS:

@@ -463,7 +463,8 @@ class ChannelSession(Session):
         """Apply a scheduled shm fault to *lease* (deterministic tests).
 
         ``corrupt`` flips a byte of a staged payload (*desc* is its
-        descriptor; None for a reply slot) after its CRC was taken;
+        descriptor; None for a reply slot, which the plane never hands
+        a ``corrupt`` rule) after its CRC was taken;
         ``stale-generation`` bumps the slot's generation so the
         descriptor no longer matches.  Both are applied sender-side so
         a schedule replays identically regardless of host timing.
@@ -471,10 +472,10 @@ class ChannelSession(Session):
         faults = getattr(self.channel, "faults", None)
         if faults is None:
             return
-        rule = faults.on_shm(fields)
+        rule = faults.on_shm(fields, staged=desc is not None)
         if rule is None:
             return
-        if rule.action == "shm-corrupt" and desc is not None:
+        if rule.action == "shm-corrupt":
             lease.scribble(desc)
         elif rule.action == "shm-stale-generation":
             lease.invalidate()

@@ -57,7 +57,9 @@ class StageDataPart(DataPart):
         return self._sentinel.on_read(self._ctx, offset, size)
 
     def write_at(self, offset: int, data: bytes) -> int:
-        return self._sentinel.on_write(self._ctx, offset, data)
+        # Handlers receive bytes; a cache installing a window hands its
+        # store memoryview slices.
+        return self._sentinel.on_write(self._ctx, offset, bytes(data))
 
     @property
     def size(self) -> int:

@@ -73,16 +73,37 @@ def write_frame(stream: BinaryIO, payload: bytes | memoryview,
     if total > MAX_FRAME:
         raise FrameError(f"frame of {total} bytes exceeds MAX_FRAME")
     if total <= _COALESCE_LIMIT:
-        stream.write(b"".join((_LEN.pack(total), payload, *extra)))
+        _write_all(stream, b"".join((_LEN.pack(total), payload, *extra)))
     else:
-        stream.write(_LEN.pack(total))
-        stream.write(payload)
+        _write_all(stream, _LEN.pack(total))
+        _write_all(stream, payload)
         for part in extra:
             if part:
-                stream.write(part)
+                _write_all(stream, part)
     # Only buffered streams need (or benefit from) an explicit flush.
     # The pipe transports hand over raw fds (buffering=0): every write
     # above already hit the kernel, and flushing a raw stream would cost
     # a second no-op method call per frame.
     if isinstance(stream, io.BufferedIOBase):
         stream.flush()
+
+
+def _write_all(stream: BinaryIO, data: bytes | memoryview) -> None:
+    """Write every byte of *data*, however many calls that takes.
+
+    A raw stream may take only part of a write — a blocking pipe does
+    when a signal with a Python handler interrupts it mid-write — and a
+    frame left short would tear the stream for the peer.
+    """
+    written = stream.write(data)
+    if written is None or written >= len(data):
+        # The whole part in one call (the common case), or a stream
+        # whose write reports no count.
+        return
+    view = memoryview(data).cast("B")
+    while written < len(view):
+        count = stream.write(view[written:])
+        if count is None:
+            raise BlockingIOError(
+                f"stream took {written} of {len(view)} bytes and would block")
+        written += count

@@ -124,6 +124,18 @@ class TestLinter:
         assert self._lint_one(point="send", action="drop",
                               params={"p": 0.5, "times": None}) == []
 
+    @pytest.mark.parametrize("op", ["read", "readv"])
+    def test_shm_corrupt_on_a_reply_slot_is_refused(self, op):
+        """A read's reply slot holds no staged payload, so the rule
+        would count an injection that corrupts nothing."""
+        problems = self._lint_one(point="shm", action="shm-corrupt",
+                                  params={"op": op})
+        assert any("no staged payload" in p for p in problems)
+        assert self._lint_one(point="shm", action="shm-corrupt",
+                              params={"op": "write"}) == []
+        assert self._lint_one(point="shm", action="shm-stale-generation",
+                              params={"op": op}) == []
+
     def test_allow_unbounded_is_the_test_escape_hatch(self):
         scenario = parse_scenario({
             "name": "l", "workload": {"kind": "swarm-read"},

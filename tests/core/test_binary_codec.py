@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import control
+from repro.core import control, open_active
+from repro.core.telemetry import TELEMETRY
 from repro.errors import FrameError
 from repro.util import framing
 
@@ -66,7 +67,34 @@ HOT_HEADERS = [
     {"ok": True, "size": 0, "re": True, "rid": 18, "chan": 5},
     {"ok": True, "size": 2**64 - 1, "re": True, "rid": 19, "chan": 5},
     {"cmd": "size", "dl": 30000.0, "rid": 20, "chan": 5},
+    # A sentinel's ranged origin read over the network bridge, and its
+    # data reply: the frames a read-ahead window costs.
+    {"cmd": "net", "host": "files.test", "port": 7000, "scheme": "",
+     "op": "read", "fields": {"path": "data/big.bin", "offset": 65536,
+                              "size": 65536},
+     "dl": 29999.0, "rid": 21, "chan": 0},
+    {"ok": True, "resp_ok": True, "resp_error": "",
+     "resp_fields": {"version": 3, "eof": False},
+     "re": True, "rid": 21, "chan": 0},
+    {"ok": True, "resp_ok": True, "resp_error": "",
+     "resp_fields": {"version": 0, "eof": True},
+     "re": True, "rid": 22, "chan": 0},
 ]
+
+
+def bridged_read(host="files.test", path="data/big.bin", offset=0,
+                 size=65536, **extra):
+    """A bridge request as ``ProxyNetwork.call_async`` sends it."""
+    return {"cmd": "net", "host": host, "port": 7000, "scheme": "",
+            "op": "read", "fields": {"path": path, "offset": offset,
+                                     "size": size, **extra},
+            "rid": 1, "chan": 0}
+
+
+def bridged_reply(**resp_fields):
+    """A bridge reply as ``NetworkBridgeServer.handle`` returns it."""
+    return {"ok": True, "resp_ok": True, "resp_error": "",
+            "resp_fields": resp_fields, "re": True, "rid": 1, "chan": 0}
 
 
 class TestRoundTrip:
@@ -122,6 +150,32 @@ class TestRoundTrip:
             fields["dl"] = dl
         assert roundtrip(fields) == fields
 
+    @settings(max_examples=100, deadline=None)
+    @given(host=st.text(), path=st.text(), scheme=st.text(max_size=8),
+           port=st.integers(0, 65535), offset=U64, size=U64, rid=U64,
+           dl=st.one_of(st.none(), st.floats(0, 1e12)))
+    def test_bridged_read_roundtrip_property(self, host, path, scheme, port,
+                                             offset, size, rid, dl):
+        request = {"cmd": "net", "host": host, "port": port,
+                   "scheme": scheme, "op": "read",
+                   "fields": {"path": path, "offset": offset, "size": size},
+                   "rid": rid, "chan": 0}
+        if dl is not None:
+            request["dl"] = dl
+        assert roundtrip(request) == request
+        wire = control.encode_head_wire(request)
+        assert wire_message(wire, b"p") == (request, b"p")
+
+    @settings(max_examples=60, deadline=None)
+    @given(version=U64, eof=st.booleans(), rid=U64)
+    def test_bridged_reply_roundtrip_property(self, version, eof, rid):
+        reply = {"ok": True, "resp_ok": True, "resp_error": "",
+                 "resp_fields": {"version": version, "eof": eof},
+                 "re": True, "rid": rid, "chan": 0}
+        decoded = roundtrip(reply)
+        assert decoded == reply
+        assert type(decoded["resp_fields"]["eof"]) is bool
+
     @settings(max_examples=60, deadline=None)
     @given(extents=st.lists(st.tuples(U64, U64), max_size=20),
            rid=U64, chan=U32, cmd=st.sampled_from(["readv", "writev"]))
@@ -150,6 +204,39 @@ class TestFallback:
         {"ok": True, "written": "ten", "re": True, "rid": 1, "chan": 1},
         {"cmd": "readv", "extents": [[1]], "rid": 1, "chan": 1},
         {"cmd": "readv", "extents": [[0, 1], [2, -3]], "rid": 1, "chan": 1},
+        # Every bridge call but the ranged read and its data reply.
+        {"cmd": "net", "host": "files.test", "port": 7000, "scheme": "",
+         "op": "writev", "fields": {"path": "data/big.bin",
+                                    "extents": [[0, 4096], [8192, 4096]]},
+         "rid": 1, "chan": 0},
+        {"cmd": "net", "host": "files.test", "port": 7000, "scheme": "",
+         "op": "stat", "fields": {"path": "data/big.bin"},
+         "rid": 1, "chan": 0},
+        {"ok": True, "resp_ok": True, "resp_error": "",
+         "resp_fields": {"size": 8388608, "version": 4},
+         "re": True, "rid": 1, "chan": 0},                # a stat reply
+        {"ok": True, "resp_ok": False, "resp_error": "no such file: x",
+         "resp_fields": {}, "re": True, "rid": 1, "chan": 0},
+        bridged_reply(version="3", eof=False),            # non-int version
+        bridged_reply(version=True, eof=False),
+        bridged_reply(version=3, eof=0),
+        bridged_reply(version=3, eof=False, extra=1),
+        {**bridged_reply(version=3, eof=False), "resp_error": None},
+        {**bridged_reply(version=3, eof=False),
+         "tc": ["trace-id", "span-id"]},                  # traced frame
+        {**bridged_read(), "tc": ["trace-id", "span-id"]},
+        bridged_read(host=7),                             # non-str host
+        bridged_read(path=None),
+        bridged_read(offset=-1),
+        bridged_read(size=2**64),
+        bridged_read(offset=1.0),
+        bridged_read(whence=0),
+        {**bridged_read(), "port": 70000},
+        {**bridged_read(), "port": "7000"},
+        {**bridged_read(), "scheme": None},
+        {**bridged_read(), "op": "GET"},
+        {**bridged_read(), "fields": [["path", "x"]]},
+        {**bridged_read(), "extra": 1},
     ]
 
     @pytest.mark.parametrize("fields", COLD_HEADERS,
@@ -158,6 +245,14 @@ class TestFallback:
         assert control.encode_head_wire(fields) is None
         # ...and the JSON path still carries them verbatim.
         assert wire_message(control.encode_head(fields)) == (fields, b"")
+
+    @pytest.mark.parametrize("fields", [
+        bridged_read(path=b"data/big.bin"), bridged_read(host=object()),
+        bridged_read(host="\ud800"), {**bridged_read(), "fields": None},
+        bridged_reply(version=3, eof=False, blob=b"x"),
+        {**bridged_reply(version=3, eof=False), "resp_fields": "x"}])
+    def test_unencodable_bridge_shapes_return_none(self, fields):
+        assert control.encode_head_wire(fields) is None
 
     def test_encode_never_mutates_its_input(self):
         fields = {"cmd": "read", "offset": 1, "size": 2, "rid": 1, "chan": 1,
@@ -191,6 +286,17 @@ class TestGarbage:
         with pytest.raises(FrameError):
             control.decode_binary_head(head)
 
+    def test_truncated_bridge_address(self):
+        good = control.encode_head_wire(bridged_read())[4:]
+        with pytest.raises(FrameError):
+            control.decode_binary_head(good[:-3])
+
+    def test_bridge_text_must_be_utf8(self):
+        good = control.encode_head_wire(bridged_read(host="h"))[4:]
+        at = good.index(b"h")
+        with pytest.raises(FrameError):
+            control.decode_binary_head(good[:at] + b"\xff" + good[at + 1:])
+
     def test_truncated_optional_field(self):
         head = struct.pack(">BBIQ", 1, 1, 1, 1)  # dl flag, no dl bytes
         with pytest.raises(FrameError):
@@ -203,3 +309,35 @@ class TestGarbage:
             control.decode_binary_head(blob)
         except FrameError:
             pass
+
+
+class TestBridgeOnTheWire:
+    """A read-ahead scan over a bridged open sends no JSON header."""
+
+    def test_sequential_scan_sends_only_binary_headers(
+            self, network, fileserver, make_active):
+        body = bytes(i % 251 for i in range(2 * 1024 * 1024))
+        fileserver.put_file("data/scan.bin", body)
+        path = make_active(
+            "repro.sentinels.remotefile:RemoteFileSentinel",
+            params={"address": "files.test:7000", "path": "data/scan.bin",
+                    "cache": "memory", "block_size": 4096,
+                    "readahead": 16},
+            meta={"data": "memory"})
+        json_headers = TELEMETRY.metrics.counter("transport.header.json")
+        binary_headers = TELEMETRY.metrics.counter("transport.header.binary")
+        step = 16 * 1024
+        with open_active(path, "rb", strategy="process-control",
+                         network=network) as stream:
+            assert stream.read(step) == body[:step]
+            before_json, before_binary = (json_headers.value,
+                                          binary_headers.value)
+            requests = network.stats.requests
+            for offset in range(step, len(body) // 2, step):
+                assert stream.read(step) == body[offset:offset + step]
+            # The bridge served read-ahead windows, and every reply the
+            # application sent them rode a binary header.
+            assert network.stats.requests - requests >= 4
+            assert binary_headers.value - before_binary \
+                > network.stats.requests - requests
+            assert json_headers.value == before_json

@@ -310,6 +310,64 @@ class TestReadaheadWindowPolicy:
             finding["check"] for finding in report["findings"]}
 
 
+class CountingStore(MemoryDataPart):
+    """A memory store that counts its writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write_at(self, offset, data):
+        self.writes += 1
+        return super().write_at(offset, data)
+
+
+class TestWindowInstall:
+    """A fetched window lands in one dirty-list walk: one store write
+    per clean span, not one per block."""
+
+    BLOCK = 64
+    NBLOCKS = 16
+
+    @pytest.mark.parametrize("dirty_blocks", [(), (0,), (3, 9, 15),
+                                              (1, 2, 4, 8, 13)])
+    def test_one_store_write_per_clean_span(self, dirty_blocks):
+        bs = self.BLOCK
+        body = bytes(i % 251 for i in range(self.NBLOCKS * bs))
+        origin = Origin(body)
+        store = CountingStore()
+        cache = BlockCache(fetch=origin.fetch, push=origin.push,
+                           store=store, block_size=bs, writeback=True)
+        model = bytearray(body)
+        # Disjoint dirty extents strictly inside their blocks: none
+        # makes its block valid, so the read below faults all sixteen
+        # blocks as one window.
+        for block in dirty_blocks:
+            offset = block * bs + 5
+            cache.write(offset, b"W" * 7)
+            model[offset:offset + 7] = b"W" * 7
+        store.writes = 0
+        assert cache.read(0, len(body)) == bytes(model)
+        assert origin.reads == 1
+        assert store.writes == len(dirty_blocks) + 1
+        assert cache.stats()["blocks"] == self.NBLOCKS
+        cache.flush()
+        assert origin.body.getvalue() == bytes(model)
+
+    def test_short_window_installs_only_what_arrived(self):
+        bs = self.BLOCK
+        body = bytes(range(200)) * 3  # 600 bytes: 9 full blocks and 24 B
+        origin = Origin(body)
+        store = CountingStore()
+        cache = BlockCache(fetch=origin.fetch, push=origin.push,
+                           store=store, block_size=bs)
+        assert cache.read(0, self.NBLOCKS * bs) == body
+        assert store.writes == 1
+        assert cache.stats()["blocks"] == 10
+        assert cache.read(len(body), bs) == b""  # the short read set EOF
+        assert origin.reads == 1
+
+
 class TestWriteback:
     def test_writes_buffered_until_flush(self):
         cache, origin = make_cache(b"0" * 16, writeback=True, batched=True)

@@ -10,6 +10,7 @@ idle heartbeat, and a wedged sentinel thread (the thread strategy)
 surfaces within its op or close budget.
 """
 
+import fcntl
 import os
 import signal
 import threading
@@ -287,6 +288,45 @@ class TestShutdownOrdering:
         drains[0].join(5.0)
         assert not drains[0].is_alive()
         assert host.proc.stderr.closed
+
+
+class TestBridgedPipeSize:
+    """Only a host spawned with a network bridge gets larger pipes."""
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"),
+                        reason="the platform cannot size pipes")
+    def test_bridged_host_pipes_hold_a_window_reply(self, tmp_path):
+        from repro.core.runner import SentinelHost
+        from repro.net import Network
+
+        path = tmp_path / "sized.af"
+        create_active(path, NULL, data=b"abc", meta={"data": "memory"})
+        probe_r, probe_w = os.pipe()
+        try:
+            default = fcntl.fcntl(probe_w, fcntl.F_GETPIPE_SZ)
+        finally:
+            os.close(probe_r)
+            os.close(probe_w)
+        plain = SentinelHost(str(path))
+        bridged = SentinelHost(str(path), network=Network())
+        try:
+            def sizes(host):
+                return [fcntl.fcntl(pipe.fileno(), fcntl.F_GETPIPE_SZ)
+                        for pipe in (host.proc.stdin, host.proc.stdout)]
+            assert sizes(plain) == [default, default]
+            try:
+                # An unprivileged process may be capped below the
+                # target; the pipes then quietly keep the default.
+                with open("/proc/sys/fs/pipe-max-size") as cap:
+                    allowed = int(cap.read()) >= policy.BRIDGED_PIPE_BYTES
+            except OSError:
+                allowed = True
+            expected = policy.BRIDGED_PIPE_BYTES if allowed else default
+            assert sizes(bridged) == [expected, expected]
+            assert plain.ping(5.0)["ok"] and bridged.ping(5.0)["ok"]
+        finally:
+            plain.shutdown()
+            bridged.shutdown()
 
 
 class TestCallerReadCrash:

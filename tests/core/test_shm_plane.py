@@ -247,6 +247,33 @@ class TestSessionIntegration:
         finally:
             session.close()
 
+    def test_opless_corrupt_rule_passes_over_read_slots(self, tmp_path):
+        """A read's reply slot holds no staged payload: an op-less
+        ``shm-corrupt`` rule waits for the write after it, and counts
+        the one firing that flipped a byte."""
+        size = 2 * shmplane.SHM_MIN_BYTES  # 64 KiB: both ride the plane
+        model = bytearray(pattern(2 * size, salt=3))
+        session = _open(tmp_path, "opless.af", data=bytes(model))
+        try:
+            plane = FaultPlane(seed=2)
+            plane.corrupt_shm_slot(times=1)
+            plane.arm_host(session.host)
+            fallbacks = shmplane.FALLBACK_INLINE.value
+            assert session.read_at(0, size) == model[:size]
+            block = pattern(size, salt=11)
+            assert session.write_at(size, block) == size
+            model[size:] = block
+            assert shmplane.FALLBACK_INLINE.value == fallbacks + 1
+            assert plane.summary() == {"shm:shm-corrupt": 1}
+            assert session.read_at(0, 2 * size) == bytes(model)
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("op", ["read", "readv"])
+    def test_corrupt_rule_on_a_reply_slot_is_refused(self, op):
+        with pytest.raises(ValueError, match="no staged payload"):
+            FaultPlane(seed=0).corrupt_shm_slot(op=op)
+
     def test_kill_mid_stream_never_resurrects_old_slots(self, tmp_path):
         """A successor host must not observe the dead host's segment.
 

@@ -113,3 +113,43 @@ class TestFrames:
                                      for i, body in enumerate(bodies)))
         assert [read_wire_message(stream) for _ in bodies] \
             == [({"n": i}, body) for i, body in enumerate(bodies)]
+
+
+class Trickle(io.RawIOBase):
+    """A raw stream that takes at most *limit* bytes per write, as a
+    blocking pipe does when a signal handler interrupts a write."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(memoryview(b)[:self.limit])
+        self.data += taken
+        return len(taken)
+
+
+class TestShortWrites:
+    """A write that takes part of its bytes is finished, never torn."""
+
+    @pytest.mark.parametrize("limit", [1, 7, 65536])
+    @pytest.mark.parametrize("sizes", [(3, 10), (100, 300000),
+                                       (20, 70000, 70000)])
+    def test_every_part_is_written_whole(self, limit, sizes):
+        parts = [bytes([i + 1]) * size for i, size in enumerate(sizes)]
+        stream = Trickle(limit)
+        write_frame(stream, parts[0], *(memoryview(p) for p in parts[1:]))
+        assert frame_bodies(io.BytesIO(bytes(stream.data)), 1) \
+            == [b"".join(parts)]
+
+    def test_frames_after_a_short_write_stay_aligned(self):
+        stream = Trickle(4096)
+        payloads = [b"a" * 100000, b"b" * 10, b"c" * 70000]
+        for payload in payloads:
+            write_frame(stream, encode_head({"n": len(payload)}), payload)
+        replay = io.BytesIO(bytes(stream.data))
+        assert [read_wire_message(replay) for _ in payloads] \
+            == [({"n": len(p)}, p) for p in payloads]
