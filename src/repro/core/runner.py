@@ -58,7 +58,7 @@ from repro.core.policy import Deadline
 from repro.core.sentinel import make_context
 from repro.core.shm import AttachedSegment, ShmPlane
 from repro.core.telemetry import TELEMETRY
-from repro.errors import ProtocolError, SentinelCrashError, ShmError
+from repro.errors import ProtocolError, SentinelCrashError
 
 __all__ = [
     "main",
@@ -103,8 +103,9 @@ class HostAgent:
         self._next_chan = FIRST_SESSION_CHAN
         self._sessions: dict[int, Any] = {}
         #: The host's shared-memory segment, attached at the first
-        #: ``open`` that advertises one (see :mod:`repro.core.shm`).
-        self._segment: AttachedSegment | None = None
+        #: ``open`` that advertises one (see :mod:`repro.core.shm`);
+        #: until then it maps nothing and rejects every descriptor.
+        self._segment = AttachedSegment()
 
     def handle(self, fields: dict[str, Any],
                payload: bytes) -> tuple[dict[str, Any], bytes]:
@@ -164,12 +165,12 @@ class HostAgent:
     def _attach_shm(self, info: dict[str, Any]) -> bool:
         """Attach the advertised segment (idempotent); False = inline."""
         with self._lock:
-            if self._segment is not None:
+            if self._segment.name:
                 return self._segment.name == str(info.get("name"))
             try:
                 self._segment = AttachedSegment.attach(
                     str(info["name"]), int(info["slots"]),
-                    int(info["slot_bytes"]), bool(info.get("crc")))
+                    int(info["slot_bytes"]))
             except Exception:
                 # Capability negotiation, not an error: the parent falls
                 # back to inline payloads when the ack says no.
@@ -208,55 +209,7 @@ class HostAgent:
     def _session_handler(self, chan: int, dispatcher):
         def handle(fields: dict[str, Any],
                    payload: bytes) -> tuple[dict[str, Any], bytes]:
-            # Shared-memory substitution: an inbound ``shm`` descriptor
-            # replaces the (empty) frame payload with slot bytes, and an
-            # ``shm_r`` descriptor offers a slot the reply should be
-            # written straight into.  Validation failures come back as
-            # typed ShmErrors; the sender retries the attempt inline.
-            shm_desc = fields.pop("shm", None)
-            reply_desc = fields.pop("shm_r", None)
-            payload_view = reply_view = None
-            segment = self._segment
-            if shm_desc is not None or reply_desc is not None:
-                try:
-                    if segment is None:
-                        raise ShmError("host has no shm segment attached")
-                    if shm_desc is not None:
-                        # Zero-copy: the dispatcher consumes the slot
-                        # bytes in place; the post-execute recheck
-                        # detects a torn read, and the sender's inline
-                        # retry (absolute offsets) rewrites the range.
-                        payload_view = segment.payload_view(shm_desc)
-                        payload = payload_view
-                    if reply_desc is not None:
-                        _, reply_view = segment.fill_view(reply_desc)
-                except ShmError as exc:
-                    return control.error_fields(exc), b""
-            try:
-                if reply_view is not None:
-                    out_fields, out_payload = dispatcher.execute(
-                        fields, payload, reply_into=reply_view)
-                    filled = out_fields.pop("sl", None)
-                    if filled is not None and out_fields.get("ok"):
-                        # The reply body is already in the slot; the
-                        # frame carries only the sealed descriptor.
-                        out_fields["sl"] = int(filled)
-                        out_fields["shm"] = segment.seal(
-                            reply_desc, reply_view[:int(filled)])
-                        out_payload = b""
-                    out = out_fields, out_payload
-                else:
-                    out = dispatcher.execute(fields, payload)
-                if payload_view is not None:
-                    try:
-                        segment.recheck(shm_desc)
-                    except ShmError as exc:
-                        return control.error_fields(exc), b""
-            finally:
-                if payload_view is not None:
-                    payload_view.release()
-                if reply_view is not None:
-                    reply_view.release()
+            out = self._segment.execute(dispatcher.execute, fields, payload)
             if fields.get("cmd") == "close":
                 with self._lock:
                     self._sessions.pop(chan, None)
@@ -370,8 +323,12 @@ class SentinelHost:
             self.shm = ShmPlane()
         except Exception:
             self.shm = None
-        self.proc = Popen(argv, stdin=PIPE, stdout=PIPE, stderr=PIPE,
-                          bufsize=0, env=env)
+        try:
+            self.proc = Popen(argv, stdin=PIPE, stdout=PIPE, stderr=PIPE,
+                              bufsize=0, env=env)
+        except BaseException:
+            self._destroy_shm()
+            raise
         if network is not None:
             _enlarge_pipes(self.proc.stdin, self.proc.stdout)
         self.channel = StreamChannel(
@@ -474,13 +431,27 @@ class SentinelHost:
         """Open one logical session; returns its channel id."""
         deadline = Deadline.coerce(timeout, policy.OPEN_TIMEOUT)
         request: dict[str, Any] = {"cmd": "open", "strategy": strategy}
-        if self.shm is not None:
-            request["shm"] = self.shm.handshake_fields()
-        fields, _ = self.channel.request(CONTROL_CHAN, request,
-                                         timeout=deadline)
+        # The shared-memory segment is offered until the host answers
+        # an open.  Its name is unlinked once the handshake is over:
+        # the host attached by then or never will, and an attached
+        # host matches a re-offer by name.
+        plane = self.shm
+        offer = plane is not None and not plane.destroyed \
+            and not self.shm_ready
+        if offer:
+            request["shm"] = plane.handshake_fields()
+        try:
+            fields, _ = self.channel.request(CONTROL_CHAN, request,
+                                             timeout=deadline)
+        finally:
+            if offer:
+                plane.unlink()
         control.raise_for_response(fields)
-        if self.shm is not None and fields.get("shm"):
-            self.shm_ready = True
+        if offer:
+            if fields.get("shm"):
+                self.shm_ready = True
+            else:
+                self._destroy_shm()  # declined: every payload rides inline
         return int(fields["session_chan"])
 
     def ping(self, timeout: "float | Deadline | None" = None

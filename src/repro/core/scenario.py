@@ -58,6 +58,7 @@ from typing import Any, Callable
 
 from repro.core import policy
 from repro.core.faults import FaultPlane, _POINTS, rule_problem
+from repro.core.resourcefaults import RESOURCE_ACTIONS
 from repro.core.telemetry import TELEMETRY, MetricsRegistry
 from repro.errors import DiskFullError, ScenarioError
 from repro.util import yamlite
@@ -79,8 +80,7 @@ __all__ = [
 #: Valid values for an injection's ``point`` — the transport plane's
 #: points plus ``resource`` (delivered via the ``chaos`` control op).
 SCENARIO_POINTS = dict(_POINTS)
-SCENARIO_POINTS["resource"] = ("cpu-hog", "memory-pressure",
-                               "fd-exhaustion", "disk-full")
+SCENARIO_POINTS["resource"] = RESOURCE_ACTIONS
 
 #: Actions the linter treats as destructive: these may not carry an
 #: unbounded ``times`` or a probabilistic ``p`` outside of tests.

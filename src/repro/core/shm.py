@@ -7,9 +7,11 @@ sentinel host: the framed channel stays the *control* plane (small
 headers, ordering, deadlines), while read/write bodies above a threshold
 travel through a per-host shared-memory **slab segment**.
 
-One :class:`ShmPlane` lives on the application side of each
-:class:`~repro.core.runner.SentinelHost`.  Its segment is a fixed array
-of fixed-size slots preceded by a per-slot *generation* word:
+This module owns that segment and its slot protocol.  One
+:class:`ShmPlane` lives on the application side of each
+:class:`~repro.core.runner.SentinelHost`; the host child maps the same
+segment as an :class:`AttachedSegment`.  The segment is a fixed array of
+fixed-size slots preceded by a per-slot *generation* word:
 
 ====================  =====================================================
 region                contents
@@ -19,15 +21,19 @@ data                  ``slots`` × ``slot_bytes`` payload slots
 ====================  =====================================================
 
 A payload leases a contiguous *run* of slots; the frame then carries a
-compact descriptor ``[slot, length, generation, crc32]`` instead of the
-bytes.  The child validates the generation word (the descriptor must
-describe the *current* lease of that slot) and the CRC (the bytes must
-be exactly what the producer staged) before acting; any mismatch raises
-a typed :class:`~repro.errors.ShmError` and the sender retries the
-attempt inline — shm failures degrade throughput, never correctness.
+descriptor ``[slot, length, generation, checksum]`` (field ``shm``)
+instead of the bytes, and a read offers a landing run (``shm_r``).  The
+host checks the generation word (the descriptor must describe the
+*current* lease of that slot) before acting; any mismatch raises a typed
+:class:`~repro.errors.ShmError` and the sender retries the attempt
+inline — shm failures degrade throughput, never correctness.  The
+checksum word is 0 unless the ``shm-corrupt`` fault seals a CRC into it.
 
-Crash safety:
+Lifetime:
 
+* Both ends map the segment with ``shm_open`` + ``mmap``, with no
+  resource tracker.  The application unlinks the name once the host has
+  answered the ``open`` handshake; both mappings stay valid.
 * The segment is created at host spawn and destroyed at host death, so
   a respawned host starts with a fresh (empty) slab and the write
   journal replays **inline** — a replayed mutation can never reference
@@ -57,6 +63,7 @@ __all__ = [
     "ShmPlane",
     "SlotLease",
     "AttachedSegment",
+    "reply_payload",
     "SHM_MIN_BYTES",
     "SLOT_BYTES",
     "SEGMENT_SLOTS",
@@ -64,10 +71,10 @@ __all__ = [
 
 #: Payloads at or above this ride the slab; smaller ones ride inline on
 #: the frame.  Measured with synchronous read/write probes over three
-#: alternating runs on a 2-vCPU VM: inline wins at 4 KiB (a lease,
-#: descriptor and checksum cost more than the pipe copy they save), shm
-#: wins by 20-50% from 128 KiB up, and 32-64 KiB is a tie within the
-#: +/-15% run-to-run spread.  The cutover sits at the low end of the tie.
+#: alternating runs on a 2-vCPU VM: inline wins at 4 KiB (a lease and
+#: descriptor cost more than the pipe copy they save), shm wins by
+#: 20-50% from 128 KiB up, and 32-64 KiB is a tie within the +/-15%
+#: run-to-run spread.  The cutover sits at the low end of the tie.
 SHM_MIN_BYTES = 32 * 1024
 
 #: Slot granularity.  One slot holds the common large block; bigger
@@ -80,8 +87,8 @@ SEGMENT_SLOTS = 256
 
 _GEN = struct.Struct("<Q")
 
-#: Descriptor checksums are self-describing: bit 32 marks "present", the
-#: low 32 bits carry the CRC.  A bare 0 means the producer skipped it.
+#: Bit 32 of a descriptor's checksum word marks a CRC32 in its low 32
+#: bits; a bare 0 means none.  Only the ``shm-corrupt`` fault seals one.
 _SUM_PRESENT = 1 << 32
 
 # Counters are module-cached so the hot path never takes the registry
@@ -93,6 +100,80 @@ FALLBACK_INLINE = TELEMETRY.metrics.counter("shm.fallback_inline")
 
 def _crc(view: "memoryview | bytes") -> int:
     return zlib.crc32(view) & 0xFFFFFFFF
+
+
+def _map_segment(name: str, size: int = 0) -> mmap.mmap:
+    """Map the POSIX segment *name*: create it at *size* bytes, or open
+    an existing one (``size`` 0) at whatever size it has."""
+    import _posixshmem
+
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+    fd = _posixshmem.shm_open(f"/{name}", flags, mode=0o600)
+    try:
+        if size:
+            os.ftruncate(fd, size)
+        return mmap.mmap(fd, size or os.fstat(fd).st_size)
+    except BaseException:
+        if size:
+            _posixshmem.shm_unlink(f"/{name}")
+        raise
+    finally:
+        os.close(fd)
+
+
+class _Segment:
+    """One mapping of a slab segment: the slot and generation views
+    both ends share.  Without a mapping, every access is a ShmError."""
+
+    def __init__(self, name: str = "", mapping: mmap.mmap | None = None,
+                 slots: int = 0, slot_bytes: int = 0) -> None:
+        self.name = name
+        self.slots = int(slots)
+        self.slot_bytes = int(slot_bytes)
+        self._header_bytes = self.slots * _GEN.size
+        self._map = mapping
+        self._buf = memoryview(mapping) if mapping is not None else None
+
+    def _slot_view(self, slot: int, length: int,
+                   generation: int | None = None) -> memoryview:
+        """The first *length* bytes of *slot*'s run, after checking that
+        the run is in bounds and, given one, that *generation* is current."""
+        buf = self._buf
+        if buf is None:
+            raise ShmError("no shm segment mapped")
+        if not 0 <= slot < self.slots:
+            raise ShmError(f"descriptor names slot {slot} of {self.slots}")
+        start = self._header_bytes + slot * self.slot_bytes
+        if length < 0 or start + length > len(buf):
+            raise ShmError(f"descriptor overruns the segment by "
+                           f"{start + length - len(buf)} bytes")
+        if generation is not None:
+            self._check_generation(slot, generation)
+        return buf[start:start + length]
+
+    def _generation(self, slot: int) -> int:
+        buf = self._buf
+        if buf is None:
+            raise ShmError("no shm segment mapped")
+        return _GEN.unpack_from(buf, slot * _GEN.size)[0]
+
+    def _check_generation(self, slot: int, generation: int) -> None:
+        current = self._generation(slot)
+        if current != generation:
+            raise ShmStaleGenerationError(
+                f"slot {slot} descriptor is stale "
+                f"(generation {generation} != current {current})")
+
+    def _unmap(self) -> None:
+        buf, self._buf = self._buf, None
+        mapping, self._map = self._map, None
+        try:
+            if buf is not None:
+                buf.release()
+            if mapping is not None:
+                mapping.close()
+        except BufferError:  # pragma: no cover - a view is still exported
+            pass  # the mapping goes with the last view
 
 
 class SlotLease:
@@ -108,13 +189,10 @@ class SlotLease:
         self.generation = generation
         self.length = 0
 
-    def _view(self, length: int) -> memoryview:
-        return self.plane._slot_view(self.slot, length)
-
     def stage(self, parts) -> list[int]:
         """Copy payload *parts* into the run; returns the descriptor."""
         length = sum(len(p) for p in parts)
-        view = self._view(length)
+        view = self.plane._slot_view(self.slot, length)
         cursor = 0
         for part in parts:
             n = len(part)
@@ -122,83 +200,54 @@ class SlotLease:
             cursor += n
         self.length = length
         SHM_BYTES.inc(length)
-        checksum = (_crc(view) | _SUM_PRESENT) if self.plane.checksums else 0
-        return [self.slot, length, self.generation, checksum]
+        return [self.slot, length, self.generation, 0]
 
     def reply_desc(self) -> list[int]:
         """Descriptor offering this run to the peer as a reply slot."""
         return [self.slot, self.nslots * self.plane.slot_bytes,
                 self.generation]
 
-    def take(self, length: int, checksum: int) -> bytes:
-        """Copy a peer-filled reply out of the run, validating it."""
-        view = self._view(length)
-        self._validate(view, checksum)
-        SHM_BYTES.inc(length)
-        return bytes(view)
+    def take(self, length: int, into: "memoryview | None" = None):
+        """Copy a peer-filled reply out of the run, validating it.
 
-    def take_into(self, buffer: memoryview, length: int,
-                  checksum: int) -> int:
-        """Zero-intermediate copy of a peer-filled reply into *buffer*."""
-        view = self._view(length)
-        self._validate(view, checksum)
-        buffer[:length] = view
+        Returns the bytes, or, with *into*, copies them straight into
+        that buffer and returns the count.
+        """
+        view = self.plane._slot_view(self.slot, length, self.generation)
         SHM_BYTES.inc(length)
+        if into is None:
+            return bytes(view)
+        into[:length] = view
         return length
-
-    def _validate(self, view: memoryview, checksum: int) -> None:
-        if self.plane._generation(self.slot) != self.generation:
-            raise ShmStaleGenerationError(
-                f"slot {self.slot} was re-leased under us")
-        if checksum & _SUM_PRESENT and _crc(view) != checksum & 0xFFFFFFFF:
-            raise ShmCorruptError(
-                f"slot {self.slot} failed its checksum")
 
     # -- deterministic fault hooks (see repro.core.faults) -------------------
 
     def scribble(self, desc: list[int]) -> None:
         """Corrupt one staged byte (the ``shm-corrupt`` fault action).
 
-        *desc* is the staged run's descriptor; one staged without a CRC
-        is sealed with the CRC of the bytes as staged first, so the
-        peer rejects the slot whether or not the plane checksums.
+        *desc* is the staged run's descriptor; it is sealed with the CRC
+        of the bytes as staged first, so the peer rejects the slot.
         """
-        view = self._view(max(1, self.length))
-        if not desc[3] & _SUM_PRESENT:
-            desc[3] = _crc(view[:self.length]) | _SUM_PRESENT
+        view = self.plane._slot_view(self.slot, max(1, self.length))
+        desc[3] = _crc(view[:self.length]) | _SUM_PRESENT
         view[0] ^= 0xFF
 
     def invalidate(self) -> None:
         """Bump the generation word (``shm-stale-generation`` action)."""
-        self.plane._bump(self.slot)
         # Track the bump so release() leaves a consistent word behind.
-        self.generation = self.plane._generation(self.slot)
+        self.generation = self.plane._bump(self.slot)
 
 
-class ShmPlane:
+class ShmPlane(_Segment):
     """Application-side owner of one host's shared-memory segment."""
 
     def __init__(self, slots: int = SEGMENT_SLOTS,
-                 slot_bytes: int = SLOT_BYTES,
-                 checksums: bool = False) -> None:
-        import secrets  # the application side only: hosts attach
-        from multiprocessing import shared_memory
-        self.slots = int(slots)
-        self.slot_bytes = int(slot_bytes)
-        #: Whether staged payloads carry a CRC.  The protocol's
-        #: correctness envelope is the generation fencing (a slot is
-        #: only ever read while its producer holds the lease); the
-        #: checksum is belt-and-braces against a buggy peer — and the
-        #: detection channel for the ``shm-corrupt`` fault action — so
-        #: it is off by default: at slab speeds CRC-ing every byte
-        #: twice would halve the plane's throughput.
-        self.checksums = bool(checksums)
-        self._header_bytes = self.slots * _GEN.size
-        size = self._header_bytes + self.slots * self.slot_bytes
-        self._shm = shared_memory.SharedMemory(
-            name=f"repro-af-{os.getpid()}-{secrets.token_hex(4)}",
-            create=True, size=size)
-        self._buf = self._shm.buf
+                 slot_bytes: int = SLOT_BYTES) -> None:
+        name = f"repro-af-{os.getpid()}-{os.urandom(4).hex()}"
+        size = int(slots) * (_GEN.size + int(slot_bytes))
+        super().__init__(name, _map_segment(name, size), slots,
+                         slot_bytes)
+        self._linked = True
         self._lock = threading.Lock()
         self._free = bytearray(self.slots)  # 0 = free, 1 = leased/parked
         #: chan -> leases whose rid was withdrawn before a reply; freed
@@ -206,29 +255,70 @@ class ShmPlane:
         self._parked: dict[int, list[SlotLease]] = {}
         self.destroyed = False
 
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
     def handshake_fields(self) -> dict[str, Any]:
         """What the ``open`` request carries so the child can attach."""
         return {"name": self.name, "slots": self.slots,
-                "slot_bytes": self.slot_bytes, "crc": self.checksums}
+                "slot_bytes": self.slot_bytes}
+
+    def unlink(self) -> None:
+        """Remove the segment's name (idempotent); mappings stay valid."""
+        if self._linked:
+            self._linked = False
+            import _posixshmem
+            try:
+                _posixshmem.shm_unlink(f"/{self.name}")
+            except FileNotFoundError:  # a racing unlink got there first
+                pass
+
+    # -- the exchange ---------------------------------------------------------
+
+    def stage(self, fields: dict[str, Any], payload: Any,
+              into: "memoryview | None" = None, faults=None
+              ) -> "tuple[dict[str, Any], Any, SlotLease | None]":
+        """The wire form of one attempt, and the lease it holds.
+
+        A ``write``/``writev`` payload of at least :data:`SHM_MIN_BYTES`
+        is copied into a leased run and its descriptor replaces the
+        frame body; a ``read``/``readv`` expecting that much is offered
+        a leased landing run.  An armed ``shm`` rule of *faults*
+        (a :class:`~repro.core.faults.FaultPlane`) is applied to the
+        run.  The lease is ``None`` when the attempt rides inline
+        (small payload, or the slab is full).
+        """
+        cmd = fields.get("cmd")
+        if cmd == "write" or cmd == "writev":
+            parts = payload if isinstance(payload, (tuple, list)) \
+                else (payload,)
+            nbytes = sum(len(p) for p in parts)
+        elif cmd == "read":
+            nbytes = int(fields.get("size") or 0)
+        else:
+            nbytes = sum(int(s) for _, s in (fields.get("extents") or ()))
+        if into is not None:
+            nbytes = min(nbytes, len(into)) if nbytes else len(into)
+        if nbytes < SHM_MIN_BYTES:
+            return fields, payload, None
+        lease = self.lease(nbytes)
+        if lease is None:
+            FALLBACK_INLINE.inc()
+            return fields, payload, None
+        if cmd == "write" or cmd == "writev":
+            desc = lease.stage(parts)
+            wire_fields, payload = {**fields, "shm": desc}, b""
+        else:
+            desc = None  # an offered run holds nothing to corrupt
+            wire_fields = {**fields, "shm_r": lease.reply_desc()}
+        # Faults apply sender-side, so a schedule replays identically
+        # whatever the host's timing.
+        rule = faults.on_shm(fields, staged=desc is not None) \
+            if faults is not None else None
+        if rule is not None and rule.action == "shm-corrupt":
+            lease.scribble(desc)
+        elif rule is not None and rule.action == "shm-stale-generation":
+            lease.invalidate()
+        return wire_fields, payload, lease
 
     # -- slot accounting ------------------------------------------------------
-
-    def _slot_view(self, slot: int, length: int) -> memoryview:
-        buf = self._buf
-        if buf is None:
-            raise ShmError("shm plane destroyed (host gone)")
-        start = self._header_bytes + slot * self.slot_bytes
-        return buf[start:start + length]
-
-    def _generation(self, slot: int) -> int:
-        buf = self._buf
-        if buf is None:
-            raise ShmError("shm plane destroyed (host gone)")
-        return _GEN.unpack_from(buf, slot * _GEN.size)[0]
 
     def _bump(self, slot: int) -> int:
         value = self._generation(slot) + 1
@@ -269,21 +359,19 @@ class ShmPlane:
             for slot in range(lease.slot, lease.slot + lease.nslots):
                 self._free[slot] = 0
 
-    def park(self, chan: int, *leases: SlotLease | None) -> None:
-        """Quarantine runs whose request was withdrawn without a reply.
+    def park(self, chan: int, lease: SlotLease | None) -> None:
+        """Quarantine a run whose request was withdrawn without a reply.
 
         The peer's channel worker may still be serving the withdrawn
         request against these slots; re-leasing them now could hand a
         straggler someone else's bytes.  They stay out of the free pool
         until :meth:`settle` proves the worker has moved past them.
         """
+        if lease is None:
+            return
         with self._lock:
-            if self.destroyed:
-                return
-            bucket = self._parked.setdefault(int(chan), [])
-            for lease in leases:
-                if lease is not None:
-                    bucket.append(lease)
+            if not self.destroyed:
+                self._parked.setdefault(int(chan), []).append(lease)
 
     def settle(self, chan: int) -> None:
         """A later request on *chan* settled: its stragglers are done."""
@@ -300,127 +388,117 @@ class ShmPlane:
             return self._free.count(0)
 
     def destroy(self) -> None:
-        """Unlink the segment (idempotent); every lease goes invalid."""
+        """Unmap the segment and unlink its name if it is still there
+        (idempotent); every lease goes invalid."""
         with self._lock:
             if self.destroyed:
                 return
             self.destroyed = True
             self._parked.clear()
-        self._buf = None
-        try:
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover - exported views
-            pass
-        try:
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
+        self._unmap()
+        self.unlink()
 
 
-class AttachedSegment:
+def reply_payload(reply: dict[str, Any], payload: bytes,
+                  lease: SlotLease | None,
+                  into: "memoryview | None" = None) -> bytes:
+    """Materialise a reply's bulk bytes, whichever way they came.
+
+    A sealed ``shm`` descriptor in a reply to an offered run (*lease*)
+    is validated and drained from the slot; raises :class:`ShmError` on
+    a mismatch so the caller can retry inline.  With *into*, the bytes
+    land in the caller's buffer, ``reply["sl"]`` reports the count, and
+    the returned payload is empty.
+    """
+    desc = reply.pop("shm", None) if lease is not None else None
+    if into is None:
+        return payload if desc is None else lease.take(int(desc[1]))
+    if desc is not None:
+        reply["sl"] = lease.take(int(desc[1]), into)
+    else:
+        reply["sl"] = len(payload)
+        into[:len(payload)] = payload
+    return b""
+
+
+class AttachedSegment(_Segment):
     """Child-side attachment to the host plane's segment.
 
-    The child maps the segment by its POSIX name, as
-    :mod:`multiprocessing.shared_memory` would, but without importing
-    :mod:`multiprocessing` or starting a resource tracker: the
-    application side created the segment and unlinks it, so a tracker
-    here would have nothing to do but unregister it again.
+    The application side created the segment and unlinks its name once
+    the handshake is answered; the child only maps it.  An instance made
+    without a mapping stands for a host that attached nothing: every
+    descriptor sent to it is rejected.
     """
 
-    def __init__(self, name: str, mapping: mmap.mmap, slots: int,
-                 slot_bytes: int, checksums: bool = False) -> None:
-        self.name = name
-        self._map = mapping
-        self.slots = int(slots)
-        self.slot_bytes = int(slot_bytes)
-        self.checksums = bool(checksums)
-        self._header_bytes = self.slots * _GEN.size
-        self._buf = memoryview(mapping)
-
     @classmethod
-    def attach(cls, name: str, slots: int, slot_bytes: int,
-               checksums: bool = False) -> "AttachedSegment":
-        import _posixshmem
+    def attach(cls, name: str, slots: int,
+               slot_bytes: int) -> "AttachedSegment":
+        return cls(name, _map_segment(name), slots, slot_bytes)
 
-        fd = _posixshmem.shm_open(f"/{name}", os.O_RDWR, mode=0o600)
+    def execute(self, run, fields: dict[str, Any], payload: Any
+                ) -> tuple[dict[str, Any], Any]:
+        """Serve one session request through ``run(fields, payload)``
+        with its slot descriptors resolved.
+
+        An inbound ``shm`` descriptor replaces the (empty) frame payload
+        with the slot's bytes, consumed in place and re-checked after
+        *run* returns; an ``shm_r`` descriptor offers a run the reply is
+        written straight into (``run`` gets it as ``reply_into`` and
+        reports the count as ``sl``), and the reply then carries only
+        the sealed descriptor.  A rejected descriptor raises
+        :class:`ShmError`, which reaches the sender as a typed error
+        reply; it retries the attempt inline.
+        """
+        desc = fields.pop("shm", None)
+        offer = fields.pop("shm_r", None)
+        if desc is None and offer is None:
+            return run(fields, payload)
+        view = self.payload_view(desc) if desc is not None \
+            else self.fill_view(offer)
         try:
-            mapping = mmap.mmap(fd, os.fstat(fd).st_size)
+            if desc is not None:
+                # Zero-copy: the dispatcher consumes the slot bytes in
+                # place; the recheck detects a torn read, and the
+                # sender's inline retry (absolute offsets) rewrites the
+                # range.
+                out = run(fields, view)
+                self._check_generation(int(desc[0]), int(desc[2]))
+                return out
+            out_fields, out_payload = run(fields, payload, reply_into=view)
+            filled = out_fields.get("sl")
+            if filled is not None and out_fields.get("ok"):
+                out_fields["shm"] = [int(offer[0]), int(filled),
+                                     int(offer[2]), 0]
+                out_payload = b""
+            return out_fields, out_payload
         finally:
-            os.close(fd)
-        return cls(name, mapping, slots, slot_bytes, checksums)
-
-    def _slot_view(self, slot: int, length: int) -> memoryview:
-        if not 0 <= slot < self.slots:
-            raise ShmError(f"descriptor names slot {slot} of {self.slots}")
-        start = self._header_bytes + slot * self.slot_bytes
-        if length < 0 or start + length > len(self._buf):
-            raise ShmError(f"descriptor overruns the segment by "
-                           f"{start + length - len(self._buf)} bytes")
-        return self._buf[start:start + length]
-
-    def _check_generation(self, slot: int, generation: int) -> None:
-        current = _GEN.unpack_from(self._buf, slot * _GEN.size)[0]
-        if current != int(generation):
-            raise ShmStaleGenerationError(
-                f"slot {slot} descriptor is stale "
-                f"(generation {generation} != current {current})")
+            view.release()
 
     def payload_view(self, desc) -> memoryview:
         """Validate an inbound payload descriptor and open its run.
 
-        The returned view aliases the segment: the consumer copies (or
-        writes) from it, then calls :meth:`recheck` — a generation bump
-        in between means the producer re-leased the run mid-read (torn
-        bytes), which under the lease protocol can only follow a
-        protocol violation, so it surfaces as a typed error and the
-        sender retries inline.
+        The returned view aliases the segment: a generation bump while
+        the consumer reads it means the producer re-leased the run
+        mid-read (torn bytes), which under the lease protocol can only
+        follow a protocol violation.
         """
         try:
             slot, length, generation, checksum = (int(x) for x in desc)
         except (TypeError, ValueError) as exc:
             raise ShmError(f"malformed shm descriptor: {desc!r}") from exc
-        view = self._slot_view(slot, length)
-        self._check_generation(slot, generation)
+        view = self._slot_view(slot, length, generation)
         if checksum & _SUM_PRESENT \
                 and _crc(view) != checksum & 0xFFFFFFFF:
             raise ShmCorruptError(f"slot {slot} failed its checksum")
         return view
 
-    def recheck(self, desc) -> None:
-        """Post-consumption staleness check (see :meth:`payload_view`)."""
-        self._check_generation(int(desc[0]), int(desc[2]))
-
-    def read_desc(self, desc) -> bytes:
-        """Materialize an inbound payload as private bytes."""
-        view = self.payload_view(desc)
-        try:
-            data = bytes(view)
-        finally:
-            view.release()
-        self.recheck(desc)
-        return data
-
-    def fill_view(self, desc) -> "tuple[int, memoryview]":
-        """Open a reply slot for direct filling; returns (slot, view)."""
+    def fill_view(self, desc) -> memoryview:
+        """Validate an offered reply descriptor and open its run."""
         try:
             slot, capacity, generation = (int(x) for x in desc)
         except (TypeError, ValueError) as exc:
             raise ShmError(f"malformed shm reply descriptor: {desc!r}") from exc
-        view = self._slot_view(slot, capacity)
-        self._check_generation(slot, generation)
-        return slot, view
-
-    def seal(self, desc, filled: memoryview) -> list[int]:
-        """Descriptor for a reply just written into a leased run."""
-        slot, _, generation = (int(x) for x in desc)
-        checksum = (_crc(filled) | _SUM_PRESENT) if self.checksums else 0
-        return [slot, len(filled), generation, checksum]
+        return self._slot_view(slot, capacity, generation)
 
     def close(self) -> None:
-        buf, self._buf = self._buf, None
-        try:
-            if buf is not None:
-                buf.release()
-            self._map.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        self._unmap()

@@ -41,6 +41,19 @@ _TRANSPORT_FAILURES = (ChannelClosedError, SentinelCrashError, OSError,
                        ValueError)
 
 
+def byte_view(data: Any) -> Any:
+    """*data* with ``len()`` counting bytes.
+
+    A memoryview of wider items (of an ``array("I")``, say) counts
+    items; sent as is, its frame's length prefix would undercount the
+    bytes that follow and tear the connection.  Such a view is cast to
+    one of bytes (copied when it is not contiguous).
+    """
+    if isinstance(data, memoryview) and data.nbytes != len(data):
+        return data.cast("B") if data.c_contiguous else data.tobytes()
+    return data
+
+
 class CommandSession(Session):
     """The command vocabulary of the control channel (paper §4.2).
 
@@ -87,6 +100,7 @@ class CommandSession(Session):
         return b"".join(pieces)
 
     def write_at(self, offset: int, data: bytes) -> int:
+        data = byte_view(data)
         if len(data) <= self.WRITE_CHUNK:
             fields, _ = self._op({"cmd": "write", "offset": offset}, data)
             return int(fields["written"])
@@ -182,6 +196,7 @@ class CommandSession(Session):
             pending = 0
 
         for offset, data in extents:
+            data = byte_view(data)
             if len(data) > self.VECTOR_CHUNK:
                 drain()
                 out.append(self.write_at(int(offset), data))
@@ -229,10 +244,11 @@ class CommandSession(Session):
 class ChannelSession(Session):
     """Transport for sessions that drive one logical channel on a host lease.
 
-    It supplies the supervised :meth:`_op`, shared-memory staging, the
-    write journal and :meth:`close`; the command vocabulary itself comes
-    from :class:`CommandSession` (process-plus-control) or, for the
-    simple process strategy, is the stream plane alone.
+    It supplies the supervised :meth:`_op` (bulk bytes ride the host's
+    shared-memory plane, :mod:`repro.core.shm`), the write journal and
+    :meth:`close`; the command vocabulary itself comes from
+    :class:`CommandSession` (process-plus-control) or, for the simple
+    process strategy, is the stream plane alone.
 
     Operations are *pipelinable*: there is deliberately no per-session
     operation lock.  Ordering within the session is guaranteed by the
@@ -245,8 +261,8 @@ class ChannelSession(Session):
     :data:`~repro.core.policy.ATTEMPT_TIMEOUT` and the (idempotent)
     request re-sent.  A host crash triggers transparent recovery: the
     lease respawns onto a fresh host, the session's **write journal** —
-    every acknowledged mutation, recorded by reference — is replayed so
-    the new sentinel instance observes the same mutation history, and
+    every acknowledged mutation — is replayed so the new sentinel
+    instance observes the same mutation history, and
     the failed operation retries.  Sessions whose containers declare
     ``meta={"supervise": False}``, non-idempotent commands, and sessions
     whose journal outgrew :data:`~repro.core.policy.JOURNAL_LIMIT_BYTES`
@@ -322,15 +338,14 @@ class ChannelSession(Session):
                     attrs["cause"] = "retry"
                 span = TELEMETRY.begin(f"op.{cmd}", attrs=attrs, push=True)
             status = "error"
-            plane = send_lease = reply_lease = None
+            plane = lease = None
             try:
                 wire_fields, wire_payload = fields, payload
                 if use_shm:
                     plane = self._shm_plane()
                     if plane is not None:
-                        (wire_fields, wire_payload, send_lease,
-                         reply_lease) = self._shm_stage(
-                            plane, cmd, fields, payload, into)
+                        wire_fields, wire_payload, lease = plane.stage(
+                            fields, payload, into, self.channel.faults)
                 try:
                     try:
                         reply, out_payload = self._lease.request(
@@ -343,9 +358,8 @@ class ChannelSession(Session):
                         # later reply on this channel proves (per-chan
                         # FIFO) the straggler is done with them.
                         if plane is not None:
-                            plane.park(self._lease.chan,
-                                       send_lease, reply_lease)
-                            send_lease = reply_lease = None
+                            plane.park(self._lease.chan, lease)
+                            lease = None
                         deadline.check(f"{cmd!r} on {self.strategy} session")
                         if not recoverable:
                             raise
@@ -354,7 +368,7 @@ class ChannelSession(Session):
                 except _TRANSPORT_FAILURES as exc:
                     # A dead host takes its segment (and every lease on
                     # it) down with it; nothing to release.
-                    send_lease = reply_lease = None
+                    lease = None
                     crash = exc if isinstance(exc, SentinelCrashError) \
                         else self._lease.crash_error(exc)
                     if not recoverable:
@@ -372,8 +386,8 @@ class ChannelSession(Session):
                     plane.settle(self._lease.chan)
                 try:
                     raise_for_response(reply)
-                    out_payload = self._shm_finish(
-                        reply, reply_lease, into, out_payload)
+                    out_payload = shmplane.reply_payload(
+                        reply, out_payload, lease, into)
                 except DeadlineExceededError:
                     # The host ran out of this attempt's budget (a
                     # bridge wait it bounded by it, say): the same as
@@ -398,111 +412,17 @@ class ChannelSession(Session):
                 # Runs after any return value is computed, so a reply
                 # lease is released only once its bytes are copied out.
                 if plane is not None:
-                    plane.release(send_lease)
-                    plane.release(reply_lease)
+                    plane.release(lease)
                 if span is not None:
                     TELEMETRY.finish(span, status=status)
 
-    # -- shared-memory staging -----------------------------------------------------
-
     def _shm_plane(self):
         """The host's armed shm plane, or ``None`` (stay inline)."""
-        host = getattr(self._lease, "host", None)
-        if host is None or not getattr(host, "shm_ready", False):
-            return None
+        host = self._lease.host
         plane = host.shm
-        if plane is None or plane.destroyed:
+        if not host.shm_ready or plane.destroyed:
             return None
         return plane
-
-    def _shm_stage(self, plane, cmd: str, fields: dict[str, Any],
-                   payload: Any, into: "memoryview | None"):
-        """Swap eligible bulk bytes for slot descriptors.
-
-        A payload rides shm exactly when it is at least
-        ``SHM_MIN_BYTES``: such request payloads are staged into leased
-        slots (``shm`` descriptor replaces the frame body), such replies
-        are offered a pre-leased landing slot (``shm_r``).  Returns the
-        wire form plus the leases the caller must release/park.  An
-        exhausted slab keeps the attempt inline.
-        """
-        send_lease = reply_lease = None
-        wire_fields, wire_payload = fields, payload
-        if cmd in ("write", "writev"):
-            parts = payload if isinstance(payload, (tuple, list)) \
-                else (payload,)
-            nbytes = sum(len(p) for p in parts)
-            if nbytes >= shmplane.SHM_MIN_BYTES:
-                send_lease = plane.lease(nbytes)
-                if send_lease is None:
-                    shmplane.FALLBACK_INLINE.inc()
-                else:
-                    desc = send_lease.stage(parts)
-                    self._shm_inject_faults(fields, send_lease, desc)
-                    wire_fields = {**fields, "shm": desc}
-                    wire_payload = b""
-        else:  # read / readv: offer a landing slot for the reply
-            if cmd == "read":
-                expect = int(fields.get("size") or 0)
-            else:
-                expect = sum(int(s) for _, s in (fields.get("extents") or ()))
-            if into is not None:
-                expect = min(expect, len(into)) if expect else len(into)
-            if expect >= shmplane.SHM_MIN_BYTES:
-                reply_lease = plane.lease(expect)
-                if reply_lease is None:
-                    shmplane.FALLBACK_INLINE.inc()
-                else:
-                    desc = reply_lease.reply_desc()
-                    self._shm_inject_faults(fields, reply_lease)
-                    wire_fields = {**fields, "shm_r": desc}
-        return wire_fields, wire_payload, send_lease, reply_lease
-
-    def _shm_inject_faults(self, fields: dict[str, Any], lease,
-                           desc: "list[int] | None" = None) -> None:
-        """Apply a scheduled shm fault to *lease* (deterministic tests).
-
-        ``corrupt`` flips a byte of a staged payload (*desc* is its
-        descriptor; None for a reply slot, which the plane never hands
-        a ``corrupt`` rule) after its CRC was taken;
-        ``stale-generation`` bumps the slot's generation so the
-        descriptor no longer matches.  Both are applied sender-side so
-        a schedule replays identically regardless of host timing.
-        """
-        faults = getattr(self.channel, "faults", None)
-        if faults is None:
-            return
-        rule = faults.on_shm(fields, staged=desc is not None)
-        if rule is None:
-            return
-        if rule.action == "shm-corrupt":
-            lease.scribble(desc)
-        elif rule.action == "shm-stale-generation":
-            lease.invalidate()
-
-    def _shm_finish(self, reply: dict[str, Any], reply_lease,
-                    into: "memoryview | None", out_payload: bytes) -> bytes:
-        """Materialise a reply's bulk bytes, whichever way they came.
-
-        A sealed ``shm`` descriptor in the reply is validated (CRC +
-        generation, re-checked after the copy) and drained from the
-        slot; raises :class:`ShmError` on mismatch so the caller can
-        retry inline.  With *into*, bytes land in the caller's buffer
-        and ``reply["sl"]`` reports the count.
-        """
-        desc = reply.pop("shm", None) if reply_lease is not None else None
-        if into is not None:
-            if desc is not None:
-                count = reply_lease.take_into(
-                    into, int(desc[1]), int(desc[3]))
-            else:
-                count = len(out_payload)
-                into[:count] = out_payload
-            reply["sl"] = count
-            return b""
-        if desc is not None:
-            return reply_lease.take(int(desc[1]), int(desc[3]))
-        return out_payload
 
     # -- crash recovery ------------------------------------------------------------
 
@@ -539,17 +459,25 @@ class ChannelSession(Session):
                         payload: Any) -> None:
         """Remember one acknowledged mutation for post-respawn replay.
 
-        Entries are kept by reference — no copies — and the journal is
-        bounded: past :data:`~repro.core.policy.JOURNAL_LIMIT_BYTES` it
-        poisons itself, which disables transparent respawn (replaying a
+        ``bytes`` parts are kept by reference; any other part is copied,
+        since its owner may reuse the buffer once the write returns (a
+        buffered file object does).  The journal is bounded: past
+        :data:`~repro.core.policy.JOURNAL_LIMIT_BYTES` it poisons
+        itself, which disables transparent respawn (replaying a
         truncated history would silently lose writes) and frees the
         buffered memory.
         """
         if self._journal_poisoned:
             return
         if cmd == "write" or cmd == "writev":
-            nbytes = sum(len(p) for p in payload) \
-                if isinstance(payload, (tuple, list)) else len(payload)
+            if isinstance(payload, (tuple, list)):
+                payload = tuple(p if isinstance(p, bytes) else bytes(p)
+                                for p in payload)
+                nbytes = sum(len(p) for p in payload)
+            else:
+                if not isinstance(payload, bytes):
+                    payload = bytes(payload)
+                nbytes = len(payload)
         elif cmd == "truncate":
             nbytes = 0
         else:

@@ -23,7 +23,7 @@ import threading
 
 from repro.core.container import Container
 from repro.core.runner import HOST_POOL
-from repro.core.strategies.common import ChannelSession
+from repro.core.strategies.common import ChannelSession, byte_view
 from repro.core.telemetry import TELEMETRY
 
 __all__ = ["ProcessSession", "open_session"]
@@ -78,10 +78,10 @@ class ProcessSession(ChannelSession):
     def write_stream(self, data: bytes) -> int:
         if not data:
             return 0
-        view = memoryview(data)
+        view = memoryview(byte_view(data))
         total = 0
         with self._write_lock:
-            while total < len(data):
+            while total < len(view):
                 chunk = view[total:total + self.WRITE_CHUNK]
                 fields, _ = self._op({"cmd": "wstream"}, chunk)
                 total += int(fields.get("written", len(chunk)))

@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.core import runner
 
@@ -44,6 +46,39 @@ reply = agent._open("process-control", json.loads(sys.argv[2]))
 print(json.dumps({"shm": reply["shm"], "modules": sorted(
     name for name in sys.modules
     if name.split(".")[0] in ("repro", "multiprocessing"))}))
+'''
+
+APP_SCRIPT = r'''
+import json
+import os
+import sys
+
+import repro
+from repro.core import shm
+
+repro.create_active(sys.argv[1], "repro.sentinels.null:NullFilterSentinel",
+                    meta={"data": "memory"})
+block = bytes(range(256)) * 256
+with repro.open_active(sys.argv[1], "r+b",
+                       strategy="process-control") as stream:
+    assert stream.write(block) == len(block)
+    stream.seek(0)
+    assert stream.read(len(block)) == block
+    me = str(os.getpid()).encode()
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as stat:
+                if stat.read().rsplit(b")", 1)[1].split()[1] == me:
+                    children.append(int(entry))
+        except (OSError, IndexError):
+            continue
+    host = stream.session.host
+    print(json.dumps({
+        "children": children, "host": host.proc.pid,
+        "shm_bytes": shm.SHM_BYTES.value if host.shm_ready else None,
+        "modules": sorted(name for name in sys.modules
+                          if name.split(".")[0] == "multiprocessing")}))
 '''
 
 SURFACE_SCRIPT = r'''
@@ -120,6 +155,17 @@ def test_host_imports_only_host_code(tmp_path):
         <= {"repro.net.address", "repro.net.message"}
     assert {name for name in loaded if name.startswith("repro.sentinels.")} \
         == {"repro.sentinels.null"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="children are listed from /proc")
+def test_application_starts_only_its_host(tmp_path):
+    """An application moving a 64 KiB payload through a process-control
+    open loads no ``multiprocessing`` and has one child: its host."""
+    out = json.loads(_run(APP_SCRIPT, str(tmp_path / "app.af")))
+    assert out["modules"] == []
+    assert out["children"] == [out["host"]]
+    assert out["shm_bytes"] is None or out["shm_bytes"] >= 2 * 65536
 
 
 def test_public_import_paths_resolve():

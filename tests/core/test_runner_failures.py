@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.core import Container, create_active, hostloop, open_active, policy
+from repro.core.interception import wrap_for_mode
 from repro.core.strategies import thread as thread_strategy
 from repro.errors import (
     ChannelClosedError,
@@ -157,6 +158,26 @@ class TestTransparentRecovery:
         stream.seek(0)
         assert stream.read(8) == b"WRITTEN!"
         assert stream.session._lease.respawns == 1
+        stream.close()
+
+    def test_journal_owns_buffered_write_bytes(self, tmp_path):
+        """A buffered file object hands every write a view of the one
+        buffer it reuses: a replay writes the bytes as they were."""
+        path = tmp_path / "buffered.af"
+        create_active(path, NULL, data=b"\x00" * 200,
+                      meta={"data": "memory"})
+        raw = open_active(str(path), "r+b", strategy="process-control")
+        stream = wrap_for_mode(raw, "r+b")
+        stream.write(b"A" * 100)
+        stream.flush()
+        stream.write(b"B" * 100)
+        stream.flush()
+        proc = raw.session.host.proc
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=5)
+        stream.seek(0)
+        assert stream.read(200) == b"A" * 100 + b"B" * 100
+        assert raw.session._lease.respawns == 1
         stream.close()
 
     def test_unsupervised_crash_surfaces(self, tmp_path):

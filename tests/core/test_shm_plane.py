@@ -11,12 +11,17 @@ Three layers of properties:
   retries), and a killed host's slots are never read by its successor.
 """
 
+import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import runner
 from repro.core import shm as shmplane
 from repro.core.container import Container
@@ -59,7 +64,7 @@ class TestSlabAllocator:
         assert lease is not None and lease.nslots == 2
         desc = lease.stage((b"a" * 700, b"b" * 800))
         assert desc[0] == lease.slot and desc[1] == 1500
-        assert lease.take(desc[1], desc[3]) == b"a" * 700 + b"b" * 800
+        assert lease.take(desc[1]) == b"a" * 700 + b"b" * 800
         plane.release(lease)
 
     def test_contiguous_runs_and_exhaustion(self, plane):
@@ -79,7 +84,7 @@ class TestSlabAllocator:
         desc = lease.stage((b"x" * 100,))
         plane.release(lease)
         with pytest.raises(ShmStaleGenerationError):
-            lease.take(desc[1], desc[3])
+            lease.take(desc[1])
 
     def test_release_is_harmless_and_gen_monotonic(self, plane):
         lease = plane.lease(10)
@@ -90,7 +95,8 @@ class TestSlabAllocator:
 
     def test_park_and_settle(self, plane):
         lease = plane.lease(1024)
-        plane.park(7, lease, None)             # None leases are skipped
+        plane.park(7, lease)
+        plane.park(7, None)                    # no lease: nothing parked
         assert plane.free_slots() == plane.slots - 1
         plane.settle(99)                       # other channel: still parked
         assert plane.free_slots() == plane.slots - 1
@@ -106,7 +112,15 @@ class TestSlabAllocator:
         assert plane.lease(10) is None
         plane.release(lease)                   # no-op, no crash
         with pytest.raises(ShmError):
-            lease.take(desc[1], desc[3])
+            lease.take(desc[1])
+
+
+def consume(segment, desc):
+    """Serve one ``write`` whose payload is the run *desc* describes;
+    returns the bytes the dispatcher saw."""
+    def run(fields, payload):
+        return {"ok": True}, bytes(payload)
+    return segment.execute(run, {"cmd": "write", "shm": desc}, b"")[1]
 
 
 class TestChildValidation:
@@ -118,31 +132,44 @@ class TestChildValidation:
         try:
             lease = plane.lease(900)
             desc = lease.stage((pattern(900),))
-            assert seg.read_desc(desc) == pattern(900)
-            # Reply direction: child fills the offered run, seals it.
+            assert desc[3] == 0                  # staging writes no CRC
+            assert consume(seg, desc) == pattern(900)
+            # Reply direction: the child fills the offered run and the
+            # reply carries only the sealed descriptor.
             offer = lease.reply_desc()
-            _, view = seg.fill_view(offer)
-            view[:300] = pattern(300, salt=5)
-            sealed = seg.seal(offer, view[:300])
-            view.release()  # an exported view would block segment close
-            assert lease.take(sealed[1], sealed[3]) == pattern(300, salt=5)
+
+            def fill(fields, payload, reply_into):
+                reply_into[:300] = pattern(300, salt=5)
+                return {"ok": True, "sl": 300}, b""
+
+            reply, body = seg.execute(fill, {"cmd": "read", "shm_r": offer},
+                                      b"")
+            assert body == b"" and reply["shm"] == [offer[0], 300,
+                                                    offer[2], 0]
+            assert shmplane.reply_payload(reply, body, lease) \
+                == pattern(300, salt=5)
         finally:
             seg.close()
 
+    def test_unattached_host_rejects_descriptors(self, plane):
+        lease = plane.lease(100)
+        desc = lease.stage((b"z" * 100,))
+        with pytest.raises(ShmError):
+            consume(AttachedSegment(), desc)
+
     def test_stale_and_corrupt_rejected(self, plane):
-        plane.checksums = True  # corruption detection is CRC-gated
         seg = AttachedSegment.attach(plane.name, plane.slots,
                                      plane.slot_bytes)
         try:
             lease = plane.lease(500)
             desc = lease.stage((pattern(500),))
-            lease.scribble(desc)
+            lease.scribble(desc)                 # seals a CRC, then flips
             with pytest.raises(ShmCorruptError):
-                seg.read_desc(desc)
-            desc = lease.stage((pattern(500),))  # restage: CRC fresh again
+                consume(seg, desc)
+            desc = lease.stage((pattern(500),))  # restage: no CRC again
             lease.invalidate()
             with pytest.raises(ShmStaleGenerationError):
-                seg.read_desc(desc)
+                consume(seg, desc)
             with pytest.raises(ShmStaleGenerationError):
                 seg.fill_view(lease.reply_desc()[:2] + [desc[2]])
         finally:
@@ -157,7 +184,7 @@ class TestChildValidation:
                         [0, -1, 1, 0],           # negative length
                         ["a", "b"], None, [1]):  # not a descriptor
                 with pytest.raises(ShmError):
-                    seg.read_desc(bad)
+                    seg.payload_view(bad)
         finally:
             seg.close()
 
@@ -301,6 +328,120 @@ class TestSessionIntegration:
             session.close()
 
 
+def linked(name):
+    """Whether a shared-memory segment still has *name*."""
+    return os.path.exists(os.path.join("/dev/shm", name))
+
+
+#: An application that opens a process-control file, moves 64 KiB
+#: through it, reports its host and segment, and waits to be killed.
+KILLED_APP = r'''
+import json
+import sys
+import time
+
+import repro
+
+repro.create_active(sys.argv[1], "repro.sentinels.null:NullFilterSentinel",
+                    meta={"data": "memory"})
+stream = repro.open_active(sys.argv[1], "r+b", strategy="process-control")
+stream.write(bytes(65536))
+host = stream.session.host
+print(json.dumps({"host": host.proc.pid, "ready": host.shm_ready,
+                  "name": host.shm.name}), flush=True)
+time.sleep(60)
+'''
+
+
+def _wait_gone(pid, timeout=10.0):
+    """Wait until *pid* has exited (a zombie counts); False on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as stat:
+                if stat.read().rsplit(b")", 1)[1].split()[0] in (b"Z", b"X"):
+                    return True
+        except OSError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@requires_shm
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="segment names live in /dev/shm on Linux")
+class TestSegmentLifecycle:
+    """Both ends map the segment once the handshake is answered, so its
+    name is gone by then, whoever dies later."""
+
+    def test_no_name_outlives_the_handshake(self, tmp_path):
+        session = _open(tmp_path, "named.af")
+        try:
+            assert session.host.shm_ready
+            assert not linked(session.host.shm.name)
+            data = pattern(BULK)                 # the mappings still work
+            assert session.write_at(0, data) == len(data)
+            assert session.read_at(0, len(data)) == data
+        finally:
+            session.close()
+
+    def test_no_name_outlives_a_respawn(self, tmp_path):
+        session = _open(tmp_path, "respawn.af")
+        try:
+            first = session.host.shm
+            fault = FaultPlane(seed=3)
+            fault.kill_host(times=1)
+            fault.arm_host(session.host)
+            data = pattern(BULK, salt=1)
+            assert session.write_at(0, data) == len(data)
+            assert session.host.shm is not first and session.host.shm_ready
+            assert first.destroyed
+            assert not linked(first.name)
+            assert not linked(session.host.shm.name)
+            assert session.read_at(0, len(data)) == data
+        finally:
+            session.close()
+
+    def test_no_name_outlives_a_killed_application(self, tmp_path):
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src_root)
+        app = subprocess.Popen(
+            [sys.executable, "-c", KILLED_APP, str(tmp_path / "app.af")],
+            stdout=subprocess.PIPE, env=env)
+        try:
+            report = json.loads(app.stdout.readline())
+        finally:
+            app.kill()
+            app.wait(timeout=10)
+            app.stdout.close()
+        assert report["ready"]
+        assert not linked(report["name"])
+        assert _wait_gone(report["host"])        # EOF ends the host too
+        assert not linked(report["name"])
+
+    def test_declined_attach_destroys_the_plane(self, tmp_path,
+                                                 monkeypatch):
+        class Unattachable(ShmPlane):
+            def handshake_fields(self):
+                return {**super().handshake_fields(),
+                        "name": f"{self.name}-missing"}
+
+        monkeypatch.setattr(runner, "ShmPlane", Unattachable)
+        session = _open(tmp_path, "declined.af")
+        try:
+            plane = session.host.shm
+            assert not session.host.shm_ready
+            assert plane.destroyed and not linked(plane.name)
+            leased = shmplane.SLOTS_LEASED.value
+            data = pattern(BULK, salt=4)
+            assert session.write_at(0, data) == len(data)
+            assert session.read_at(0, len(data)) == data
+            assert shmplane.SLOTS_LEASED.value == leased  # all inline
+        finally:
+            session.close()
+
+
 @requires_shm
 class TestShmInlineEquivalence:
     """Property: a host whose plane never came up (no /dev/shm) serves
@@ -345,7 +486,6 @@ class TestShmInlineEquivalence:
         tmp = tmp_path_factory.mktemp("chaos")
         session = _open(tmp, "blob.af")
         try:
-            session.host.shm.checksums = True
             fault = FaultPlane(seed)
             fault.corrupt_shm_slot(after=after, times=1)
             fault.stale_shm_generation(op="read", after=after, times=1)

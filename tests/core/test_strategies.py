@@ -7,6 +7,8 @@ plus the documented capability differences of the simple process
 strategy.
 """
 
+from array import array
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -163,6 +165,18 @@ class TestProcessStrategyLimits:
         with open_active(path, "r+b", strategy="process") as stream:
             stream.write(b"streamed bytes")
         assert Container.load(path).data == b"streamed bytes"
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_wide_item_view_writes_its_bytes(make_active, strategy):
+    """A memoryview of 4-byte items writes, and reports, its bytes; the
+    connection carries on."""
+    words = array("I", range(8))
+    path = make_active(NULL, data=b"")
+    with open_active(path, "r+b", strategy=strategy) as stream:
+        assert stream.write(memoryview(words)) == 32
+        assert stream.write(b"!") == 1
+    assert Container.load(path).data == words.tobytes() + b"!"
 
 
 class TestStrategyAliases:
