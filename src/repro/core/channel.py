@@ -61,7 +61,7 @@ from repro.errors import (
     FrameError,
     ProtocolError,
 )
-from repro.util.framing import write_frame
+from repro.util.framing import payload_parts, write_frame
 
 __all__ = [
     "Channel",
@@ -90,13 +90,6 @@ _HDR_JSON = TELEMETRY.metrics.counter("transport.header.json")
 #: buffers gathered under the same frame (scatter-gather, copy-free on
 #: the wire transport).
 Payload = "bytes | bytearray | memoryview | tuple | list"
-
-
-def _payload_parts(payload: Any) -> tuple:
-    """Normalize a payload into a tuple of buffer parts."""
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return (payload,)
-    return tuple(payload)
 
 
 def _close_quietly(stream: BinaryIO) -> None:
@@ -179,11 +172,16 @@ class ChannelCounters:
                 f"transport.latency.{op}")
         hist.observe(elapsed)
 
-    def request_served(self, op: str) -> None:
-        """An inbound request was handled locally (other side of the wire)."""
+    def request_served(self) -> None:
+        """An inbound request was answered (other side of the wire)."""
         with self.lock:
-            self.requests_served += 1
-            self.last_activity = time.monotonic()
+            self.served_under_write_lock()
+
+    def served_under_write_lock(self) -> None:
+        """:meth:`request_served` for a transport whose replies all pass
+        one write lock, held by the caller."""
+        self.requests_served += 1
+        self.last_activity = time.monotonic()
 
     def record_close_error(self, reason: str) -> None:
         """A session teardown failed; keep it observable, not silent."""
@@ -382,7 +380,7 @@ class Channel:
         """
         deadline = Deadline.coerce(deadline)
         op = str(fields.get("cmd") or fields.get("op") or "?")
-        parts = _payload_parts(payload)
+        parts = payload_parts(payload)
         now = time.monotonic()
         with self._lock:
             # Checked under the lock kill() takes: a request registered
@@ -399,11 +397,16 @@ class Channel:
                 pending.span = TELEMETRY.begin(f"frame.{op}", parent=parent,
                                                attrs={"chan": int(chan)})
                 tc = (pending.span.trace, pending.span.sid)
+        # The ``dl`` budget is stamped here, at send time, so it is the
+        # sender's remaining budget when the frame leaves.
+        dl = deadline.to_ms()
+        if dl is None and isinstance(fields.get("dl"), Deadline):
+            # The fields of a served request, forwarded as they are:
+            # they carry its deadline (see EventLoopServer.submit), so
+            # what is left of it rides on.
+            dl = fields["dl"].to_ms()
         try:
-            # The ``dl`` budget is stamped here, at send time, so it is
-            # the sender's remaining budget when the frame leaves.
-            self._send(rid, int(chan), fields, parts,
-                       dl=deadline.to_ms(), tc=tc)
+            self._send(rid, int(chan), fields, parts, dl=dl, tc=tc)
         except BaseException:
             if self._withdraw(rid) is pending and pending.span is not None:
                 TELEMETRY.finish(pending.span, status="error")
@@ -417,7 +420,7 @@ class Channel:
         """One pipelinable command/response round trip."""
         deadline = Deadline.coerce(timeout)
         return self.request_async(chan, fields, payload,
-                                  deadline=deadline).wait(deadline)
+                                  deadline).wait(deadline)
 
     # -- responder side ----------------------------------------------------------
 
@@ -445,17 +448,17 @@ class Channel:
     # -- routing ----------------------------------------------------------------
 
     def _dispatch(self, fields: dict[str, Any], payload: bytes,
-                  lead: "Callable[[], bool] | None" = None) -> Any:
+                  lead: "Callable[[], bool] | None" = None) -> bool:
         """Route one inbound message: reply -> future, request -> loop.
 
         *lead* is the read role of the calling thread, offered so the
-        loop may hand it on and have this thread run the request
-        itself; the returned grant (or None) says whether it did.
+        loop may have this thread run the request itself before this
+        returns; False says the role went to another thread meanwhile.
         """
         rid, chan, is_reply, rest = control.split_envelope(fields)
         if is_reply:
             self._deliver(rid, rest, payload)
-            return None
+            return True
         return self._serve(rid, chan, rest, payload, lead)
 
     def _deliver(self, rid: int, fields: dict[str, Any],
@@ -469,7 +472,7 @@ class Channel:
 
     def _serve(self, rid: int, chan: int, fields: dict[str, Any],
                payload: bytes,
-               lead: "Callable[[], bool] | None" = None) -> Any:
+               lead: "Callable[[], bool] | None" = None) -> bool:
         """Hand one inbound request to *chan*'s serving state (see
         :meth:`_dispatch` for *lead*), or answer that none exists."""
         # A lock-free read: register/unregister replace entries whole.
@@ -480,8 +483,8 @@ class Channel:
                     ProtocolError(f"no handler for channel {chan}")), b"")
             except (ChannelClosedError, OSError, ValueError):
                 pass
-            return None
-        return state.submit(rid, fields, payload, lead)
+            return True
+        return state.server.submit(state, rid, fields, payload, lead)
 
     def _await(self, pending: PendingReply, deadline: Deadline) -> bool:
         """Block until *pending* settles; False if *deadline* expires."""
@@ -512,7 +515,8 @@ class Channel:
 
     def _send_reply(self, rid: int, chan: int, fields: dict[str, Any],
                     payload: Any) -> None:
-        self._send(rid, chan, fields, _payload_parts(payload), reply=True)
+        """Answer request *rid*; the transport counts it as served."""
+        self._send(rid, chan, fields, payload_parts(payload), reply=True)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -620,9 +624,14 @@ class StreamChannel(Channel):
         self._rfile = rfile
         self._wfile = wfile
         self._write_lock = threading.Lock()
-        #: Guards the read role and :attr:`_sleepers`.
-        self._role = threading.Lock()
+        #: Guards the read role and :attr:`_sleepers`.  It is the lock
+        #: of the pending map too, so a caller reading its own reply
+        #: gives the role up as that reply settles (see :meth:`_settle`).
+        self._role = self._lock
         self._reading = False   # some thread holds the read role
+        #: The future of the caller holding the read role, if one does.
+        #: Set and cleared only by that caller's thread.
+        self._own: "PendingReply | None" = None
         #: Callers parked without the role, rid -> future.  Each sleeps
         #: on its own wake-up until its reply lands (the settle wakes
         #: it) or a holder giving the role up picks it to read next.
@@ -686,11 +695,33 @@ class StreamChannel(Channel):
     def _drop_role(self) -> None:
         """Give the read role up; on a dead channel, close _rfile."""
         with self._role:
-            self._reading = False
-            if self.dead:
-                _close_quietly(self._rfile)
-            if self._sleepers:
-                self._pass_role_locked()
+            self._drop_role_locked()
+
+    def _drop_role_locked(self) -> None:
+        self._reading = False
+        if self.dead:
+            _close_quietly(self._rfile)
+        if self._sleepers:
+            self._pass_role_locked()
+
+    def _settle(self, rid: int, nbytes: int) -> PendingReply | None:
+        """:meth:`Channel._settle`; the reply of the caller holding the
+        read role also gives the role up, in the same lock round."""
+        with self._lock:
+            pending = self._pending.pop(rid, None)
+            if pending is None:
+                return None
+            now = time.monotonic()
+            elapsed = now - pending.started
+            self.counters.settled_locked(pending.op, nbytes, elapsed, True,
+                                         now)
+            if pending is self._own:
+                # The frame is read whole: the next one is the next
+                # reader's.  The caller's _await sees _own cleared.
+                self._own = None
+                self._drop_role_locked()
+        self.counters.observe(pending.op, elapsed)
+        return pending
 
     def _pass_role_locked(self) -> None:
         """Wake the longest-parked caller still owed a reply, to take up
@@ -706,22 +737,22 @@ class StreamChannel(Channel):
     def _lead(self) -> bool:
         """Hold the read role on a serving-loop thread.
 
-        Requests the loop grants to this thread run inline; the thread
-        keeps reading after each one for as long as the loop leaves it
-        the role.  Returns False once the role went to another pool
-        thread during such a request, True once the connection has
-        ended.
+        Requests the loop grants to this thread run inline, inside
+        :meth:`_dispatch`; the thread keeps reading after each one for
+        as long as the loop leaves it the role.  Returns False once the
+        role went to another pool thread during such a request, True
+        once the connection has ended.
         """
         while not self.dead:
             try:
                 message = self._read_one()
-                grant = None if message is None else \
+                held = message is None or \
                     self._dispatch(*message, lead=self._lead)
             except (ChannelClosedError, FrameError, OSError,
                     ValueError) as exc:
                 self.kill(f"transport closed: {exc}")
                 break
-            if grant is not None and not grant.run(self._lead):
+            if not held:
                 return False  # another pool thread reads from here on
             # Backpressure: past the intake high-water mark the reader
             # stalls here, leaving the flood in the kernel pipe instead
@@ -752,12 +783,15 @@ class StreamChannel(Channel):
                     if pending.done:
                         return True
                     self._reading = True
+                    self._own = pending
                     wake = None
             if wake is None:
                 try:
                     self._read_until(pending, deadline)
                 finally:
-                    self._drop_role()
+                    if self._own is pending:  # its reply did not land
+                        self._own = None
+                        self._drop_role()
                 if not pending.done and deadline.expired():
                     return False
                 continue
@@ -871,8 +905,10 @@ class StreamChannel(Channel):
             _HDR_BINARY.inc()
         try:
             with self._write_lock:
-                # Every part rides the frame as its own write: headers,
-                # blocks, and gathered extents are never concatenated.
+                if reply:
+                    # Every reply passes this lock: it serializes the
+                    # served count without a lock round of its own.
+                    self.counters.served_under_write_lock()
                 write_frame(self._wfile, head, *parts)
         except (BrokenPipeError, OSError, ValueError) as exc:
             self.kill(f"transport write failed: {exc}")
@@ -969,8 +1005,15 @@ class LocalChannel(Channel):
             # gathered extents so the sender may reuse its buffers.
             payload = b"".join(parts)
         if reply:
+            self.counters.request_served()
             self._deliver(rid, fields, payload)
         else:
-            # The loop pops ``dl``/``tc`` off the fields it is handed
-            # and the handler may change them: give it its own dict.
-            self._serve(rid, chan, {**fields, "dl": dl, "tc": tc}, payload)
+            # The loop re-anchors ``dl`` and pops ``tc`` in the fields
+            # it is handed, and the handler may change them: give it
+            # its own dict, carrying only what was sent.
+            request = dict(fields)
+            if dl is not None:
+                request["dl"] = dl
+            if tc is not None:
+                request["tc"] = tc
+            self._serve(rid, chan, request, payload)

@@ -36,6 +36,7 @@ from repro.errors import (
     SentinelError,
     wire_error_registry,
 )
+from repro.util.framing import MAX_FRAME, read_exact
 
 __all__ = [
     "encode_head",
@@ -55,8 +56,9 @@ _JSON_LEN = struct.Struct(">I")
 #: A frame's length word followed by its header-length word.
 _PREFIX = struct.Struct(">II")
 
-#: Frame bodies up to this size are read in one call and split by
-#: slicing; the payload copy is cheaper than a second read(2).
+#: A frame whose payload is at most this size is read in one call with
+#: its header and split by slicing; the payload copy is cheaper than a
+#: second read(2).
 _SMALL_BODY = 16 * 1024
 
 #: Header fields reserved for the multiplexing envelope.
@@ -102,7 +104,6 @@ def read_wire_message(stream: Any) -> tuple[dict[str, Any], bytes]:
     copy.  The header-length word carries the binary-header
     tag in its high bit (see :func:`encode_head_wire`).
     """
-    from repro.util.framing import MAX_FRAME, read_exact
     head = stream.read(_PREFIX.size)
     if not head:
         raise ChannelClosedError("stream closed at frame boundary")
@@ -117,7 +118,7 @@ def read_wire_message(stream: Any) -> tuple[dict[str, Any], bytes]:
     body_len = frame_len - _JSON_LEN.size
     if header_len > body_len:
         raise FrameError("message header extends past frame body")
-    if body_len <= _SMALL_BODY:
+    if body_len - header_len <= _SMALL_BODY:
         body = read_exact(stream, body_len)
         header, payload = body[:header_len], body[header_len:]
     else:

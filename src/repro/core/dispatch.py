@@ -55,19 +55,21 @@ class SentinelDispatcher:
         Sentinel exceptions become failure responses rather than killing
         the dispatch loop — one bad operation must not tear down the
         file.  The caller's remaining deadline budget (the ``dl``
-        field, when the command travelled a wire) is published on the
-        context so sentinels inherit it for their own remote exchanges.
+        field, when the command travelled a wire: the serving loop's
+        re-anchored :class:`~repro.core.policy.Deadline`, or remaining
+        milliseconds from a direct caller) is published on the context
+        so sentinels inherit it for their own remote exchanges.
 
         *reply_into* (the shared-memory fast path) offers a buffer the
         read commands fill directly; when used, the response fields
         carry ``sl`` (bytes filled) and the returned payload is empty.
         """
         cmd = fields.get("cmd", "")
-        budget_ms = fields.get("dl")
+        budget = fields.get("dl")
         try:
             # Inside the try: a malformed budget fails this op, not the loop.
-            self.ctx.deadline = Deadline.from_ms(budget_ms) \
-                if budget_ms is not None else None
+            self.ctx.deadline = Deadline.from_ms(budget) \
+                if budget is not None else None
             return self._execute(cmd, fields, payload, reply_into)
         except Exception as exc:
             return control.error_fields(exc), b""

@@ -28,12 +28,13 @@ answers while an ``open`` runs.
 **Leader/follower serving.**  Reading a connection is a *role* that
 one pool thread holds at a time (the leader).  When a request arrives
 for an idle channel and the loop has nothing else admitted, the leader
-runs the op itself and *keeps the role*: after the reply it goes
-straight back to reading, so a depth-1 op costs the host one wake-up
-(the leader's blocking read) and no in-process hand-off.  An op that
-waits on a reply over the same connection (a bridge call, a read-ahead
-window already in flight) does not give the role up either: the
-leader reads frames itself until its reply lands, queueing any
+admits it and grants it to itself in one lock round, without the
+channel's FIFO, runs the op and *keeps the role*: after the reply it
+goes straight back to reading, so a depth-1 op costs the host one
+wake-up (the leader's blocking read) and no in-process hand-off.  An
+op that waits on a reply over the same connection (a bridge call, a
+read-ahead window already in flight) does not give the role up
+either: the leader reads frames itself until its reply lands, queueing any
 requests it reads to the pool (:meth:`EventLoopServer.claim_lead`).
 The role moves to another pool thread (the follower), which keeps
 intake, channel-0 ``ping``/``open`` and bridge replies flowing, only
@@ -66,13 +67,15 @@ requests**: replies are resolved by the reading thread itself, and a
 sentinel's bridge calls ride the same connection — stalling while a
 reply is owed would deadlock the very handler we are waiting for.
 
-Deadline (``dl``) and trace-context (``tc``) are popped at submit time
-on the reading thread, so queue wait counts against the sender's
-budget, and the dispatch span parents on the sender's frame span (see
-:func:`serve_one`).  A timer thread, started with the first carried
-connection or the first :meth:`~EventLoopServer.call_later`, owns the
-timer wheel and is the read-role sentry; it is never on the request
-path, and a busy stream of short ops never wakes it.
+The deadline (``dl``) is re-anchored in place at submit time on the
+reading thread, so queue wait counts against the sender's budget and
+the handler gets it as a :class:`~repro.core.policy.Deadline`; the
+trace context (``tc``) is popped there, and the dispatch span parents
+on the sender's frame span (see :func:`serve_one`).  A timer thread,
+started with the first carried connection or the first
+:meth:`~EventLoopServer.call_later`, owns the timer wheel and is the
+read-role sentry; it is never on the request path, and a busy stream
+of short ops never wakes it.
 """
 
 from __future__ import annotations
@@ -121,6 +124,9 @@ _SERVICE = TELEMETRY.metrics.histogram("host.service_s")
 #: through an op, so the next arm of a busy stream needs no notify.
 _SENTRY_WARM_S = 0.05
 
+#: The budget of a request that carried none.
+_NEVER = Deadline.never()
+
 #: ``.lead``: the read role this thread holds through the inline op it
 #: is running (see :meth:`EventLoopServer.claim_lead`).
 _HOLDER = threading.local()
@@ -131,12 +137,15 @@ def serve_one(channel, chan: int, handler, rid: int,
               deadline: Deadline, tc) -> None:
     """Serve one inbound request and send its reply.
 
+    *deadline* is the request's budget as :meth:`EventLoopServer.submit`
+    re-anchored it; a bounded one is also the ``dl`` field the handler
+    sees, so a dispatcher and its nested exchanges inherit it as is.
+
     A handler raising *any* exception — ``BaseException`` included —
     still produces an error reply: a teardown-grade failure
     (``SystemExit`` from a dying sentinel, say) must never leave the
     peer's reply future unresolved.
     """
-    op = str(fields.get("cmd") or fields.get("op") or "?")
     span = collector = None
     if tc is not None and isinstance(tc, (list, tuple)) and len(tc) == 2:
         # This request is traced: serve it under a dispatch span
@@ -144,21 +153,18 @@ def serve_one(channel, chan: int, handler, rid: int,
         # children) capture everything it causes for the reply.
         if TELEMETRY.piggyback:
             collector = TELEMETRY.start_collect()
-        span = TELEMETRY.begin(f"dispatch.{op}", trace=str(tc[0]),
-                               parent=str(tc[1]), push=True)
+        span = TELEMETRY.begin(f"dispatch.{_op_name(fields)}",
+                               trace=str(tc[0]), parent=str(tc[1]),
+                               push=True)
     if deadline.expired():
         # The caller has already given up (and withdrawn the rid);
         # answer with the typed expiry rather than doing work nobody
         # is waiting for.
         out_fields, out_payload = control.error_fields(
             DeadlineExceededError(
-                f"{op!r}: deadline expired before execution")), b""
+                f"{_op_name(fields)!r}: deadline expired before "
+                f"execution")), b""
     else:
-        remaining_ms = deadline.to_ms()
-        if remaining_ms is not None:
-            # Nested exchanges (e.g. a dispatcher's bridge calls)
-            # inherit what is left of the caller's budget.
-            fields["dl"] = remaining_ms
         try:
             out_fields, out_payload = handler(fields, payload)
         except BaseException as exc:
@@ -169,11 +175,14 @@ def serve_one(channel, chan: int, handler, rid: int,
         if collector is not None:
             out_fields["tsp"] = TELEMETRY.end_collect(
                 collector, anchor_us=span.start_us)
-    channel.counters.request_served(op)
     try:
         channel._send_reply(rid, chan, out_fields, out_payload)
     except (ChannelClosedError, OSError, ValueError):
         pass  # peer is gone; nothing left to answer to
+
+
+def _op_name(fields: dict[str, Any]) -> str:
+    return str(fields.get("cmd") or fields.get("op") or "?")
 
 
 def latency_split_stats() -> dict[str, float]:
@@ -216,7 +225,8 @@ class _ChanState:
     """One registered channel's serving state on the loop.
 
     :class:`~repro.core.channel.Channel` routes inbound requests to
-    :meth:`submit` and tears serving down with :meth:`stop`.
+    its server's :meth:`EventLoopServer.submit` and tears serving down
+    with :meth:`stop`.
     """
 
     __slots__ = ("server", "channel", "chan", "handler", "session", "fifo",
@@ -237,18 +247,6 @@ class _ChanState:
         #: a time, which is what keeps the channel serial.
         self.scheduled = False
         self.detached = False
-
-    def submit(self, rid: int, fields: dict[str, Any], payload: bytes,
-               lead: "Callable[[], bool] | None" = None
-               ) -> "_ChanState | None":
-        return self.server.submit(self, rid, fields, payload, lead)
-
-    def run(self, lead: Callable[[], bool]) -> bool:
-        """Serve the request :meth:`submit` granted to the reading
-        thread; True if the thread still holds its read role *lead*
-        afterwards, False if the role went to a pool thread meanwhile
-        (see :meth:`EventLoopServer._run_one`)."""
-        return self.server._run_one(self, lead)
 
     def stop(self) -> None:
         # Detaching is O(1) and never joins: kill() may run from a
@@ -361,47 +359,56 @@ class EventLoopServer:
 
     def submit(self, state: _ChanState, rid: int, fields: dict[str, Any],
                payload: bytes, lead: "Callable[[], bool] | None" = None
-               ) -> _ChanState | None:
-        """Admit one request; returns *state* iff the caller must run it.
+               ) -> bool:
+        """Admit one request; False iff the calling thread's read role
+        *lead* went to another pool thread while it ran the request.
 
         *lead* is passed by a thread holding a connection's read role:
         it is the role itself.  When the request may run to completion
         on the reading thread (its channel is idle and nothing else is
-        admitted), the caller must call ``state.run(lead)``, which
-        keeps the role through a short op and hands it to the pool
-        only when the op needs that (see :meth:`_run_one`).
+        admitted), it is admitted and granted to that thread in the one
+        lock round — it never enters the channel's FIFO — and runs here
+        before this returns, the role held through it (see
+        :meth:`_serve`).  Any other request is queued for the pool.
         """
         # Re-anchor the sender's remaining budget (``dl``, milliseconds)
-        # on the local monotonic clock at intake time; the queue wait
-        # counts against it.  The trace context (``tc``) rides the same
-        # way: popped here, re-parented at serve time.
-        try:
-            deadline = Deadline.from_ms(fields.pop("dl", None))
-        except (TypeError, ValueError, OverflowError) as exc:
-            # A malformed budget fails this request, never the reader.
-            self._reply_error(state, rid, ProtocolError(
-                f"malformed deadline budget: {exc}"))
-            return None
+        # on the local monotonic clock at intake time, in place: the
+        # queue wait counts against it, and the handler gets this
+        # deadline as the ``dl`` field.  The trace context (``tc``) is
+        # popped here and re-parented at serve time.
+        now = time.monotonic()
+        budget = fields.get("dl")
+        if budget is None:
+            deadline = _NEVER
+        else:
+            try:
+                deadline = fields["dl"] = Deadline(now + float(budget) / 1000)
+            except (TypeError, ValueError, OverflowError) as exc:
+                # A malformed budget fails this request, never the reader.
+                self._reply_error(state, rid, ProtocolError(
+                    f"malformed deadline budget: {exc}"))
+                return True
         tc = fields.pop("tc", None)
-        inline = None
         with self._lock:
             if state.detached or self._stopping:
-                return None  # channel is tearing down; kill() fails the peer
-            state.fifo.append((rid, fields, payload, deadline, tc,
-                               time.monotonic()))
-            self._queued += 1
+                return True  # channel is tearing down; kill() fails the peer
             self._inflight += 1
-            if not state.scheduled:
-                # A session holds one grant at a time; channel 0 takes
-                # a grant for every request and so never counts as
-                # scheduled.
-                state.scheduled = state.session
-                if lead is not None and self._inflight == 1:
-                    inline = state  # run to completion (see run())
-                else:
+            if state.scheduled or lead is None or self._inflight != 1:
+                state.fifo.append((rid, fields, payload, deadline, tc, now))
+                self._queued += 1
+                if not state.scheduled:
+                    # A session holds one grant at a time; channel 0
+                    # takes a grant for every request and so never
+                    # counts as scheduled.
+                    state.scheduled = state.session
                     self._ready.append(state)
                     self._wake_locked()
-        return inline
+                return True
+            state.scheduled = state.session
+            self._arm_locked(lead, now)
+        # Queue wait is the admission itself; service starts here.
+        return self._serve(state, lead, rid, fields, payload, deadline, tc,
+                           now, time.monotonic())
 
     @staticmethod
     def _reply_error(state: _ChanState, rid: int, exc: Exception) -> None:
@@ -632,47 +639,51 @@ class EventLoopServer:
             if kill is not None:
                 kill()
 
-    def _run_one(self, state: _ChanState,
-                 lead: "Callable[[], bool] | None" = None) -> bool:
-        """Serve exactly one queued request of *state*, then requeue a
-        session with more queued.
-
-        With *lead* (a read role) the request runs on the thread that
-        read it, which keeps the role through the op: the role is
-        *armed* (recorded with the op's start time) and the sentry
-        (:meth:`_timer_loop`) hands it to the pool if the op outlives
-        LEAD_GRACE_S.  An op that waits on a reply over the connection
-        reads it itself (:meth:`claim_lead`).  Returns True iff the role
-        is still held, so the caller goes straight back to reading.
-
-        Every grant passes the fault plane's ``sched`` point (delay
-        stalls the grant, kill crashes the armed process) once the role
-        is armed and the request popped, which share one lock section.
-        Queue wait ends, and service starts, when a thread takes up the
-        grant.
+    def _run_one(self, state: _ChanState) -> None:
+        """Serve exactly one queued request of *state* on a pool thread.
 
         Popping a single item per grant (and re-appending the state to
-        the ready *tail*) is the round-robin fairness property: a
-        channel with a deep backlog re-competes after every op.  A
-        requeued state needs a wake-up only when the calling thread
-        kept a read role (it read more requests for the channel while
-        waiting on a reply); otherwise that thread goes back to the
-        pool and picks the state up itself.  Channel 0 is never
-        requeued: each of its requests was granted on arrival, and a
-        grant finding the FIFO emptied by :meth:`detach` serves nothing.
+        the ready *tail*, see :meth:`_serve`) is the round-robin
+        fairness property: a channel with a deep backlog re-competes
+        after every op.  Channel 0 is never requeued: each of its
+        requests was granted on arrival, and a grant finding the FIFO
+        emptied by :meth:`detach` serves nothing.  Queue wait ends, and
+        service starts, when a thread takes up the grant.
         """
         started = time.monotonic()
         with self._lock:
-            if lead is not None:
-                self._arm_locked(lead, started)
             if not state.fifo or state.detached:
                 state.scheduled = False
-                return self._armed.pop(lead, None) is not None
-            item = state.fifo.popleft()
+                return
+            rid, fields, payload, deadline, tc, submitted = \
+                state.fifo.popleft()
             self._queued -= 1
             if self._throttled and self._queued <= self.intake_low:
                 self._drained.notify_all()  # release a throttled reader
-        rid, fields, payload, deadline, tc, submitted = item
+        self._serve(state, None, rid, fields, payload, deadline, tc,
+                    submitted, started)
+
+    def _serve(self, state: _ChanState, lead: "Callable[[], bool] | None",
+               rid: int, fields: dict[str, Any], payload: bytes,
+               deadline: Deadline, tc, submitted: float,
+               started: float) -> bool:
+        """Run one granted request, then requeue a session with more
+        queued; True iff the read role *lead* is still held.
+
+        With *lead* the request runs on the thread that read it, which
+        keeps the role through the op: :meth:`submit` *armed* the role
+        (recorded it with the op's start time), and the sentry
+        (:meth:`_timer_loop`) hands it to the pool if the op outlives
+        LEAD_GRACE_S.  An op that waits on a reply over the connection
+        reads it itself (:meth:`claim_lead`).
+
+        Every grant passes the fault plane's ``sched`` point (delay
+        stalls the grant, kill crashes the armed process) first.  A
+        requeued state needs a wake-up only when the calling thread
+        kept a read role (it read more requests for the channel while
+        waiting on a reply); otherwise that thread goes back to the
+        pool and picks the state up itself.
+        """
         plane = getattr(state.channel, "faults", None)
         if plane is not None:
             self._sched_faults(state, plane, fields)

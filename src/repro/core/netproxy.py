@@ -81,9 +81,10 @@ class NetworkBridgeServer:
                           fields=fields.get("fields") or {},
                           payload=payload)
         # The caller's remaining deadline budget crossed the bridge as a
-        # relative millisecond count; re-anchor it on this side's clock.
-        budget_ms = fields.get("dl")
-        deadline = Deadline.from_ms(budget_ms) if budget_ms is not None \
+        # relative millisecond count, re-anchored on this side's clock
+        # as the serving loop admitted the call.
+        budget = fields.get("dl")
+        deadline = Deadline.from_ms(budget) if budget is not None \
             else None
         if TELEMETRY.tracing and TELEMETRY.current() is not None:
             # Name the child→application hop in the span tree: the

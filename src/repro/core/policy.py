@@ -200,15 +200,22 @@ class Deadline:
         """
         if isinstance(value, Deadline):
             return value
-        if value is None:
-            return cls.after(default)
-        return cls.after(float(value))
+        seconds = default if value is None else value
+        if seconds is None:
+            return _NEVER
+        return cls(time.monotonic() + float(seconds))
 
     @classmethod
     def from_ms(cls, ms: Any) -> "Deadline":
-        """Re-anchor a wire budget (remaining milliseconds) locally."""
+        """Re-anchor a wire budget (remaining milliseconds) locally.
+
+        A :class:`Deadline` passes through: the budget of a request the
+        serving loop admitted was re-anchored once, at intake.
+        """
         if ms is None:
             return _NEVER
+        if isinstance(ms, Deadline):
+            return ms
         return cls.after(float(ms) / 1000.0)
 
     # -- queries -----------------------------------------------------------
@@ -223,9 +230,8 @@ class Deadline:
             return None
         return max(0.0, self._expiry - time.monotonic())
 
-    def timeout(self) -> float | None:
-        """The remaining budget in the shape ``Event.wait`` expects."""
-        return self.remaining()
+    #: The remaining budget in the shape ``Event.wait`` expects.
+    timeout = remaining
 
     def expired(self) -> bool:
         return self._expiry is not None and time.monotonic() >= self._expiry
@@ -237,10 +243,9 @@ class Deadline:
 
     def to_ms(self) -> int | None:
         """The remaining budget as integer milliseconds (wire form)."""
-        remaining = self.remaining()
-        if remaining is None:
+        if self._expiry is None:
             return None
-        return int(remaining * 1000)
+        return int(max(0.0, self._expiry - time.monotonic()) * 1000)
 
     # -- derivation --------------------------------------------------------
 

@@ -530,9 +530,14 @@ class HostLease:
     def request(self, fields: dict[str, Any], payload: bytes = b"",
                 timeout: "float | Deadline | None" = None
                 ) -> tuple[dict[str, Any], bytes]:
-        """One pipelinable operation on this session's channel."""
-        return self.host.channel.request(self.chan, fields, payload,
-                                         timeout=timeout)
+        """One pipelinable operation on this session's channel.
+
+        A :class:`~repro.core.policy.Deadline` *timeout* (a supervised
+        attempt's) is passed down to the send and the wait as is.
+        """
+        deadline = Deadline.coerce(timeout)
+        return self.host.channel.request_async(
+            self.chan, fields, payload, deadline).wait(deadline)
 
     def request_async(self, fields: dict[str, Any], payload: bytes = b""):
         return self.host.channel.request_async(self.chan, fields, payload)

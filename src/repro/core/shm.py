@@ -58,11 +58,13 @@ from typing import Any
 
 from repro.core.telemetry import TELEMETRY
 from repro.errors import ShmCorruptError, ShmError, ShmStaleGenerationError
+from repro.util.framing import payload_parts
 
 __all__ = [
     "ShmPlane",
     "SlotLease",
     "AttachedSegment",
+    "bulk_bytes",
     "reply_payload",
     "SHM_MIN_BYTES",
     "SLOT_BYTES",
@@ -272,38 +274,27 @@ class ShmPlane(_Segment):
 
     # -- the exchange ---------------------------------------------------------
 
-    def stage(self, fields: dict[str, Any], payload: Any,
+    def stage(self, fields: dict[str, Any], payload: Any, nbytes: int,
               into: "memoryview | None" = None, faults=None
               ) -> "tuple[dict[str, Any], Any, SlotLease | None]":
         """The wire form of one attempt, and the lease it holds.
 
-        A ``write``/``writev`` payload of at least :data:`SHM_MIN_BYTES`
-        is copied into a leased run and its descriptor replaces the
-        frame body; a ``read``/``readv`` expecting that much is offered
-        a leased landing run.  An armed ``shm`` rule of *faults*
+        *nbytes* is the attempt's nonzero :func:`bulk_bytes` (an op
+        below :data:`SHM_MIN_BYTES` never reaches the plane).  A
+        ``write``/``writev`` payload is copied into a leased run and its
+        descriptor replaces the frame body; a ``read``/``readv`` is
+        offered a leased landing run.  An armed ``shm`` rule of *faults*
         (a :class:`~repro.core.faults.FaultPlane`) is applied to the
-        run.  The lease is ``None`` when the attempt rides inline
-        (small payload, or the slab is full).
+        run.  The lease is ``None`` when the attempt rides inline (the
+        slab is full).
         """
         cmd = fields.get("cmd")
-        if cmd == "write" or cmd == "writev":
-            parts = payload if isinstance(payload, (tuple, list)) \
-                else (payload,)
-            nbytes = sum(len(p) for p in parts)
-        elif cmd == "read":
-            nbytes = int(fields.get("size") or 0)
-        else:
-            nbytes = sum(int(s) for _, s in (fields.get("extents") or ()))
-        if into is not None:
-            nbytes = min(nbytes, len(into)) if nbytes else len(into)
-        if nbytes < SHM_MIN_BYTES:
-            return fields, payload, None
         lease = self.lease(nbytes)
         if lease is None:
             FALLBACK_INLINE.inc()
             return fields, payload, None
         if cmd == "write" or cmd == "writev":
-            desc = lease.stage(parts)
+            desc = lease.stage(payload_parts(payload))
             wire_fields, payload = {**fields, "shm": desc}, b""
         else:
             desc = None  # an offered run holds nothing to corrupt
@@ -397,6 +388,26 @@ class ShmPlane(_Segment):
             self._parked.clear()
         self._unmap()
         self.unlink()
+
+
+def bulk_bytes(fields: dict[str, Any], payload: Any,
+               into: "memoryview | None" = None) -> int:
+    """The bulk bytes one request of *fields* moves through the plane:
+    a ``write``'s or ``writev``'s payload, or the reply a
+    ``read``/``readv`` expects (clipped to *into*).  0 below
+    :data:`SHM_MIN_BYTES`: such a request rides inline and never
+    touches the plane."""
+    cmd = fields.get("cmd")
+    if cmd == "write" or cmd == "writev":
+        nbytes = sum(map(len, payload_parts(payload)))
+    else:
+        if cmd == "read":
+            nbytes = int(fields.get("size") or 0)
+        else:
+            nbytes = sum(int(s) for _, s in (fields.get("extents") or ()))
+        if into is not None:
+            nbytes = min(nbytes, len(into)) if nbytes else len(into)
+    return nbytes if nbytes >= SHM_MIN_BYTES else 0
 
 
 def reply_payload(reply: dict[str, Any], payload: bytes,

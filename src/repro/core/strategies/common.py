@@ -36,6 +36,9 @@ __all__ = ["CommandSession", "ChannelSession", "IDEMPOTENT_CMDS"]
 IDEMPOTENT_CMDS = frozenset({"read", "readv", "write", "writev", "size",
                              "truncate", "flush", "ping"})
 
+#: The mutations the write journal records for replay after a respawn.
+_JOURNALED_CMDS = frozenset({"write", "writev", "truncate"})
+
 #: Failures meaning "the transport under this session died".
 _TRANSPORT_FAILURES = (ChannelClosedError, SentinelCrashError, OSError,
                        ValueError)
@@ -326,9 +329,13 @@ class ChannelSession(Session):
         cmd = str(fields.get("cmd") or "")
         recoverable = (cmd in IDEMPOTENT_CMDS and self._lease.supervised
                        and not self._journal_poisoned)
-        delays = self.RETRY.delays()
+        delays = None  # the backoff schedule, built by the first crash
         attempt = 0
-        use_shm = cmd in self.SHM_CMDS
+        # An op below the plane's threshold (bulk 0) rides inline: it
+        # never calls into the plane (no stage, settle or release).
+        bulk = shmplane.bulk_bytes(fields, payload, into) \
+            if cmd in self.SHM_CMDS else 0
+        use_shm = bulk != 0
         while True:
             attempt += 1
             span = None
@@ -345,12 +352,13 @@ class ChannelSession(Session):
                     plane = self._shm_plane()
                     if plane is not None:
                         wire_fields, wire_payload, lease = plane.stage(
-                            fields, payload, into, self.channel.faults)
+                            fields, payload, bulk, into, self.channel.faults)
                 try:
                     try:
+                        # One deadline per attempt, passed down whole.
                         reply, out_payload = self._lease.request(
                             wire_fields, wire_payload,
-                            timeout=deadline.capped(policy.ATTEMPT_TIMEOUT))
+                            deadline.capped(policy.ATTEMPT_TIMEOUT))
                     except DeadlineExceededError:
                         # Attempt expired: the rid is withdrawn, so a
                         # straggler reply is ignored and a re-send is safe.
@@ -374,6 +382,8 @@ class ChannelSession(Session):
                     if not recoverable:
                         raise crash from exc
                     status = "crashed"
+                    if delays is None:
+                        delays = self.RETRY.delays()
                     # Recovery runs inside the failed attempt's span, so
                     # the respawn (and its journal replay) appear as its
                     # children in the trace.
@@ -406,7 +416,8 @@ class ChannelSession(Session):
                     status = "shm-fallback"
                     continue
                 status = "ok"
-                self._journal_record(cmd, fields, payload)
+                if cmd in _JOURNALED_CMDS:
+                    self._journal_record(cmd, fields, payload)
                 return reply, out_payload
             finally:
                 # Runs after any return value is computed, so a reply
@@ -457,7 +468,8 @@ class ChannelSession(Session):
 
     def _journal_record(self, cmd: str, fields: dict[str, Any],
                         payload: Any) -> None:
-        """Remember one acknowledged mutation for post-respawn replay.
+        """Remember one acknowledged mutation (a command of
+        ``_JOURNALED_CMDS``) for post-respawn replay.
 
         ``bytes`` parts are kept by reference; any other part is copied,
         since its owner may reuse the buffer once the write returns (a
@@ -469,19 +481,16 @@ class ChannelSession(Session):
         """
         if self._journal_poisoned:
             return
-        if cmd == "write" or cmd == "writev":
-            if isinstance(payload, (tuple, list)):
-                payload = tuple(p if isinstance(p, bytes) else bytes(p)
-                                for p in payload)
-                nbytes = sum(len(p) for p in payload)
-            else:
-                if not isinstance(payload, bytes):
-                    payload = bytes(payload)
-                nbytes = len(payload)
-        elif cmd == "truncate":
+        if cmd == "truncate":
             nbytes = 0
+        elif isinstance(payload, (tuple, list)):
+            payload = tuple(p if isinstance(p, bytes) else bytes(p)
+                            for p in payload)
+            nbytes = sum(len(p) for p in payload)
         else:
-            return
+            if not isinstance(payload, bytes):
+                payload = bytes(payload)
+            nbytes = len(payload)
         self._journal.append((fields, payload))
         self._journal_bytes += nbytes
         if self._journal_bytes > policy.JOURNAL_LIMIT_BYTES:

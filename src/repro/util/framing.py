@@ -11,13 +11,12 @@ prefix together with the message header.
 
 from __future__ import annotations
 
-import io
 import struct
 from typing import BinaryIO
 
 from repro.errors import ChannelClosedError, FrameError
 
-__all__ = ["read_exact", "write_frame", "MAX_FRAME"]
+__all__ = ["read_exact", "write_frame", "payload_parts", "MAX_FRAME"]
 
 _LEN = struct.Struct(">I")
 
@@ -25,8 +24,9 @@ _LEN = struct.Struct(">I")
 #: chunked well below this by the strategies.
 MAX_FRAME = 16 * 1024 * 1024
 
-#: Frame bodies at or below this size are joined with the length prefix
-#: and written in one call.
+#: A frame whose payload (the parts after its header) is at most this
+#: size is joined with the length prefix and header and written in one
+#: call: a read-ahead window's reply (64 KiB of blocks) included.
 _COALESCE_LIMIT = 64 * 1024
 
 
@@ -57,6 +57,14 @@ def read_exact(stream: BinaryIO, size: int) -> bytes:
     return b"".join(chunks)
 
 
+def payload_parts(payload) -> tuple:
+    """A frame payload as the tuple of its buffer parts: one buffer
+    (``bytes``/``bytearray``/``memoryview``), or a sequence of them."""
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return (payload,)
+    return tuple(payload)
+
+
 def write_frame(stream: BinaryIO, payload: bytes | memoryview,
                 *extra: bytes | memoryview) -> None:
     """Write one length-prefixed frame and flush it.
@@ -65,14 +73,18 @@ def write_frame(stream: BinaryIO, payload: bytes | memoryview,
     ``memoryview`` alike; they are written back-to-back under one
     length prefix.  This lets callers prepend a small header to a large
     payload (or gather many extents) without concatenating, and
-    therefore copying, the payload first.  Small frames are coalesced
-    into a single write so a frame costs one syscall on an unbuffered
-    pipe.
+    therefore copying, the payload first.  A frame whose payload — the
+    parts after the first, which is the header when there are several —
+    fits :data:`_COALESCE_LIMIT` is coalesced into a single write, so it
+    costs one syscall on an unbuffered pipe and never wakes the peer on
+    a partial frame.
     """
-    total = len(payload) + sum(len(part) for part in extra)
+    total = len(payload)
+    for part in extra:
+        total += len(part)
     if total > MAX_FRAME:
         raise FrameError(f"frame of {total} bytes exceeds MAX_FRAME")
-    if total <= _COALESCE_LIMIT:
+    if (total - len(payload) if extra else total) <= _COALESCE_LIMIT:
         _write_all(stream, b"".join((_LEN.pack(total), payload, *extra)))
     else:
         _write_all(stream, _LEN.pack(total))
@@ -80,12 +92,10 @@ def write_frame(stream: BinaryIO, payload: bytes | memoryview,
         for part in extra:
             if part:
                 _write_all(stream, part)
-    # Only buffered streams need (or benefit from) an explicit flush.
-    # The pipe transports hand over raw fds (buffering=0): every write
-    # above already hit the kernel, and flushing a raw stream would cost
-    # a second no-op method call per frame.
-    if isinstance(stream, io.BufferedIOBase):
-        stream.flush()
+    # Only buffered streams need an explicit flush; on the raw fds of
+    # the pipe transports (buffering=0) every write above already hit
+    # the kernel and flush() is a no-op.
+    stream.flush()
 
 
 def _write_all(stream: BinaryIO, data: bytes | memoryview) -> None:

@@ -25,7 +25,7 @@ from repro.core.channel import (
 )
 from repro.core.container import Container
 from repro.core.hostloop import EventLoopServer
-from repro.core.policy import READ_POLL_S
+from repro.core.policy import READ_POLL_S, Deadline
 from repro.core.spec import SentinelSpec
 from repro.core.strategies import process_control
 from repro.errors import (
@@ -227,6 +227,35 @@ class TestDemux:
         finally:
             a.close()
 
+    def test_handler_forwarding_its_fields_passes_its_deadline_on(self):
+        """A handler gets ``dl`` as its request's Deadline; forwarding
+        its fields as they are sends what is left of that budget."""
+        a, b = make_stream_pair()
+        seen = {}
+
+        def forward(fields, payload):
+            seen["forwarder"] = fields["dl"]
+            return b.request(FIRST_SESSION_CHAN, fields, payload)
+
+        def answer(fields, payload):
+            seen["forwarded"] = fields["dl"]
+            return {"ok": True, "x": fields["x"]}, payload
+
+        b.register(CONTROL_CHAN, forward)
+        a.register(FIRST_SESSION_CHAN, answer)
+        a.start(serve=True)
+        b.start(serve=True)
+        try:
+            fields, payload = a.request(CONTROL_CHAN, {"x": 7}, b"p",
+                                        timeout=30.0)
+            assert (fields["ok"], fields["x"], payload) == (True, 7, b"p")
+            for side in ("forwarder", "forwarded"):
+                assert isinstance(seen[side], Deadline)
+                assert 0 < seen[side].remaining() <= 30.0
+        finally:
+            a.close()
+            b.close()
+
     def test_peer_death_fails_outstanding_requests(self):
         a, b = make_stream_pair()
         hold = threading.Event()
@@ -295,6 +324,20 @@ class TestLocalChannel:
         snap = app.counters.snapshot()
         assert snap["requests_sent"] == 1
         assert snap["per_op"]["read"]["count"] == 1
+        app.close()
+
+    def test_handler_forwarding_its_fields_passes_its_deadline_on(self):
+        app = LocalChannel("loopback-forward")
+        seen = []
+        app.register(FIRST_SESSION_CHAN,
+                     lambda f, p: app.request(FIRST_SESSION_CHAN + 1, f, p))
+        app.register(FIRST_SESSION_CHAN + 1,
+                     lambda f, p: (seen.append(f["dl"]), ({"ok": True}, p))[1])
+        fields, payload = app.request(FIRST_SESSION_CHAN, {"cmd": "read"},
+                                      b"q", timeout=30.0)
+        assert (fields["ok"], payload) == (True, b"q")
+        assert isinstance(seen[0], Deadline)
+        assert 0 < seen[0].remaining() <= 30.0
         app.close()
 
     def test_views_arrive_as_bytes_and_unknown_chan_is_refused(self):

@@ -230,6 +230,36 @@ class TestSessionIntegration:
         finally:
             session.close()
 
+    def test_sub_threshold_ops_never_call_into_the_plane(self, tmp_path,
+                                                         monkeypatch):
+        """Below SHM_MIN_BYTES an op rides inline without touching the
+        plane at all: no stage, settle or release, no slot leased.  An
+        op of SHM_MIN_BYTES still rides the plane."""
+        size = shmplane.SHM_MIN_BYTES
+        data = pattern(2 * size, salt=9)
+        session = _open(tmp_path, "threshold.af", data=data)
+        try:
+            assert session.host.shm_ready
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a sub-threshold op called the plane")
+
+            for name in ("stage", "settle", "release"):
+                monkeypatch.setattr(ShmPlane, name, refuse)
+            leased = shmplane.SLOTS_LEASED.value
+            assert session.read_at(0, 4096) == data[:4096]
+            assert session.write_at(0, b"w" * 4096) == 4096
+            assert session.write_at(0, b"v" * (size - 1)) == size - 1
+            assert shmplane.SLOTS_LEASED.value == leased
+            monkeypatch.undo()
+            moved = shmplane.SHM_BYTES.value
+            block = pattern(size, salt=5)
+            assert session.write_at(size, block) == size
+            assert session.read_at(size, size) == block
+            assert shmplane.SHM_BYTES.value - moved == 2 * size
+        finally:
+            session.close()
+
     def test_plane_is_a_fixed_function_of_size(self, tmp_path):
         """Every op below SHM_MIN_BYTES rides inline and every op at or
         above it rides shm: no op is ever routed to the other plane."""

@@ -5,7 +5,11 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.control import encode_head, read_wire_message
+from repro.core.control import (
+    encode_head,
+    encode_head_wire,
+    read_wire_message,
+)
 from repro.errors import ChannelClosedError, FrameError
 from repro.util.framing import MAX_FRAME, read_exact, write_frame
 
@@ -53,6 +57,13 @@ def message_frame(fields, payload=b""):
     """One control message (JSON header + payload) as write_frame writes it."""
     stream = io.BytesIO()
     write_frame(stream, encode_head(fields), payload)
+    return stream.getvalue()
+
+
+def message_frame_wire(head, payload):
+    """One message with an already encoded header, as a channel sends it."""
+    stream = io.BytesIO()
+    write_frame(stream, head, payload)
     return stream.getvalue()
 
 
@@ -153,3 +164,64 @@ class TestShortWrites:
         replay = io.BytesIO(bytes(stream.data))
         assert [read_wire_message(replay) for _ in payloads] \
             == [({"n": len(p)}, p) for p in payloads]
+
+
+class Counting(io.RawIOBase):
+    """A raw stream that counts the read and write calls made on it."""
+
+    def __init__(self, data=b""):
+        self.buffer = io.BytesIO(data)
+        self.reads = 0
+        self.writes = 0
+
+    def readable(self):
+        return True
+
+    def writable(self):
+        return True
+
+    def readinto(self, b):
+        self.reads += 1
+        return self.buffer.readinto(b)
+
+    def write(self, b):
+        self.writes += 1
+        return self.buffer.write(b)
+
+
+class TestCallsPerFrame:
+    """The size thresholds count the payload, not the header beside it."""
+
+    def test_a_16k_reply_is_read_in_two_calls(self):
+        head = encode_head_wire({"ok": True}, 5, 1, reply=True)
+        assert len(head) == 18
+        payload = bytes(range(256)) * 64  # 16 KiB: a remote-cached read
+        stream = Counting(message_frame_wire(head, payload))
+        fields, body = read_wire_message(stream)
+        assert stream.reads == 2
+        assert fields == {"ok": True, "re": True, "rid": 5, "chan": 1}
+        assert body == payload
+
+    def test_a_window_reply_is_written_in_one_call(self):
+        head = encode_head_wire(
+            {"ok": True, "resp_ok": True, "resp_error": "",
+             "resp_fields": {"version": 3, "eof": False}}, 9, 0,
+            reply=True)
+        assert len(head) == 27
+        payload = bytes(range(256)) * 256  # 64 KiB: a read-ahead window
+        stream = Counting()
+        write_frame(stream, head, memoryview(payload))
+        assert stream.writes == 1
+        stream.buffer.seek(0)
+        fields, body = read_wire_message(stream.buffer)
+        assert fields["resp_fields"] == {"version": 3, "eof": False}
+        assert body == payload
+
+    @pytest.mark.parametrize("limit", [1, 4096, 65535])
+    def test_a_window_reply_survives_short_writes(self, limit):
+        head = encode_head({"n": 1})
+        payload = bytes(range(256)) * 256
+        stream = Trickle(limit)
+        write_frame(stream, head, payload)
+        assert read_wire_message(io.BytesIO(bytes(stream.data))) \
+            == ({"n": 1}, payload)
