@@ -50,6 +50,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.core.datapart import DataPart
+from repro.core.sync import RunOnce
 from repro.core.telemetry import TELEMETRY
 from repro.errors import CacheError
 
@@ -84,7 +85,7 @@ def _runs(blocks: list[int]):
     yield first, last
 
 
-class _WindowFetch:
+class _WindowFetch(RunOnce):
     """One in-flight contiguous fetch covering one or more blocks.
 
     The resolver is run by the *first* consumer that needs a covered
@@ -94,20 +95,16 @@ class _WindowFetch:
     :meth:`BlockCache.invalidate`).
     """
 
-    __slots__ = ("start", "nblocks", "generation", "epoch", "resolver",
-                 "_event", "_claim", "_data", "_error")
+    __slots__ = ("start", "nblocks", "generation", "epoch", "resolver")
 
     def __init__(self, start: int, nblocks: int, generation: int,
                  epoch: int, resolver: Callable[[], bytes]) -> None:
+        super().__init__()
         self.start = start
         self.nblocks = nblocks
         self.generation = generation
         self.epoch = epoch
         self.resolver = resolver
-        self._event = threading.Event()
-        self._claim = threading.Lock()
-        self._data = b""
-        self._error: BaseException | None = None
 
     @property
     def blocks(self) -> range:
@@ -115,19 +112,7 @@ class _WindowFetch:
 
     def result(self) -> bytes:
         """Run the resolver once; everyone gets the same outcome."""
-        claimed = self._claim.acquire(blocking=False)
-        if claimed and not self._event.is_set():
-            try:
-                self._data = self.resolver()
-            except BaseException as exc:
-                self._error = exc
-            finally:
-                self._event.set()
-        else:
-            self._event.wait()
-        if self._error is not None:
-            raise self._error
-        return self._data
+        return self.run_once(self.resolver)
 
 
 class BlockCache:

@@ -36,6 +36,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable
 
+from repro.core.sync import RunOnce
 from repro.core.telemetry import TELEMETRY
 from repro.errors import FanoutError, SubscriberEvictedError
 
@@ -80,7 +81,7 @@ class _Subscriber:
         self.evicted = False
 
 
-class _FillEntry:
+class _FillEntry(RunOnce):
     """One single-flight origin fill, joinable across members.
 
     The *start* factory (typically ``fetch_window``) is run once by the
@@ -91,19 +92,15 @@ class _FillEntry:
     so the next miss retries afresh.
     """
 
-    __slots__ = ("epoch", "done", "_ready", "_resolver", "_issue_error",
-                 "_event", "_claim", "_data", "_error")
+    __slots__ = ("epoch", "done", "_ready", "_resolver", "_issue_error")
 
     def __init__(self, epoch: int) -> None:
+        super().__init__()
         self.epoch = epoch
         self.done = False
         self._ready = threading.Event()
         self._resolver: Callable[[], bytes] | None = None
         self._issue_error: BaseException | None = None
-        self._event = threading.Event()
-        self._claim = threading.Lock()
-        self._data = b""
-        self._error: BaseException | None = None
 
     def arm(self, resolver: Callable[[], bytes]) -> None:
         self._resolver = resolver
@@ -117,19 +114,7 @@ class _FillEntry:
         self._ready.wait()
         if self._issue_error is not None:
             raise self._issue_error
-        claimed = self._claim.acquire(blocking=False)
-        if claimed and not self._event.is_set():
-            try:
-                self._data = self._resolver()
-            except BaseException as exc:
-                self._error = exc
-            finally:
-                self._event.set()
-        else:
-            self._event.wait()
-        if self._error is not None:
-            raise self._error
-        return self._data
+        return self.run_once(self._resolver)
 
 
 class CoherenceDomain:

@@ -10,9 +10,10 @@ over the *same* multiplexed channel that carries file operations:
 * the application side attaches a :class:`NetworkBridgeServer` as the
   channel-0 handler of the sentinel-host connection, executing proxied
   calls against the real :class:`~repro.net.Network`;
-* the child side sees a :class:`ProxyNetwork`, which exposes the same
-  ``connect(address) -> connection`` surface sentinels already use, so a
-  sentinel cannot tell which side of the boundary it runs on.
+* the child side sees a :class:`ProxyNetwork`, which offers the same
+  ``connect``/``call``/``call_async`` surface and hands out the same
+  :class:`~repro.net.message.Connection` as the in-process network, so
+  a sentinel cannot tell which side of the boundary it runs on.
 
 Historically the bridge burned a dedicated fd pair per open and
 serialized calls behind a lock; now bridge traffic is ordinary
@@ -44,10 +45,9 @@ from repro.errors import (
     wire_error_registry,
 )
 from repro.net.address import Address
-from repro.net.message import Request, Response
+from repro.net.message import Connection, Request, Response, failed_call
 
-__all__ = ["NetworkBridgeServer", "ProxyNetwork", "ProxyConnection",
-           "BRIDGE_CHAN"]
+__all__ = ["NetworkBridgeServer", "ProxyNetwork", "BRIDGE_CHAN"]
 
 #: Bridge traffic shares the connection-control channel.
 BRIDGE_CHAN = CONTROL_CHAN
@@ -104,58 +104,6 @@ class NetworkBridgeServer:
         }, response.payload)
 
 
-class ProxyConnection:
-    """Child-side stand-in for :class:`repro.net.network.Connection`."""
-
-    def __init__(self, proxy: "ProxyNetwork", address: Address) -> None:
-        self._proxy = proxy
-        self.address = address
-        self._closed = False
-
-    def call(self, op: str, payload: bytes = b"", *,
-             deadline: "Deadline | float | None" = None,
-             **fields) -> Response:
-        if self._closed:
-            raise NetworkError("connection is closed")
-        return self._proxy.call(self.address,
-                                Request(op=op, fields=dict(fields),
-                                        payload=payload),
-                                deadline=deadline)
-
-    def call_async(self, op: str, payload: bytes = b"", *,
-                   deadline: "Deadline | float | None" = None,
-                   **fields) -> Callable[[], Response]:
-        """Start one proxied call; returns a resolver for its response.
-
-        The request is on the wire (pipelined on channel 0) when this
-        returns; calling the resolver blocks for the reply, at most
-        until *deadline*.  All errors — including issue-time transport
-        failures — surface at resolution, so callers can issue a batch
-        before touching any result.
-        """
-        if self._closed:
-            raise NetworkError("connection is closed")
-        return self._proxy.call_async(self.address,
-                                      Request(op=op, fields=dict(fields),
-                                              payload=payload),
-                                      deadline=deadline)
-
-    def expect(self, op: str, payload: bytes = b"", **fields) -> Response:
-        response = self.call(op, payload, **fields)
-        if not response.ok:
-            raise NetworkError(f"{self.address} rejected {op!r}: {response.error}")
-        return response
-
-    def close(self) -> None:
-        self._closed = True
-
-    def __enter__(self) -> "ProxyConnection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class ProxyNetwork:
     """Child-side bridge endpoint with the Network ``connect``/``call`` surface.
 
@@ -169,8 +117,8 @@ class ProxyNetwork:
     def __init__(self, channel: Channel) -> None:
         self._channel = channel
 
-    def connect(self, address: Address) -> ProxyConnection:
-        return ProxyConnection(self, address)
+    def connect(self, address: Address) -> Connection:
+        return Connection(self, address)
 
     def call(self, address: Address, request: Request, *,
              deadline: "Deadline | float | None" = None) -> Response:
@@ -202,11 +150,8 @@ class ProxyNetwork:
                                                   request.payload,
                                                   deadline=deadline)
         except ChannelClosedError as exc:
-            error = NetworkError(f"network bridge is gone: {exc}")
-
-            def failed() -> Response:
-                raise error
-            return failed
+            return failed_call(
+                NetworkError(f"network bridge is gone: {exc}"))
 
         def resolve() -> Response:
             try:

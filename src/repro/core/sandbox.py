@@ -13,7 +13,7 @@ runtime: it wraps any sentinel behind a :class:`SandboxPolicy` that the
 * cap per-operation and total I/O volume;
 * deny writes / control ops / truncation outright;
 * restrict which network hosts the sentinel may contact (the context's
-  ``connect`` is interposed);
+  network is interposed: ``connect``, ``call`` and ``call_async``);
 * bound how many operations the sentinel may serve per open.
 
 Violations raise :class:`~repro.errors.SandboxViolation`, which the
@@ -90,29 +90,33 @@ def sandbox_spec(spec: SentinelSpec, policy: SandboxPolicy) -> SentinelSpec:
 
 
 class _GuardedNetwork:
-    """Network facade that enforces the host allowlist."""
+    """Network facade that enforces the host allowlist on ``connect``,
+    ``call`` and ``call_async``, the surface of every network."""
 
     def __init__(self, network, policy: SandboxPolicy) -> None:
         self._network = network
         self._policy = policy
 
-    def connect(self, address: Address):
+    def _allowed(self, address: Address):
+        """The wrapped network, once *address*'s host passes the policy."""
         allowed = self._policy.allowed_hosts
         if allowed is not None and address.host not in allowed:
             raise SandboxViolation(
                 f"sentinel tried to contact {address.host!r}, which the "
                 f"sandbox policy does not allow"
             )
-        return self._network.connect(address)
+        return self._network
 
-    def call(self, address: Address, request):  # Network-compatible surface
-        allowed = self._policy.allowed_hosts
-        if allowed is not None and address.host not in allowed:
-            raise SandboxViolation(
-                f"sentinel tried to contact {address.host!r}, which the "
-                f"sandbox policy does not allow"
-            )
-        return self._network.call(address, request)
+    def connect(self, address: Address):
+        return self._allowed(address).connect(address)
+
+    def call(self, address: Address, request, *, deadline=None):
+        return self._allowed(address).call(address, request,
+                                           deadline=deadline)
+
+    def call_async(self, address: Address, request, *, deadline=None):
+        return self._allowed(address).call_async(address, request,
+                                                 deadline=deadline)
 
 
 class SandboxedSentinel(Sentinel):

@@ -7,6 +7,8 @@ memory or other forms of interprocess communication".  This module
 provides :class:`FileLock`, an advisory ``flock`` on a stable sidecar
 path, usable across real processes (the process strategies); opens in
 one process also share a :class:`~repro.core.fanout.CoherenceDomain`.
+:class:`RunOnce` is the single-flight result both a cache's read-ahead
+window and the domain's cross-open fill are built on.
 """
 
 from __future__ import annotations
@@ -15,8 +17,42 @@ import fcntl
 import os
 import threading
 from pathlib import Path
+from typing import Callable
 
-__all__ = ["FileLock"]
+__all__ = ["FileLock", "RunOnce"]
+
+
+class RunOnce:
+    """A result computed once and shared by every caller.
+
+    The first caller of :meth:`run_once` runs the function; the others
+    wait for it and see the same outcome, its bytes or its exception.
+    Subclasses add their own slots, so a window or a fill is one object
+    holding one claim lock and one event.
+    """
+
+    __slots__ = ("_claim", "_event", "_data", "_error")
+
+    def __init__(self) -> None:
+        self._claim = threading.Lock()
+        self._event = threading.Event()
+        self._data = b""
+        self._error: BaseException | None = None
+
+    def run_once(self, fn: Callable[[], bytes]) -> bytes:
+        # The claim is never released: only its first taker runs *fn*.
+        if self._claim.acquire(blocking=False):
+            try:
+                self._data = fn()
+            except BaseException as exc:
+                self._error = exc
+            finally:
+                self._event.set()
+        else:
+            self._event.wait()
+        if self._error is not None:
+            raise self._error
+        return self._data
 
 
 class FileLock:

@@ -22,12 +22,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from repro.core.policy import Deadline
 from repro.core.telemetry import TELEMETRY
 from repro.errors import AddressError, NetworkError
 from repro.net.address import Address
-from repro.net.message import Request, Response
+from repro.net.message import Connection, Request, Response, failed_call
 
 __all__ = [
     "LinkProfile",
@@ -195,7 +196,7 @@ class Network:
 
     # -- data path -----------------------------------------------------------
 
-    def connect(self, address: Address) -> "Connection":
+    def connect(self, address: Address) -> Connection:
         """Open a connection object to *address* (validates the binding)."""
         with self._lock:
             if address not in self._services:
@@ -217,6 +218,18 @@ class Network:
                                 attrs={"address": str(address)}):
                 return self._call(address, request, deadline=deadline)
         return self._call(address, request, deadline=deadline)
+
+    def call_async(self, address: Address, request: Request, *,
+                   deadline: "Deadline | float | None" = None
+                   ) -> Callable[[], Response]:
+        """:meth:`call`, returning a zero-argument resolver.  With no wire
+        to pipeline on, the exchange runs at once; as over the bridge,
+        every error is deferred to resolution."""
+        try:
+            response = self.call(address, request, deadline=deadline)
+        except Exception as exc:
+            return failed_call(exc)
+        return lambda: response
 
     def _call(self, address: Address, request: Request, *,
               deadline: "Deadline | float | None" = None) -> Response:
@@ -268,62 +281,3 @@ class Network:
 class _Binding:
     service: object
     lock: threading.Lock
-
-
-class Connection:
-    """A client-side handle to one service endpoint."""
-
-    def __init__(self, network: Network, address: Address) -> None:
-        self.network = network
-        self.address = address
-        self._closed = False
-
-    def call(self, op: str, payload: bytes = b"", *,
-             deadline: "Deadline | float | None" = None,
-             **fields) -> Response:
-        """Issue *op* and return the response; raises on transport failure."""
-        if self._closed:
-            raise NetworkError("connection is closed")
-        request = Request(op=op, fields=dict(fields), payload=payload)
-        return self.network.call(self.address, request, deadline=deadline)
-
-    def call_async(self, op: str, payload: bytes = b"", **fields):
-        """Issue *op*; returns a zero-argument resolver for the response.
-
-        The in-process network has no wire to pipeline on, so the
-        exchange runs eagerly — but errors (including transport
-        failures) are deferred to resolution, giving this the same
-        surface as :meth:`ProxyConnection.call_async
-        <repro.core.netproxy.ProxyConnection.call_async>`: callers can
-        issue a batch, then collect.
-        """
-        try:
-            response = self.call(op, payload, **fields)
-        except Exception as exc:
-            error = exc
-
-            def failed() -> Response:
-                raise error
-            return failed
-
-        def resolve() -> Response:
-            return response
-        return resolve
-
-    def expect(self, op: str, payload: bytes = b"", **fields) -> Response:
-        """Like :meth:`call` but raises :class:`NetworkError` on ``ok=False``."""
-        response = self.call(op, payload, **fields)
-        if not response.ok:
-            raise NetworkError(
-                f"{self.address} rejected {op!r}: {response.error}"
-            )
-        return response
-
-    def close(self) -> None:
-        self._closed = True
-
-    def __enter__(self) -> "Connection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

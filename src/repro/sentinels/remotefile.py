@@ -23,7 +23,7 @@ contents at any of the remote sources."
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core import policy
 from repro.core.cache import CACHE_PATHS, BlockCache
@@ -40,6 +40,9 @@ from repro.errors import (
     SentinelError,
     ServiceError,
 )
+
+if TYPE_CHECKING:
+    from repro.net.message import Response
 
 __all__ = ["RemoteFileSentinel", "FileServerOrigin", "HttpOrigin", "FtpOrigin"]
 
@@ -106,6 +109,19 @@ class FileServerOrigin:
                                 deadline=deadline)
 
 
+def _splice(current: Response, offset: int, data: bytes) -> bytes:
+    """A whole entity with *data* written at *offset*.
+
+    *current* is the read of the entity as it stands; a refused read
+    counts as an empty one.  A gap before *offset* is zero-filled.
+    """
+    body = bytearray(current.payload if current.ok else b"")
+    if offset > len(body):
+        body.extend(bytes(offset - len(body)))
+    body[offset:offset + len(data)] = data
+    return bytes(body)
+
+
 class HttpOrigin:
     """Adapter for :class:`repro.net.HttpServer` (range GET, whole PUT)."""
 
@@ -126,16 +142,10 @@ class HttpOrigin:
     def write(self, offset: int, data: bytes,
               deadline: "Deadline | None" = None) -> int:
         # HTTP has no ranged PUT: read-modify-write the entity.
-        current = b""
-        response = self._connection.call("GET", path=self.path,
-                                         deadline=deadline)
-        if response.ok:
-            current = response.payload
-        body = bytearray(current)
-        if offset > len(body):
-            body.extend(b"\x00" * (offset - len(body)))
-        body[offset:offset + len(data)] = data
-        self._connection.expect("PUT", bytes(body), path=self.path,
+        body = _splice(self._connection.call("GET", path=self.path,
+                                             deadline=deadline),
+                       offset, data)
+        self._connection.expect("PUT", body, path=self.path,
                                 deadline=deadline)
         return len(data)
 
@@ -179,16 +189,11 @@ class FtpOrigin:
 
     def write(self, offset: int, data: bytes,
               deadline: "Deadline | None" = None) -> int:
-        current = b""
-        response = self._connection.call("RETR", session=self._session,
-                                         path=self.path, deadline=deadline)
-        if response.ok:
-            current = response.payload
-        body = bytearray(current)
-        if offset > len(body):
-            body.extend(b"\x00" * (offset - len(body)))
-        body[offset:offset + len(data)] = data
-        self._connection.expect("STOR", bytes(body), session=self._session,
+        body = _splice(self._connection.call("RETR", session=self._session,
+                                             path=self.path,
+                                             deadline=deadline),
+                       offset, data)
+        self._connection.expect("STOR", body, session=self._session,
                                 path=self.path, deadline=deadline)
         return len(data)
 
@@ -463,44 +468,34 @@ class RemoteFileSentinel(Sentinel):
     def _revalidate(self) -> None:
         if self._cache is None:
             return
-        if self._member is not None:
+        leased = self._member is not None
+        if leased:
             # Leased read path: while this open's lease is valid, reads
             # cost ZERO origin round trips — peer writes either
             # push-install their bytes (lease survives) or revoke the
             # lease, in which case the next read re-stats the origin.
             if self._domain.lease_valid(self._member):
                 return
-            try:
-                size, version = self._remote(self._origin.stat)
-            except RemoteFileNotFound:
-                size, version = None, None
-            except NetworkError as exc:
-                if self.stale_reads and _transient(exc):
-                    return  # partition: serve the cached bytes, no lease
-                raise
-            if version != self._last_version:
-                self._cache.invalidate()
-                self._last_version = version
-            if size is not None:
-                self._last_size = size
-            self._domain.grant(self._member)
-            return
-        if not self.validate:
+        elif not self.validate:
             return
         try:
-            _, version = self._remote(self._origin.stat)
+            size, version = self._remote(self._origin.stat)
         except RemoteFileNotFound:
-            version = None
+            size, version = None, None
         except NetworkError as exc:
             if self.stale_reads and _transient(exc):
                 # Partition tolerance, opt-in: the origin is unreachable
                 # but the cached bytes are intact — serve them stale
-                # rather than failing the read.
+                # (and grant no lease) rather than failing the read.
                 return
             raise
         if version != self._last_version:
             self._cache.invalidate()
             self._last_version = version
+        if leased:
+            if size is not None:
+                self._last_size = size
+            self._domain.grant(self._member)
 
     # -- graceful degradation ----------------------------------------------------------
 

@@ -15,6 +15,9 @@ from repro.core.channel import StreamChannel
 from repro.core.control import raise_for_response
 from repro.core.netproxy import BRIDGE_CHAN, NetworkBridgeServer, ProxyNetwork
 from repro.core.runner import SentinelHost
+from repro.core.sandbox import SandboxPolicy, sandbox_spec
+from repro.core.sentinel import SentinelContext
+from repro.core.spec import SentinelSpec
 from repro.errors import AddressError, NetworkError
 from repro.net import Address, FileServer, LinkProfile, Network, WallClock
 
@@ -131,6 +134,57 @@ class TestProxyCalls:
         connection = proxy.connect(Address("files", 1))
         with pytest.raises(NetworkError):
             connection.call("read", path="f.txt", offset=0, size=1)
+
+
+@pytest.fixture(params=["in-process", "bridged", "sandboxed"])
+def any_network(request):
+    """(network, view): *view* is what a sentinel calls, reaching the
+    in-process *network* directly, over the bridge, or through a
+    sandboxed context's allowlist facade."""
+    network = Network()
+    network.bind(Address("files", 1), FileServer({"f.txt": b"contract"}))
+    network.bind(Address("files", 2), FileServer())
+    if request.param == "in-process":
+        yield network, network
+    elif request.param == "bridged":
+        proxy, cleanup = _wire(network)
+        yield network, proxy
+        cleanup()
+    else:
+        sentinel = sandbox_spec(
+            SentinelSpec("repro.sentinels.null:NullFilterSentinel"),
+            SandboxPolicy(allowed_hosts=("files",))).instantiate()
+        ctx = SentinelContext(network=network)
+        sentinel.on_open(ctx)
+        yield network, ctx.network
+
+
+def test_every_network_hands_out_one_connection_contract(any_network):
+    network, view = any_network
+    connection = view.connect(Address("files", 1))
+    response = connection.call("read", path="f.txt", offset=0, size=8)
+    assert response.ok and response.payload == b"contract"
+    with pytest.raises(NetworkError, match="rejected 'read'"):
+        connection.expect("read", path="ghost", offset=0, size=1)
+
+    # A transport failure is the resolver's to raise, not the issuer's.
+    gone = view.connect(Address("files", 2))
+    network.unbind(Address("files", 2))
+    resolve = gone.call_async("read", path="f.txt", offset=0, size=1)
+    with pytest.raises(AddressError):
+        resolve()
+
+    connection.close()
+    with pytest.raises(NetworkError, match="closed"):
+        connection.call("read", path="f.txt", offset=0, size=1)
+    resolve = connection.call_async("read", path="f.txt", offset=0, size=1)
+    with pytest.raises(NetworkError, match="closed"):
+        resolve()
+
+    with view.connect(Address("files", 1)) as scoped:
+        assert scoped.call("read", path="f.txt", offset=0, size=1).ok
+    with pytest.raises(NetworkError, match="closed"):
+        scoped.call("read", path="f.txt", offset=0, size=1)
 
 
 class TestConcurrentBridgeCalls:

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core import create_active, open_active
+from repro.core.policy import Deadline
 from repro.core.sandbox import SandboxPolicy, SandboxedSentinel, sandbox_spec
 from repro.core.sentinel import SentinelContext
 from repro.core.spec import SentinelSpec
-from repro.errors import SandboxViolation, SpecError
-from repro.net import Address, FileServer, Network
+from repro.errors import DeadlineExceededError, SandboxViolation, SpecError
+from repro.net import (Address, FileServer, Network, Request, Response,
+                       Service)
 
 NULL = SentinelSpec("repro.sentinels.null:NullFilterSentinel")
 
@@ -124,6 +126,60 @@ class TestNetworkGuard:
             .instantiate()
         with pytest.raises(SandboxViolation):
             sentinel.on_open(SentinelContext(network=network))
+
+
+class _Counting(Service):
+    """Answers ``echo`` with its payload and counts what it served."""
+
+    def __init__(self) -> None:
+        self.served = 0
+
+    def op_echo(self, request: Request) -> Response:
+        self.served += 1
+        return Response(payload=request.payload)
+
+
+class TestGuardedCallSurface:
+    """The sandboxed context's network takes the calls every network
+    takes, deadline included, and checks its allowlist on each."""
+
+    @pytest.fixture
+    def guarded(self):
+        network = Network()
+        service = network.bind(Address("files", 1), _Counting())
+        network.bind(Address("evil", 1), _Counting())
+        _, ctx = make_sandboxed(SandboxPolicy(allowed_hosts=("files",)),
+                                network=network)
+        return ctx.network, service
+
+    def test_call_with_deadline_reaches_the_service(self, guarded):
+        network, service = guarded
+        response = network.call(Address("files", 1),
+                                Request("echo", payload=b"hi"),
+                                deadline=Deadline.after(1))
+        assert response.payload == b"hi"
+        assert service.served == 1
+        resolve = network.call_async(Address("files", 1),
+                                     Request("echo", payload=b"yo"),
+                                     deadline=Deadline.after(1))
+        assert resolve().payload == b"yo"
+
+    def test_expired_deadline_fails_before_the_service(self, guarded):
+        network, service = guarded
+        with pytest.raises(DeadlineExceededError):
+            network.call(Address("files", 1), Request("echo"),
+                         deadline=Deadline.after(-1))
+        assert service.served == 0
+
+    def test_off_list_host_is_refused_by_every_entry(self, guarded):
+        network, _ = guarded
+        evil = Address("evil", 1)
+        with pytest.raises(SandboxViolation, match="evil"):
+            network.connect(evil)
+        with pytest.raises(SandboxViolation, match="evil"):
+            network.call(evil, Request("echo"))
+        with pytest.raises(SandboxViolation, match="evil"):
+            network.call_async(evil, Request("echo"))
 
 
 class TestThroughStrategies:
